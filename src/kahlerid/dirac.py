@@ -17,18 +17,15 @@ from .algebra import (
     frame,
     j_vector,
 )
+from .matrices import ExactMatrix
 from .operators import (
     LinearOperator,
-    adjoint,
     apply_operator,
     blade_structure,
-    compose,
     conjugate,
-    contract_op,
-    ext_mult,
+    derivation,
     make_operator,
-    operator_from_blade_action,
-    scale_op,
+    multiplication,
 )
 from .models import ModelGeometry, nabla
 from .scalars import GaussianRational, gq
@@ -36,20 +33,12 @@ from .scalars import GaussianRational, gq
 
 def clifford_left(phi: Multivector, name: str, bidegree=None) -> LinearOperator:
     """Left Clifford multiplication L_phi."""
-    from .algebra import clifford_mul
-
-    return operator_from_blade_action(
-        phi.n, lambda b: clifford_mul(phi, b), name, "cl", bidegree
-    )
+    return make_operator(name, multiplication(phi, "L"), "cl", bidegree)
 
 
 def clifford_right(phi: Multivector, name: str, bidegree=None) -> LinearOperator:
     """Right Clifford multiplication R_phi."""
-    from .algebra import clifford_mul
-
-    return operator_from_blade_action(
-        phi.n, lambda b: clifford_mul(b, phi), name, "cl", bidegree
-    )
+    return make_operator(name, multiplication(phi, "R"), "cl", bidegree)
 
 
 def covariant_derivatives(geom: ModelGeometry) -> tuple[LinearOperator, ...]:
@@ -58,15 +47,18 @@ def covariant_derivatives(geom: ModelGeometry) -> tuple[LinearOperator, ...]:
     return tuple(nabla(m, a, geom.connection) for a in range(1, m.dim + 1))
 
 
+def _frame_sum(kind: str, ops) -> ExactMatrix:
+    """sum_A e_A @ ops[A-1], multiplying by e_A as `multiplication` does for kind."""
+    n = len(ops) // 2
+    total = ExactMatrix.zeros(4**n)
+    for a, op in enumerate(ops, 1):
+        total = total + multiplication(frame(n, a), kind, op.matrix)
+    return total
+
+
 def dirac(geom: ModelGeometry, nablas=None) -> LinearOperator:
     """D = sum_A L_{e_A} nabla_{e_A}."""
-    n = geom.n
-    nablas = nablas or covariant_derivatives(geom)
-    bs = blade_structure(n)
-    total = bs.identity.scale(gq(0))
-    for a in range(1, 2 * n + 1):
-        total = total + (clifford_left(frame(n, a), f"L_e{a}").matrix @ nablas[a - 1].matrix)
-    return make_operator("D", total, "cl")
+    return make_operator("D", _frame_sum("L", nablas or covariant_derivatives(geom)), "cl")
 
 
 def hc_operator(geom: ModelGeometry) -> LinearOperator:
@@ -101,8 +93,6 @@ def sigma_from_torsion_form(geom: ModelGeometry, a: int) -> LinearOperator:
     """Alternative route on vectors only, extended as an even derivation:
     sigma_X(Y) = sum_B ( (d omega)^+(X, Y, e_B) - (d omega)^+(X, JY, J e_B) ) e_B.
     """
-    from .models import _extend_even_derivation
-
     n = geom.n
     x = frame(n, a)
     plus = geom.d_omega_plus
@@ -118,35 +108,22 @@ def sigma_from_torsion_form(geom: ModelGeometry, a: int) -> LinearOperator:
             if not (v == gq(0)):
                 acc[1 << (c - 1)] = v
         action[b] = Multivector(n, acc)
-    return _extend_even_derivation(n, action, f"sigma_torsion_{a}", "cl")
+    return derivation(action, f"sigma_torsion_{a}", "cl")
 
 
 def d_sigma(geom: ModelGeometry, sigmas=None) -> LinearOperator:
     """D_sigma = sum_A L_{e_A} sigma_{e_A}."""
-    n = geom.n
-    sigmas = sigmas or [sigma(geom, a) for a in range(1, 2 * n + 1)]
-    bs = blade_structure(n)
-    total = bs.identity.scale(gq(0))
-    for a in range(1, 2 * n + 1):
-        total = total + (clifford_left(frame(n, a), f"L_e{a}").matrix @ sigmas[a - 1].matrix)
-    return make_operator("D_sigma", total, "cl")
+    sigmas = sigmas or [sigma(geom, a) for a in range(1, 2 * geom.n + 1)]
+    return make_operator("D_sigma", _frame_sum("L", sigmas), "cl")
 
 
 def d_sigma_split(geom: ModelGeometry, sigmas=None) -> tuple[LinearOperator, LinearOperator]:
     """(D_sigma^ext, D_sigma^int): the wedge and contraction halves of
     D_sigma under e.x = e^x - e_|x, so D_sigma = ext - int."""
-    n = geom.n
-    sigmas = sigmas or [sigma(geom, a) for a in range(1, 2 * n + 1)]
-    bs = blade_structure(n)
-    tot_e = bs.identity.scale(gq(0))
-    tot_i = bs.identity.scale(gq(0))
-    for a in range(1, 2 * n + 1):
-        ea = frame(n, a)
-        tot_e = tot_e + (ext_mult(ea, f"E_e{a}").matrix @ sigmas[a - 1].matrix)
-        tot_i = tot_i + (contract_op(ea, f"I_e{a}").matrix @ sigmas[a - 1].matrix)
+    sigmas = sigmas or [sigma(geom, a) for a in range(1, 2 * geom.n + 1)]
     return (
-        make_operator("D_sigma_ext", tot_e, "cl"),
-        make_operator("D_sigma_int", tot_i, "cl"),
+        make_operator("D_sigma_ext", _frame_sum("E", sigmas), "cl"),
+        make_operator("D_sigma_int", _frame_sum("C", sigmas), "cl"),
     )
 
 
@@ -162,14 +139,13 @@ def frame_rotation_check(geom: ModelGeometry, seed: int = 0) -> bool:
     rng.shuffle(perm)
     signs = [rng.choice((1, -1)) for _ in range(dim)]
     nablas = covariant_derivatives(geom)
-    bs = blade_structure(n)
-    total = bs.identity.scale(gq(0))
+    total = ExactMatrix.zeros(4**n)
     for pos, a in enumerate(perm):
         s = Fraction(signs[pos])
         vec = frame(n, a).scale(s)
         # nabla is linear in the direction slot: nabla_{s e_a} = s nabla_{e_a}
         nb = nablas[a - 1].matrix.scale(GaussianRational(s))
-        total = total + (clifford_left(vec, "L").matrix @ nb)
+        total = total + multiplication(vec, "L", nb)
     return total == dirac(geom, nablas).matrix
 
 

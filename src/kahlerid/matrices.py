@@ -154,6 +154,7 @@ class ExactMatrix:
             self.re.dtype == np.int64
             and other.re.dtype == np.int64
             and a_max + b_max < _I64_BOUND
+            and max(fa, abs(fb)) < _I64_BOUND
         ):
             re = self.re * np.int64(fa) + other.re * np.int64(fb)
             im = self.im * np.int64(fa) + other.im * np.int64(fb)
@@ -178,7 +179,11 @@ class ExactMatrix:
         a = int(c.re * d)
         b = int(c.im * d)
         m = max(_max_abs(self.re), _max_abs(self.im)) * max(abs(a), abs(b))
-        if self.re.dtype == np.int64 and 2 * m < _I64_BOUND:
+        if (
+            self.re.dtype == np.int64
+            and 2 * m < _I64_BOUND
+            and max(abs(a), abs(b)) < _I64_BOUND
+        ):
             re = self.re * np.int64(a) - self.im * np.int64(b)
             im = self.re * np.int64(b) + self.im * np.int64(a)
         else:

@@ -21,24 +21,18 @@ from .algebra import (
     AdaptedStructure,
     Multivector,
     blade_indices,
-    coframe,
     contract,
     frame,
-    hodge_star,
     j_vector,
     three_form_split,
-    wedge,
 )
-from .matrices import ExactMatrix
 from .operators import (
     LinearOperator,
-    StructuralError,
     apply_operator,
     blade_structure,
-    make_operator,
-    operator_from_blade_action,
+    derivation,
 )
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ZERO
 
 
 class ModelFormatError(ValueError):
@@ -221,7 +215,8 @@ def validate_model(m: LieModel) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def ce_differential(m: LieModel) -> LinearOperator:
-    """d on invariant forms: d t^C = -sum_{A<B} c^C_{AB} t^A ^ t^B."""
+    """d on invariant forms: d t^C = -sum_{A<B} c^C_{AB} t^A ^ t^B, extended
+    as an antiderivation."""
     n = m.n
     dim = m.dim
     dtheta: dict[int, Multivector] = {}
@@ -235,27 +230,7 @@ def ce_differential(m: LieModel) -> LinearOperator:
                     acc[mask] = acc.get(mask, ZERO) - GaussianRational(v)
         dtheta[c] = Multivector(n, acc)
 
-    def act(blade: Multivector) -> Multivector:
-        if not blade.coeffs:
-            return Multivector.zero(n)
-        (mask,) = blade.coeffs
-        idx = blade_indices(mask)
-        out = Multivector.zero(n)
-        for pos, i in enumerate(idx):
-            pre = Multivector(n, {_mask(idx[:pos]): ONE})
-            suf = Multivector(n, {_mask(idx[pos + 1:]): ONE})
-            term = wedge(pre, wedge(dtheta[i], suf))
-            out = out + (term if pos % 2 == 0 else -term)
-        return out
-
-    return operator_from_blade_action(n, act, "d", "ext")
-
-
-def _mask(indices) -> int:
-    mm = 0
-    for i in indices:
-        mm |= 1 << (i - 1)
-    return mm
+    return derivation(dtheta, "d", "ext")
 
 
 # ---------------------------------------------------------------------------
@@ -302,29 +277,11 @@ def levi_civita(m: LieModel) -> ConnectionTable:
     return ConnectionTable(m.n, tuple(rows))
 
 
-def _extend_even_derivation(n, action, name, picture) -> LinearOperator:
-    """Degree-0 derivation over wedge from its action on index vectors."""
-
-    def act(blade: Multivector) -> Multivector:
-        if not blade.coeffs:
-            return Multivector.zero(n)
-        (mask,) = blade.coeffs
-        idx = blade_indices(mask)
-        out = Multivector.zero(n)
-        for pos, i in enumerate(idx):
-            pre = Multivector(n, {_mask(idx[:pos]): ONE})
-            suf = Multivector(n, {_mask(idx[pos + 1:]): ONE})
-            out = out + wedge(pre, wedge(action[i], suf))
-        return out
-
-    return operator_from_blade_action(n, act, name, picture)
-
-
 def nabla(m: LieModel, a: int, connection: ConnectionTable | None = None) -> LinearOperator:
     """nabla_{e_a} on polyvectors/Clifford elements (derivation extension)."""
     conn = connection or levi_civita(m)
     action = {b: conn.derivative(a, b) for b in range(1, m.dim + 1)}
-    return _extend_even_derivation(m.n, action, f"nabla_{a}", "cl")
+    return derivation(action, f"nabla_{a}", "cl")
 
 
 def nabla_forms(m: LieModel, a: int, connection: ConnectionTable | None = None) -> LinearOperator:
@@ -338,7 +295,7 @@ def nabla_forms(m: LieModel, a: int, connection: ConnectionTable | None = None) 
             if v:
                 acc[1 << (b - 1)] = GaussianRational(-v)
         action[c] = Multivector(m.n, acc)
-    return _extend_even_derivation(m.n, action, f"nabla_forms_{a}", "ext")
+    return derivation(action, f"nabla_forms_{a}", "ext")
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +475,10 @@ def get_model(name: str) -> LieModel:
 # JSON interchange
 # ---------------------------------------------------------------------------
 
+# largest half-dimension a model file may declare
+MAX_N = 4
+
+
 def _parse_value(v, where: str) -> Fraction:
     if isinstance(v, bool):
         raise ModelFormatError(f"{where}: value must be rational, got boolean")
@@ -547,6 +508,11 @@ def load_model_dict(data: dict) -> LieModel:
     n = data["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ModelFormatError("'n' must be a positive integer")
+    if n > MAX_N:
+        raise ModelFormatError(
+            f"'n' = {n} exceeds the limit n <= {MAX_N}: operators are dense"
+            f" 4^n x 4^n matrices ({4**MAX_N} x {4**MAX_N} at the limit)"
+        )
     brackets = data["brackets"]
     if not isinstance(brackets, list):
         raise ModelFormatError("'brackets' must be a list")

@@ -18,17 +18,14 @@ from .algebra import (
     blade_degree,
     blade_indices,
     contract,
-    coframe,
     degree_spectrum,
     frame,
     hodge_star,
     j_algebra,
     j_derivation,
-    j_vector,
-    wedge,
 )
 from .matrices import ExactMatrix, FloatMatrix
-from .scalars import GaussianRational, ONE, gq
+from .scalars import ONE, gq
 
 PICTURES = ("ext", "cl")
 
@@ -90,6 +87,19 @@ class BladeStructure:
         self.hodge = self._blade_matrix(hodge_star)
         self._proj: dict[str, dict[tuple[int, int], ExactMatrix]] = {}
         self._proj_blocks: dict[str, dict[tuple[int, int], ExactMatrix]] = {}
+        # Generators as row signs, (G_i M)[r] = sign[r] * M[r ^ bit_i]:
+        # E_i = t^i ^ ., C_i = E_i^T = e_i _| ., L_i = E_i - C_i = e_i . (left
+        # Clifford), R_i = (E_i + C_i) par = . e_i (right Clifford).
+        self.rows = np.arange(self.dim)
+        parity = 1 - 2 * (degs % 2)
+        self.generator_signs: dict[str, list[np.ndarray]] = {k: [] for k in "ECLR"}
+        for i in range(2 * n):
+            bit = 1 << i
+            before = parity[self.rows & (bit - 1)]
+            e = np.where(self.rows & bit, before, 0)
+            c = np.where(self.rows & bit, 0, before)
+            for kind, sign in zip("ECLR", (e, c, e - c, -parity * (e + c))):
+                self.generator_signs[kind].append(sign)
 
     # -- conversions -------------------------------------------------------
     def mv(self, mask: int) -> Multivector:
@@ -106,6 +116,22 @@ class BladeStructure:
     def _blade_matrix(self, fn) -> ExactMatrix:
         cols = [fn(self.mv(m)).coeffs for m in range(self.dim)]
         return ExactMatrix.from_columns(self.dim, cols)
+
+    def word(self, kind: str, mask: int) -> np.ndarray:
+        """Row signs of blade mask's generator word W: (W M)[r] = sign[r] * M[r ^ mask].
+
+        E and L words run in ascending index order (t^S = t^s1 ^ ... ^ t^sk),
+        C and R words in descending order (e_S _| = C_sk ... C_s1).
+        """
+        idx = blade_indices(mask)
+        if kind in ("C", "R"):
+            idx = idx[::-1]
+        sign = np.ones(self.dim, dtype=np.int64)
+        flip = 0
+        for i in idx:
+            sign = sign * self.generator_signs[kind][i - 1][self.rows ^ flip]
+            flip |= 1 << (i - 1)
+        return sign
 
     # -- bidegree projectors -------------------------------------------------
     def bidegree_pairs(self) -> list[tuple[int, int]]:
@@ -331,8 +357,8 @@ def operator_bidegree_components(op: LinearOperator) -> dict[tuple[int, int], Ex
     Keys are shifts; values are degree-block sandwiches Pi_{p+a,q+b} P Pi_{p,q}
     summed over sources and reassembled to full dimension.
     """
-    if isinstance(op.matrix, FloatMatrix):
-        return _bidegree_components_float(op)
+    if not isinstance(op.matrix, ExactMatrix):
+        raise StructuralError("bidegree measurement requires an exact matrix")
     bs = blade_structure(_n_from_dim(op.dim))
     blocks = _block_map(op.matrix, bs)
     proj = bs.projector_blocks(op.picture)
@@ -375,30 +401,8 @@ def _assemble_blocks(blockmap, bs: BladeStructure) -> ExactMatrix:
     return ExactMatrix(re, im, den)
 
 
-def _bidegree_components_float(op: LinearOperator, tol: float = 1e-12):
-    bs = blade_structure(_n_from_dim(op.dim))
-    proj = {
-        pq: FloatMatrix.from_exact(m)
-        for pq, m in bs.projectors(op.picture).items()
-    }
-    out: dict[tuple[int, int], FloatMatrix] = {}
-    for (p, q), pr in proj.items():
-        y = op.matrix @ pr
-        if y.max_norm() <= tol:
-            continue
-        for (r, s), pl in proj.items():
-            z = pl @ y
-            if z.max_norm() <= tol:
-                continue
-            shift = (r - p, s - q)
-            out[shift] = out[shift] + z if shift in out else z
-    return out
-
-
 def measured_bidegree(op: LinearOperator) -> set[tuple[int, int]]:
     """Set of bidegree shifts (a, b) on which P has a nonzero component."""
-    if isinstance(op.matrix, FloatMatrix):
-        return set(_bidegree_components_float(op))
     return set(operator_bidegree_components(op))
 
 
@@ -410,28 +414,56 @@ def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperat
 
 
 # ---------------------------------------------------------------------------
-# multiplication operators
+# multiplication operators and derivations
 # ---------------------------------------------------------------------------
+
+def multiplication(phi: Multivector, kind: str, start: ExactMatrix | None = None) -> ExactMatrix:
+    """sum_S phi_S W_S @ start over phi's blades S, W_S the generator word of kind.
+
+    kind "E" multiplies by phi ^ ., "C" by phi _| ., "L" and "R" by phi on
+    the left and right in the Clifford algebra.  Each word is a signed
+    permutation, applied to start as a row gather, never as a matmul.
+    """
+    bs = blade_structure(phi.n)
+    start = bs.identity if start is None else start
+    total = ExactMatrix.zeros(*start.shape)
+    for mask, c in phi.coeffs.items():
+        sign = bs.word(kind, mask)[:, None]
+        rows = bs.rows ^ mask
+        term = ExactMatrix(sign * start.re[rows], sign * start.im[rows], start.den)
+        total = total + term.scale(c)
+    return total
+
+
+def derivation(images: dict[int, Multivector], name: str, picture: str,
+               bidegree=None) -> LinearOperator:
+    """The graded derivation t^i -> images[i] that kills scalars: sum_i E_{images[i]} C_i.
+
+    C_i carries the Koszul sign of passing t^i over the factors before it;
+    odd images pay it back as they move into place, so one formula gives a
+    derivation for odd images and an antiderivation for even ones.
+    """
+    n = next(iter(images.values())).n
+    total = ExactMatrix.zeros(4**n)
+    for i, image in images.items():
+        if image.coeffs:
+            total = total + multiplication(image, "E", multiplication(frame(n, i), "C"))
+    return make_operator(name, total, picture, bidegree)
+
 
 def ext_mult(phi: Multivector, name: str, bidegree=None) -> LinearOperator:
     """Left exterior multiplication E_phi."""
-    return operator_from_blade_action(
-        phi.n, lambda b: wedge(phi, b), name, "ext", bidegree
-    )
+    return make_operator(name, multiplication(phi, "E"), "ext", bidegree)
 
 
 def int_mult(phi: Multivector, name: str, bidegree=None) -> LinearOperator:
     """Interior multiplication, defined as the adjoint of E_phi."""
-    e = ext_mult(phi, f"E[{name}]")
-    bid = bidegree
-    return make_operator(name, e.matrix.adjoint(), "ext", bid)
+    return make_operator(name, multiplication(phi, "E").adjoint(), "ext", bidegree)
 
 
 def contract_op(phi: Multivector, name: str, bidegree=None) -> LinearOperator:
     """Bilinear contraction by phi (no conjugation of phi's coefficients)."""
-    return operator_from_blade_action(
-        phi.n, lambda b: contract(phi, b), name, "ext", bidegree
-    )
+    return make_operator(name, multiplication(phi, "C"), "ext", bidegree)
 
 
 def r_xi(xi: Multivector, name: str, bidegree=None) -> LinearOperator:
@@ -441,39 +473,19 @@ def r_xi(xi: Multivector, name: str, bidegree=None) -> LinearOperator:
     cross-term operator in the Clifford multiplication expansion.
     """
     n = xi.n
-    pieces = []
-    for a in range(1, 2 * n + 1):
-        ea = frame(n, a)
-        c = contract(ea, xi)
-        if not c.is_zero():
-            pieces.append((a, c))
-
-    def act(b: Multivector) -> Multivector:
-        out = Multivector.zero(n)
-        for a, c in pieces:
-            out = out + wedge(c, contract(frame(n, a), b))
-        return -out
-
-    return operator_from_blade_action(n, act, name, "ext", bidegree)
+    images = {a: -contract(frame(n, a), xi) for a in range(1, 2 * n + 1)}
+    return derivation(images, name, "ext", bidegree)
 
 
 def k_xi(xi: Multivector, name: str) -> LinearOperator:
     """K_xi(phi) = sum_C (e_C _| xi) ^ (J e_C _| phi)."""
     n = xi.n
-    pieces = []
-    for c_idx in range(1, 2 * n + 1):
-        ec = frame(n, c_idx)
-        piece = contract(ec, xi)
-        if not piece.is_zero():
-            pieces.append((j_vector(ec, "cl"), piece))
-
-    def act(b: Multivector) -> Multivector:
-        out = Multivector.zero(n)
-        for jec, piece in pieces:
-            out = out + wedge(piece, contract(jec, b))
-        return out
-
-    return operator_from_blade_action(n, act, name, "ext")
+    st = AdaptedStructure(n)
+    images = {}
+    for c in range(1, 2 * n + 1):
+        j, s = st.pair(c)  # J e_c = s e_j
+        images[j] = contract(frame(n, c), xi).scale(s)
+    return derivation(images, name, "ext")
 
 
 def derivation_rebuild(op: LinearOperator) -> LinearOperator:
@@ -488,39 +500,13 @@ def derivation_rebuild(op: LinearOperator) -> LinearOperator:
     """
     if op.parity == "mixed":
         raise StructuralError("derivation rebuild needs a definite parity")
-    bs = blade_structure(_n_from_dim(op.dim))
-    n = bs.n
+    n = _n_from_dim(op.dim)
     if not isinstance(op.matrix, ExactMatrix):
         raise StructuralError("derivation rebuild requires an exact matrix")
-    unit_col = op.matrix.column_dict(0)
-    if unit_col:
+    if op.matrix.column_dict(0):
         raise StructuralError(f"{op.name} does not kill scalars; not a derivation")
-    action = {}
-    for i in range(1, 2 * n + 1):
-        col = op.matrix.column_dict(1 << (i - 1))
-        action[i] = Multivector(n, col)
-    odd = op.parity == "odd"
-
-    def act(b: Multivector) -> Multivector:
-        if not b.coeffs:
-            return Multivector.zero(n)
-        (mask,) = b.coeffs
-        idx = blade_indices(mask)
-        out = Multivector.zero(n)
-        for pos, i in enumerate(idx):
-            prefix = Multivector(n, {mask_from(idx[:pos]): ONE})
-            suffix = Multivector(n, {mask_from(idx[pos + 1:]): ONE})
-            term = wedge(prefix, wedge(action[i], suffix))
-            if odd and pos % 2 == 1:
-                term = -term
-            out = out + term
-        return out
-
-    return operator_from_blade_action(n, act, f"rebuild({op.name})", op.picture)
-
-
-def mask_from(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << (i - 1)
-    return m
+    # definite parity makes every image's degree parity match the sign rule
+    images = {
+        i: Multivector(n, op.matrix.column_dict(1 << (i - 1))) for i in range(1, 2 * n + 1)
+    }
+    return derivation(images, f"rebuild({op.name})", op.picture)

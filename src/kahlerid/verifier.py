@@ -153,17 +153,6 @@ class IdentityEntry:
     condition: str | None = None  # "almost_kahler" restricts to d omega = 0
 
 
-GROUPS = (
-    "elementary",
-    "clifford",
-    "exterior",
-    "main",
-    "corollary",
-    "commutator-table",
-    "bidegree-table",
-    "almost-kahler",
-)
-
 GROUP_SUITE = {
     "elementary": "elementary",
     "clifford": "clifford",

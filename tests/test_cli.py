@@ -115,6 +115,12 @@ def test_malformed_model_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oversized_model_exits_3(tmp_path, capsys):
+    path = _write_model(tmp_path, "big", [], 5)
+    assert main(["validate", "--model", path]) == 3
+    assert "n <= 4" in capsys.readouterr().err
+
+
 def test_table_subcommand(capsys):
     assert main(["table", "--model", "kt4"]) == 0
     data = json.loads(capsys.readouterr().out)

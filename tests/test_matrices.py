@@ -1,6 +1,8 @@
 """Exact Gaussian-rational matrices: arithmetic, overflow fallback, solving."""
 from fractions import Fraction
 
+import numpy as np
+
 from kahlerid import gq
 from kahlerid.matrices import ExactMatrix, FloatMatrix, solve_exact
 
@@ -55,6 +57,17 @@ def test_matmul_int64_overflow_falls_back_exactly():
             assert c.entry(i, j) == gq(ref[i][j])
     # sanity: the true product really exceeds int64
     assert max(max(row) for row in ref) > 2**63 - 1
+
+
+def test_add_and_scale_with_factor_beyond_int64():
+    # the common-denominator factor alone exceeds int64, though the entries fit
+    big_den = 10**20 + 39
+    eye = np.eye(2, dtype=np.int64)
+    m = ExactMatrix(eye, np.zeros((2, 2), np.int64), big_den)
+    total = ExactMatrix.zeros(2) + m
+    assert total == m
+    assert total.entry(0, 0) == gq(Fraction(1, big_den))
+    assert ExactMatrix.zeros(2).scale(10**20) == ExactMatrix.zeros(2)
 
 
 def test_complex_parts_and_adjoint():

@@ -236,6 +236,13 @@ def test_json_rejects_missing_keys():
         load_model_dict({"name": "x", "brackets": []})
 
 
+def test_json_rejects_n_above_limit():
+    spec = {"name": "x", "n": 5, "brackets": []}
+    with pytest.raises(ModelFormatError, match="n <= 4"):
+        load_model_dict(spec)
+    assert load_model_dict({"name": "x", "n": 4, "brackets": []}).n == 4
+
+
 def test_json_accepts_fraction_strings():
     spec = {"name": "x", "n": 2,
             "brackets": [{"a": 1, "b": 2, "c": 3, "v": "-3/4"}]}

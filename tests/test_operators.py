@@ -1,12 +1,25 @@
 """Operator layer: parity, supercommutator, conjugations, rebuild, Lefschetz."""
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerid import gq
-from kahlerid.algebra import AdaptedStructure, Multivector, coframe, frame, wedge
-from kahlerid.matrices import ExactMatrix
+from kahlerid.algebra import (
+    AdaptedStructure,
+    Multivector,
+    blade_degree,
+    clifford_mul,
+    coframe,
+    contract,
+    frame,
+    wedge,
+)
+from kahlerid.dirac import clifford_left, clifford_right
+from kahlerid.matrices import ExactMatrix, FloatMatrix
 from kahlerid.operators import (
     LinearOperator,
     StructuralError,
@@ -17,12 +30,15 @@ from kahlerid.operators import (
     blade_structure,
     compose,
     conjugate,
+    contract_op,
+    derivation,
     derivation_rebuild,
     ext_mult,
     int_mult,
     make_operator,
     measured_bidegree,
     operator_bidegree_components,
+    operator_from_blade_action,
     r_xi,
     scale_op,
     supercommutator,
@@ -91,6 +107,73 @@ def test_lefschetz_bidegrees():
     assert measured_bidegree(L) == {(1, 1)}
     assert measured_bidegree(adjoint(L)) == {(-1, -1)}
     assert adjoint(L).bidegree == (-1, -1)
+
+
+def test_bidegree_measurement_requires_exact():
+    L = ext_mult(AdaptedStructure(2).omega(), "L")
+    fl = LinearOperator("L", FloatMatrix.from_exact(L.matrix), "ext", L.parity)
+    with pytest.raises(StructuralError, match="requires an exact matrix"):
+        measured_bidegree(fl)
+
+
+# -- generator construction against the per-blade reference -------------------------
+
+def _scalars():
+    return st.builds(lambda a, b: gq(Fraction(a, 3), Fraction(b, 2)),
+                     st.integers(-6, 6), st.integers(-4, 4))
+
+
+def _multivectors(n, parity=None):
+    masks = [m for m in range(4**n) if parity is None or blade_degree(m) % 2 == parity]
+    return st.dictionaries(st.sampled_from(masks), _scalars(), max_size=4).map(
+        lambda d: Multivector(n, d))
+
+
+@st.composite
+def _n_and_multivector(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    return n, draw(_multivectors(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_n_and_multivector())
+def test_multiplication_matches_blade_products(case):
+    n, phi = case
+    pairs = [
+        (ext_mult(phi, "E"), lambda b: wedge(phi, b)),
+        (contract_op(phi, "C"), lambda b: contract(phi, b)),
+        (clifford_left(phi, "L"), lambda b: clifford_mul(phi, b)),
+        (clifford_right(phi, "R"), lambda b: clifford_mul(b, phi)),
+    ]
+    for op, action in pairs:
+        ref = operator_from_blade_action(n, action, "ref", op.picture)
+        assert op.matrix == ref.matrix
+
+
+@st.composite
+def _derivation_case(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    image_parity = draw(st.sampled_from([0, 1]))
+    images = {i: draw(_multivectors(n, image_parity)) for i in range(1, 2 * n + 1)}
+    a_parity = draw(st.sampled_from([0, 1]))
+    a = draw(_multivectors(n, a_parity))
+    b = draw(_multivectors(n))
+    return n, image_parity, images, a_parity, a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(_derivation_case())
+def test_derivation_is_graded_leibniz(case):
+    n, image_parity, images, a_parity, a, b = case
+    D = derivation(images, "D", "ext")
+    d_parity = 1 - image_parity  # D sends degree 1 to the images' parity
+    for i, image in images.items():
+        assert apply_operator(D, coframe(n, i)) == image
+    assert apply_operator(D, Multivector.unit(n)).is_zero()
+    sign = -1 if d_parity * a_parity else 1
+    lhs = apply_operator(D, wedge(a, b))
+    rhs = wedge(apply_operator(D, a), b) + wedge(a, apply_operator(D, b)).scale(sign)
+    assert lhs == rhs
 
 
 # -- adjoint / conjugation ----------------------------------------------------------
