@@ -25,7 +25,7 @@ def _max_abs(arr: np.ndarray) -> int:
     if arr.size == 0:
         return 0
     if arr.dtype == object:
-        return max((abs(int(v)) for v in arr.flat), default=0)
+        return int(np.abs(arr).max())
     lo = int(arr.min())
     hi = int(arr.max())
     return max(-lo, hi, 0)
@@ -34,13 +34,6 @@ def _max_abs(arr: np.ndarray) -> int:
 def _gcd_reduce(arr: np.ndarray) -> int:
     if arr.size == 0:
         return 0
-    if arr.dtype == object:
-        g = 0
-        for v in arr.flat:
-            g = math.gcd(g, abs(int(v)))
-            if g == 1:
-                return 1
-        return g
     return int(np.gcd.reduce(np.abs(arr).ravel()))
 
 
@@ -255,12 +248,18 @@ class ExactMatrix:
         """sum_ij self[ij] * conj(other[ij]), exact."""
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        ar = self.re.astype(object)
-        ai = self.im.astype(object)
-        br = other.re.astype(object)
-        bi = other.im.astype(object)
-        re = int(np.sum(ar * br + ai * bi))
-        im = int(np.sum(ai * br - ar * bi))
+        a_max = max(_max_abs(self.re), _max_abs(self.im))
+        b_max = max(_max_abs(other.re), _max_abs(other.im))
+        fast = (
+            self.re.dtype == np.int64
+            and other.re.dtype == np.int64
+            and 2 * self.re.size * a_max * b_max < _I64_BOUND
+        )
+        dtype = np.int64 if fast else object
+        ar, ai, br, bi = (x.astype(dtype, copy=False).ravel()
+                          for x in (self.re, self.im, other.re, other.im))
+        re = int(np.dot(ar, br) + np.dot(ai, bi))
+        im = int(np.dot(ai, br) - np.dot(ar, bi))
         d = self.den * other.den
         return GaussianRational(Fraction(re, d), Fraction(im, d))
 
@@ -323,41 +322,50 @@ class FloatMatrix:
         return float(np.max(np.abs(self.data)))
 
 
-def solve_exact(columns: list[list[GaussianRational]], target: list[GaussianRational]):
+def solve_exact(columns: list[list[GaussianRational]], target, *, many: bool = False):
     """Solve sum_j x_j * columns[j] = target exactly.
 
-    Gaussian elimination over the Gaussian rationals.  Returns a
+    Gauss-Jordan elimination over the Gaussian rationals.  Returns a
     coefficient list (free variables set to 0) or None if inconsistent.
+    With many=True, `target` is a list of right-hand sides reduced together
+    in one pass, and the result holds one such answer per right-hand side.
+    Pivots are chosen from `columns` only, so each answer is exactly the one
+    a separate call would return.
     """
+    targets = target if many else [target]
     ncols = len(columns)
-    nrows = len(target)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
+    nrows = len(targets[0]) if targets else 0
+    aug = [[columns[j][i] for j in range(ncols)] + [t[i] for t in targets]
+           for i in range(nrows)]
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(ncols):
-        sel = None
-        for r in range(row, nrows):
-            if aug[r][col]:
-                sel = r
-                break
+        if row == nrows:
+            break
+        sel = next((r for r in range(row, nrows) if aug[r][col]), None)
         if sel is None:
             continue
         aug[row], aug[sel] = aug[sel], aug[row]
         pv = aug[row][col]
-        aug[row] = [v / pv for v in aug[row]]
+        aug[row] = [v / pv if v else v for v in aug[row]]
+        # only the pivot row's nonzero entries change the other rows
+        nz = [(k, v) for k, v in enumerate(aug[row]) if v]
         for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+            f = aug[r][col]
+            if r != row and f:
+                arow = aug[r]
+                for k, v in nz:
+                    arow[k] = arow[k] - f * v
         pivots.append((row, col))
         row += 1
-        if row == nrows:
-            break
-    # inconsistency: zero row with nonzero rhs
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
-    x = [ZERO] * ncols
-    for r, c in pivots:
-        x[c] = aug[r][ncols]
-    return x
+    answers = []
+    for k in range(ncols, ncols + len(targets)):
+        # inconsistency: zero row with nonzero rhs
+        if any(aug[r][k] for r in range(row, nrows)):
+            answers.append(None)
+            continue
+        x = [ZERO] * ncols
+        for r, c in pivots:
+            x[c] = aug[r][k]
+        answers.append(x)
+    return answers if many else answers[0]

@@ -1197,7 +1197,10 @@ def _format_combo(coeffs, labels) -> str:
 
 def emit_commutator_table(ws: Workspace) -> dict:
     """Compute [row, Lam] and [row, L] for every table row, solve each cell
-    exactly over the operator span, and compare with the expected forms."""
+    exactly over the operator span, and compare with the expected forms.
+
+    The Gram system of the span is shared by every cell, so all cells are
+    solved by one elimination; each cell only adds its right-hand side."""
     if ws.mode != "exact":
         raise StructuralError("the commutator table requires exact mode")
     atoms = _span_atoms(ws)
@@ -1205,59 +1208,65 @@ def emit_commutator_table(ws: Workspace) -> dict:
     mats = [a[1].matrix for a in atoms]
     gram_cols = [[mats[j].frobenius_inner(mats[i]) for i in range(len(mats))]
                  for j in range(len(mats))]
-    cells = []
-    ok = True
+    pending = []
     for label, base, row, lam_e, lam_s, l_e, l_s in _ctab_rows():
         for col, expected_expr, expected_str in (
                 ("Lam", lam_e, lam_s), ("L", l_e, l_s)):
-            target = ws.eval(SCom(row, Op(col)))
+            target = ws.eval(SCom(row, Op(col))).matrix
             expected = (ws.eval(expected_expr) if expected_expr is not None
                         else ws.eval(ZeroOp("ext")))
-            matches = (target.matrix - expected.matrix).is_zero()
-            rhs = [target.matrix.frobenius_inner(m) for m in mats]
-            x = solve_exact(gram_cols, rhs)
-            solved = None
-            support: set[str] = set()
-            if x is not None:
-                # normal equations can have spurious solutions only if the
-                # target is outside the span; re-check by reconstruction
-                recon = None
-                for c, m in zip(x, mats):
-                    if not c:
-                        continue
-                    piece = m.scale(c)
-                    recon = piece if recon is None else recon + piece
-                if recon is None:
-                    recon = ExactMatrix.zeros(ws.dim)
-                if (recon - target.matrix).is_zero():
-                    solved = _format_combo(x, labels)
-                    support = {label for c, label in zip(x, labels) if c}
-            if solved is None:
-                status = "unresolved"
-            elif matches:
-                status = "ok"
-            else:
-                status = "mismatch"
-            if status != "ok":
-                ok = False
-            # coincidences: other single atoms that equal the cell on this model
-            aliases = []
-            if not target.matrix.is_zero():
-                for alabel, aop in atoms:
-                    if alabel in support:
-                        continue
-                    if (target.matrix - aop.matrix).is_zero():
-                        aliases.append(alabel)
-                    elif (target.matrix + aop.matrix).is_zero():
-                        aliases.append("-" + alabel)
-            cells.append({
-                "row": label,
-                "column": col,
-                "expected": expected_str,
-                "status": status,
-                "solved": solved if solved is not None else "",
-                "aliases": aliases,
-            })
+            matches = (target - expected.matrix).is_zero()
+            rhs = [target.frobenius_inner(m) for m in mats]
+            pending.append((label, col, expected_str, target, matches, rhs))
+    solutions = solve_exact(gram_cols, [rhs for *_, rhs in pending], many=True)
+    cells = []
+    ok = True
+    sq_norms = [gram_cols[i][i] for i in range(len(mats))]
+    for (label, col, expected_str, target, matches, rhs), x in zip(pending, solutions):
+        solved = None
+        support: set[str] = set()
+        if x is not None:
+            # normal equations can have spurious solutions only if the
+            # target is outside the span; re-check by reconstruction
+            recon = None
+            for c, m in zip(x, mats):
+                if not c:
+                    continue
+                piece = m.scale(c)
+                recon = piece if recon is None else recon + piece
+            if recon is None:
+                recon = ExactMatrix.zeros(ws.dim)
+            if (recon - target).is_zero():
+                solved = _format_combo(x, labels)
+                support = {label for c, label in zip(x, labels) if c}
+        if solved is None:
+            status = "unresolved"
+        elif matches:
+            status = "ok"
+        else:
+            status = "mismatch"
+        if status != "ok":
+            ok = False
+        # coincidences: other single atoms that equal the cell on this model;
+        # target = +-atom needs <target, atom> = +-<atom, atom>, so only
+        # those atoms are compared entrywise
+        aliases = []
+        if not target.is_zero():
+            for (alabel, aop), t_a, a_a in zip(atoms, rhs, sq_norms):
+                if alabel in support or t_a not in (a_a, -a_a):
+                    continue
+                if (target - aop.matrix).is_zero():
+                    aliases.append(alabel)
+                elif (target + aop.matrix).is_zero():
+                    aliases.append("-" + alabel)
+        cells.append({
+            "row": label,
+            "column": col,
+            "expected": expected_str,
+            "status": status,
+            "solved": solved if solved is not None else "",
+            "aliases": aliases,
+        })
     return {"model": ws.model.name, "ok": ok, "atoms": labels, "cells": cells}
 
 

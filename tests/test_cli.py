@@ -1,6 +1,8 @@
 """Command line interface: subcommands, formats, exit codes."""
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,18 @@ def test_table_subcommand(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# Commutator table: kt4")
     assert "| d | (d^c)* + (tau^c)* | lam | ok |" in out
+
+
+TABLE_REFS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "refs.json").read_text())["table"]
+
+
+@pytest.mark.parametrize("name", ["t2", "t4", "kt4", "hopf4", "t6", "iwa6", "nil6"])
+def test_table_json_is_byte_identical_to_the_reference(name, tmp_path):
+    # the recorded SHA-256 of `table --which both` JSON for every built-in
+    dest = tmp_path / "table.json"
+    assert main(["table", "--model", name, "--which", "both", "--out", str(dest)]) == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == TABLE_REFS[name]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

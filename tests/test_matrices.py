@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerid import gq
 from kahlerid.matrices import ExactMatrix, FloatMatrix, solve_exact
@@ -126,3 +128,91 @@ def test_solve_exact_underdetermined_prefers_leading_columns():
     cols = [[gq(1), gq(2)], [gq(2), gq(4)]]
     x = solve_exact(cols, [gq(3), gq(6)])
     assert x == [gq(3), gq(0)]
+
+
+def test_solve_exact_many_empty_and_single():
+    cols = [[gq(1), gq(0)], [gq(1), gq(1)]]
+    assert solve_exact(cols, [], many=True) == []
+    assert solve_exact(cols, [[gq(3), gq(2)]], many=True) == [[gq(1), gq(2)]]
+
+
+_small = st.builds(gq, st.integers(-3, 3), st.integers(-2, 2))
+
+
+@st.composite
+def _systems(draw):
+    """A rank-deficient system and right-hand sides inside and outside its span."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    basis = [[draw(_small) for _ in range(nrows)] for _ in range(rank)]
+    mix = [[draw(_small) for _ in range(rank)] for _ in range(ncols)]
+    columns = [[sum((c * b[i] for c, b in zip(m, basis)), gq(0)) for i in range(nrows)]
+               for m in mix]
+    targets, in_span = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        in_span.append(draw(st.booleans()))
+        if in_span[-1]:
+            w = [draw(_small) for _ in range(ncols)]
+            targets.append([sum((c * col[i] for c, col in zip(w, columns)), gq(0))
+                            for i in range(nrows)])
+        else:
+            targets.append([draw(_small) for _ in range(nrows)])
+    return columns, targets, in_span
+
+
+@settings(max_examples=80, deadline=None)
+@given(_systems())
+def test_solve_exact_many_equals_separate_solves(system):
+    columns, targets, in_span = system
+    got = solve_exact(columns, targets, many=True)
+    assert got == [solve_exact(columns, t) for t in targets]
+    for t, x, inside in zip(targets, got, in_span):
+        assert x is not None or not inside
+        if x is not None:
+            assert [sum((c * col[i] for c, col in zip(x, columns)), gq(0))
+                    for i in range(len(t))] == t
+
+
+def test_solve_exact_many_pins_free_variables_and_flags_inconsistent_columns():
+    # rank 1: the second column is twice the first, the third is zero
+    cols = [[gq(1), gq(0, 1)], [gq(2), gq(0, 2)], [gq(0), gq(0)]]
+    targets = [[gq(3), gq(0, 3)], [gq(1), gq(1)], [gq(0), gq(0)]]
+    assert solve_exact(cols, targets, many=True) == [
+        [gq(3), gq(0), gq(0)], None, [gq(0), gq(0), gq(0)]]
+
+
+def _as_object(m):
+    # the same matrix held in Python integers, so every product takes the object path
+    return ExactMatrix(m.re.astype(object), m.im.astype(object), m.den, _normalized=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_frobenius_inner_int64_path_equals_object_path(rows, cols, data):
+    entries = st.builds(gq, st.fractions(-9, 9, max_denominator=6), st.integers(-9, 9))
+
+    def mat():
+        return ExactMatrix.from_columns(rows, [
+            {i: data.draw(entries) for i in range(rows)} for _ in range(cols)])
+
+    a, b = mat(), mat()
+    assert a.re.dtype == b.re.dtype == np.int64
+    assert a.frobenius_inner(b) == _as_object(a).frobenius_inner(_as_object(b))
+
+
+def test_frobenius_inner_above_the_int64_bound_takes_the_object_path():
+    # 2 * size * max|a| * max|b| = 2**64 >= 2**62, and the sums exceed int64
+    big = 1 << 31
+    re = np.array([[big, big - 1]], dtype=np.int64)
+    a = ExactMatrix(re, np.array([[0, big]], dtype=np.int64), 1)
+    b = ExactMatrix(re.copy(), np.array([[-big, 3]], dtype=np.int64), 1)
+    got = a.frobenius_inner(b)
+    # sum a * conj(b) over the two entries, in Python integers
+    av = [(big, 0), (big - 1, big)]
+    bv = [(big, -big), (big - 1, 3)]
+    want_re = sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(av, bv))
+    want_im = sum(ai * br - ar * bi for (ar, ai), (br, bi) in zip(av, bv))
+    assert got == gq(want_re, want_im)
+    assert max(abs(want_re), abs(want_im)) > 2**63 - 1
+    assert got == _as_object(a).frobenius_inner(_as_object(b))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kahlerid import get_model
+from kahlerid import get_model, verifier
 from kahlerid.operators import StructuralError
 from kahlerid.verifier import (
     COVERAGE,
@@ -12,6 +12,7 @@ from kahlerid.verifier import (
     Apply,
     El,
     Op,
+    S,
     Workspace,
     catalog,
     emit_bidegree_table,
@@ -182,6 +183,39 @@ def test_commutator_table_nil6(ws):
     assert by_key[("rho_del", "Lam")]["expected"] == "-i rho_delbar* + tau_delbar*"
     # rho rows are genuinely exercised on nil6
     assert ws("nil6").nonzero("rho_del") and ws("nil6").nonzero("rho_delbar")
+
+
+def test_commutator_cell_outside_the_span_is_unresolved(ws, monkeypatch):
+    # without lam_mu in the span, [mu, L] = lam_mu has only a spurious
+    # normal-equation solution, which the reconstruction check rejects
+    span = verifier._span_atoms
+    monkeypatch.setattr(verifier, "_span_atoms",
+                        lambda w: [a for a in span(w) if a[0] != "lam_mu"])
+    table = emit_commutator_table(ws("nil6"))
+    by_key = {(c["row"], c["column"]): c for c in table["cells"]}
+    cell = by_key[("mu", "L")]
+    assert cell["status"] == "unresolved" and cell["solved"] == ""
+    assert not table["ok"]
+    assert by_key[("mu", "Lam")]["status"] == "ok"
+
+
+def test_commutator_cell_with_a_wrong_expected_form_is_a_mismatch(ws, monkeypatch):
+    rows = verifier._ctab_rows
+
+    def doubled():
+        out = []
+        for label, base, row, lam_e, lam_s, l_e, l_s in rows():
+            if label == "mu":
+                l_e = S(2, l_e)
+            out.append((label, base, row, lam_e, lam_s, l_e, l_s))
+        return out
+
+    monkeypatch.setattr(verifier, "_ctab_rows", doubled)
+    table = emit_commutator_table(ws("nil6"))
+    assert not table["ok"]
+    bad = [c for c in table["cells"] if c["status"] != "ok"]
+    assert [(c["row"], c["column"], c["status"], c["solved"]) for c in bad] == [
+        ("mu", "L", "mismatch", "lam_mu")]
 
 
 @pytest.mark.parametrize("name", ["kt4", "hopf4"])
