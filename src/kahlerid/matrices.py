@@ -5,8 +5,12 @@ arrays and den a single positive integer.  All arithmetic is exact; int64
 storage is used while safe and silently promoted to Python big integers
 (object dtype) when a bound check says int64 could overflow.
 
+A matmul of int64 operands whose every partial sum stays below 2**53 runs
+on float64 BLAS: float64 holds those integers exactly, so the result is
+the exact integer product.  No float ever enters the object path.
+
 FloatMatrix mirrors the same interface over complex128 for timing
-experiments; nothing in the exact path ever touches floats.
+experiments.
 """
 from __future__ import annotations
 
@@ -19,6 +23,8 @@ from .scalars import GaussianRational, ZERO
 
 # int64 guard: |result| of any fused multiply-add stays below 2**62
 _I64_BOUND = 1 << 62
+# float64 guard: every integer of magnitude below 2**53 is a float64
+_F64_BOUND = 1 << 53
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -48,7 +54,10 @@ class ExactMatrix:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             re, im, den = -re, -im, -den
-        g = math.gcd(_gcd_reduce(re), math.gcd(_gcd_reduce(im), den))
+        g = math.gcd(_gcd_reduce(re), _gcd_reduce(im))
+        if g == 0:  # every entry is 0; den may exceed int64, so drop it
+            den = 1
+        g = math.gcd(g, den)
         if g > 1:
             re = re // g
             im = im // g
@@ -118,12 +127,8 @@ class ExactMatrix:
         )
 
     def column_dict(self, j: int) -> dict[int, GaussianRational]:
-        out = {}
-        for i in range(self.shape[0]):
-            v = self.entry(i, j)
-            if v:
-                out[i] = v
-        return out
+        rows = np.flatnonzero((self.re[:, j] != 0) | (self.im[:, j] != 0))
+        return {int(i): self.entry(i, j) for i in rows}
 
     def is_zero(self) -> bool:
         return not (np.any(self.re) or np.any(self.im))
@@ -187,23 +192,21 @@ class ExactMatrix:
         return ExactMatrix(re, im, self.den * d)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Exact product on the cheapest safe tier: float64 BLAS while every
+        partial sum is an integer below 2**53, then int64 below 2**62, then
+        Python big integers."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         k = self.shape[1]
         a_max = max(_max_abs(self.re), _max_abs(self.im))
         b_max = max(_max_abs(other.re), _max_abs(other.im))
-        fast = (
-            self.re.dtype == np.int64
-            and other.re.dtype == np.int64
-            and 2 * k * a_max * b_max < _I64_BOUND
-        )
-        if fast:
-            ar, ai, br, bi = self.re, self.im, other.re, other.im
+        bound = 2 * k * a_max * b_max
+        if self.re.dtype == np.int64 and other.re.dtype == np.int64 and bound < _I64_BOUND:
+            dtype = np.float64 if bound < _F64_BOUND else np.int64
         else:
-            ar = self.re.astype(object)
-            ai = self.im.astype(object)
-            br = other.re.astype(object)
-            bi = other.im.astype(object)
+            dtype = object
+        ar, ai, br, bi = (x.astype(dtype, copy=False)
+                          for x in (self.re, self.im, other.re, other.im))
         a_imz = not np.any(ai)
         b_imz = not np.any(bi)
         if a_imz and b_imz:
@@ -218,6 +221,10 @@ class ExactMatrix:
         else:
             re = ar @ br - ai @ bi
             im = ar @ bi + ai @ br
+        if dtype is np.float64:
+            # exact integers below 2**53: the conversion loses nothing
+            re = re.astype(np.int64)
+            im = im.astype(np.int64)
         return ExactMatrix(re, im, self.den * other.den)
 
     # -- involutions -----------------------------------------------------

@@ -7,7 +7,6 @@ a parity computed from the matrix, and an optional declared bidegree.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,14 +17,13 @@ from .algebra import (
     blade_degree,
     blade_indices,
     contract,
-    degree_spectrum,
     frame,
     hodge_star,
     j_algebra,
     j_derivation,
 )
 from .matrices import ExactMatrix, FloatMatrix
-from .scalars import ONE, gq
+from .scalars import ONE, I
 
 PICTURES = ("ext", "cl")
 
@@ -57,8 +55,26 @@ class LinearOperator:
 # per-dimension structure cache
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ComplexFrame:
+    """Change of frame U with U^-1 M U diagonal in bidegree.
+
+    Entry (r, c) of U^-1 M U moves bidegree by the shift coded in
+    shift_code[r, c]; `shift` decodes it.
+    """
+
+    u: ExactMatrix
+    u_inv: ExactMatrix
+    shift_code: np.ndarray
+    n: int
+
+    def shift(self, code: int) -> tuple[int, int]:
+        a, b = divmod(int(code), 2 * self.n + 1)
+        return a - self.n, b - self.n
+
+
 class BladeStructure:
-    """Shared per-n data: gradings, J matrices, projectors, conversions."""
+    """Shared per-n data: gradings, J matrices, complex frames, conversions."""
 
     def __init__(self, n: int):
         self.n = n
@@ -66,8 +82,9 @@ class BladeStructure:
         self.structure = AdaptedStructure(n)
         degs = np.array([blade_degree(m) for m in range(self.dim)], dtype=np.int64)
         self.degrees = degs
-        self.even_mask = (degs % 2) == 0
-        self.odd_mask = ~self.even_mask
+        even = (degs % 2) == 0
+        # entries joining blades of opposite parity
+        self.cross_parity = even[:, None] != even[None, :]
         self.degree_indices = {
             k: np.nonzero(degs == k)[0] for k in range(2 * n + 1)
         }
@@ -85,8 +102,7 @@ class BladeStructure:
         self.Ja_ext_inv = self.Ja_ext.transpose()
         self.Ja_cl_inv = self.Ja_cl.transpose()
         self.hodge = self._blade_matrix(hodge_star)
-        self._proj: dict[str, dict[tuple[int, int], ExactMatrix]] = {}
-        self._proj_blocks: dict[str, dict[tuple[int, int], ExactMatrix]] = {}
+        self._frames: dict[str, ComplexFrame] = {}
         # Generators as row signs, (G_i M)[r] = sign[r] * M[r ^ bit_i]:
         # E_i = t^i ^ ., C_i = E_i^T = e_i _| ., L_i = E_i - C_i = e_i . (left
         # Clifford), R_i = (E_i + C_i) par = . e_i (right Clifford).
@@ -133,48 +149,40 @@ class BladeStructure:
             flip |= 1 << (i - 1)
         return sign
 
-    # -- bidegree projectors -------------------------------------------------
-    def bidegree_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for k in range(2 * self.n + 1):
-            for m in degree_spectrum(self.n, k):
-                out.append(((k + m) // 2, (k - m) // 2))
-        return out
+    # -- complex frame -----------------------------------------------------
+    def complex_frame(self, picture: str) -> ComplexFrame:
+        """The frame zeta^I ^ zetabar^J, in which bidegree is diagonal.
 
-    def projectors(self, picture: str) -> dict[tuple[int, int], ExactMatrix]:
-        """Full-dimension projector matrices onto each bidegree."""
-        if picture not in self._proj:
-            jd = self.Jd_ext if picture == "ext" else self.Jd_cl
-            out = {}
-            for p, q in self.bidegree_pairs():
-                k = p + q
-                delta = p - q
-                mat = self.degree_proj[k]
-                for m in degree_spectrum(self.n, k):
-                    if m == delta:
-                        continue
-                    mat = (jd @ mat - mat.scale(gq(0, m))).scale(
-                        ONE / gq(0, delta - m)
-                    )
-                out[(p, q)] = mat
-            self._proj[picture] = out
-        return self._proj[picture]
-
-    def projector_blocks(self, picture: str) -> dict[tuple[int, int], ExactMatrix]:
-        """Projector restricted to its own degree block (small matrices)."""
-        if picture not in self._proj_blocks:
-            full = self.projectors(picture)
-            out = {}
-            for (p, q), mat in full.items():
-                idx = self.degree_indices[p + q]
-                out[(p, q)] = _submatrix(mat, idx, idx)
-            self._proj_blocks[picture] = out
-        return self._proj_blocks[picture]
-
-
-def _submatrix(m: ExactMatrix, rows: np.ndarray, cols: np.ndarray) -> ExactMatrix:
-    grid = np.ix_(rows, cols)
-    return ExactMatrix(m.re[grid].copy(), m.im[grid].copy(), m.den)
+        Column m of U wedges zeta_j for bit j-1 of m and zetabar_j for bit
+        n+j-1.  Its bidegree (p, q) counts the factors in the +i and -i
+        eigenspaces of the derivation J of the picture.
+        """
+        if picture not in self._frames:
+            n, st = self.n, self.structure
+            factors = ([st.zeta(j) for j in range(1, n + 1)]
+                       + [st.zeta_bar(j) for j in range(1, n + 1)])
+            re = np.zeros((self.dim, self.dim), dtype=np.int64)
+            im = np.zeros_like(re)
+            re[0, 0] = 1
+            # column m = F_b ^ column(m - 2^b), F_b the factor of m's lowest bit b
+            for b in reversed(range(2 * n)):
+                cols = self.rows[(self.rows & -self.rows) == 1 << b]
+                src = ExactMatrix(re[:, cols ^ (1 << b)], im[:, cols ^ (1 << b)], 1)
+                col = multiplication(factors[b], "E", src)
+                re[:, cols], im[:, cols] = col.re, col.im
+            u = ExactMatrix(re, im, 1)
+            # distinct zeta^I ^ zetabar^J are orthogonal: U^H U = D = diag(2^deg),
+            # so U^-1 = D^-1 U^H
+            w = (1 << (2 * n - self.degrees))[:, None]
+            u_inv = ExactMatrix(re.T * w, -im.T * w, 1 << (2 * n))
+            n_zeta = self.degrees[self.rows & ((1 << n) - 1)]
+            n_bar = self.degrees - n_zeta
+            z = st.zeta(1)
+            p, q = (n_zeta, n_bar) if j_derivation(z, picture) == z.scale(I) else (n_bar, n_zeta)
+            width = 2 * n + 1
+            code = (p[:, None] - p[None, :] + n) * width + (q[:, None] - q[None, :] + n)
+            self._frames[picture] = ComplexFrame(u, u_inv, code, n)
+        return self._frames[picture]
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,24 +207,11 @@ def _n_from_dim(dim: int) -> int:
 
 def compute_parity(matrix, bs: BladeStructure) -> str:
     if isinstance(matrix, FloatMatrix):
-        data = matrix.data
-        ee = np.any(data[np.ix_(bs.even_mask, bs.even_mask)]) or np.any(
-            data[np.ix_(bs.odd_mask, bs.odd_mask)]
-        )
-        eo = np.any(data[np.ix_(bs.even_mask, bs.odd_mask)]) or np.any(
-            data[np.ix_(bs.odd_mask, bs.even_mask)]
-        )
+        nz = matrix.data != 0
     else:
-        def block_nonzero(rows, cols):
-            grid = np.ix_(rows, cols)
-            return bool(np.any(matrix.re[grid]) or np.any(matrix.im[grid]))
-
-        ee = block_nonzero(bs.even_mask, bs.even_mask) or block_nonzero(
-            bs.odd_mask, bs.odd_mask
-        )
-        eo = block_nonzero(bs.even_mask, bs.odd_mask) or block_nonzero(
-            bs.odd_mask, bs.even_mask
-        )
+        nz = (matrix.re != 0) | (matrix.im != 0)
+    eo = bool(np.any(nz & bs.cross_parity))
+    ee = bool(np.any(nz & ~bs.cross_parity))
     if ee and eo:
         return "mixed"
     if eo:
@@ -336,74 +331,37 @@ def add_ops(*ops: LinearOperator) -> LinearOperator:
 # bidegree measurement
 # ---------------------------------------------------------------------------
 
-def _block_map(matrix: ExactMatrix, bs: BladeStructure):
-    """Nonzero degree blocks of a matrix: {(l, k): submatrix}."""
-    out = {}
-    for k, cols in bs.degree_indices.items():
-        if len(cols) == 0:
-            continue
-        for l, rows in bs.degree_indices.items():
-            grid = np.ix_(rows, cols)
-            if np.any(matrix.re[grid]) or np.any(matrix.im[grid]):
-                out[(l, k)] = ExactMatrix(
-                    matrix.re[grid].copy(), matrix.im[grid].copy(), matrix.den
-                )
-    return out
+def _in_complex_frame(op: LinearOperator) -> tuple[ComplexFrame, ExactMatrix]:
+    """op's frame and its matrix U^-1 M U in that frame."""
+    if not isinstance(op.matrix, ExactMatrix):
+        raise StructuralError("bidegree measurement requires an exact matrix")
+    cf = blade_structure(_n_from_dim(op.dim)).complex_frame(op.picture)
+    return cf, cf.u_inv @ op.matrix @ cf.u
+
+
+def _shift_codes(cf: ComplexFrame, m: ExactMatrix) -> np.ndarray:
+    return np.unique(cf.shift_code[(m.re != 0) | (m.im != 0)])
 
 
 def operator_bidegree_components(op: LinearOperator) -> dict[tuple[int, int], ExactMatrix]:
     """Decompose P = sum of components with pure bidegree shift (a, b).
 
-    Keys are shifts; values are degree-block sandwiches Pi_{p+a,q+b} P Pi_{p,q}
-    summed over sources and reassembled to full dimension.
+    Keys are shifts; each value is U P_(a,b) U^-1, with P_(a,b) the entries
+    of P = U^-1 M U that move bidegree by (a, b).
     """
-    if not isinstance(op.matrix, ExactMatrix):
-        raise StructuralError("bidegree measurement requires an exact matrix")
-    bs = blade_structure(_n_from_dim(op.dim))
-    blocks = _block_map(op.matrix, bs)
-    proj = bs.projector_blocks(op.picture)
-    pairs_by_degree: dict[int, list[tuple[int, int]]] = {}
-    for p, q in bs.bidegree_pairs():
-        pairs_by_degree.setdefault(p + q, []).append((p, q))
-    acc: dict[tuple[int, int], dict] = {}
-    for (l, k), blk in blocks.items():
-        for (p, q) in pairs_by_degree[k]:
-            y = blk @ proj[(p, q)]
-            if y.is_zero():
-                continue
-            for (r, s) in pairs_by_degree[l]:
-                z = proj[(r, s)] @ y
-                if z.is_zero():
-                    continue
-                shift = (r - p, s - q)
-                slot = acc.setdefault(shift, {})
-                key = (l, k)
-                slot[key] = slot[key] + z if key in slot else z
+    cf, m = _in_complex_frame(op)
     out = {}
-    for shift, blockmap in acc.items():
-        out[shift] = _assemble_blocks(blockmap, bs)
+    for code in _shift_codes(cf, m):
+        keep = cf.shift_code == code
+        part = ExactMatrix(np.where(keep, m.re, 0), np.where(keep, m.im, 0), m.den)
+        out[cf.shift(code)] = cf.u @ part @ cf.u_inv
     return out
-
-
-def _assemble_blocks(blockmap, bs: BladeStructure) -> ExactMatrix:
-    den = 1
-    for b in blockmap.values():
-        den = math.lcm(den, b.den)
-    re = np.zeros((bs.dim, bs.dim), dtype=object)
-    im = np.zeros((bs.dim, bs.dim), dtype=object)
-    for (l, k), b in blockmap.items():
-        rows = bs.degree_indices[l]
-        cols = bs.degree_indices[k]
-        f = den // b.den
-        grid = np.ix_(rows, cols)
-        re[grid] = b.re.astype(object) * f
-        im[grid] = b.im.astype(object) * f
-    return ExactMatrix(re, im, den)
 
 
 def measured_bidegree(op: LinearOperator) -> set[tuple[int, int]]:
     """Set of bidegree shifts (a, b) on which P has a nonzero component."""
-    return set(operator_bidegree_components(op))
+    cf, m = _in_complex_frame(op)
+    return {cf.shift(code) for code in _shift_codes(cf, m)}
 
 
 def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperator]:

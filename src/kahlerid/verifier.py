@@ -1206,8 +1206,13 @@ def emit_commutator_table(ws: Workspace) -> dict:
     atoms = _span_atoms(ws)
     labels = [a[0] for a in atoms]
     mats = [a[1].matrix for a in atoms]
-    gram_cols = [[mats[j].frobenius_inner(mats[i]) for i in range(len(mats))]
-                 for j in range(len(mats))]
+    # the Gram matrix is Hermitian: the upper triangle determines it
+    gram_cols = [[None] * len(mats) for _ in mats]
+    for j in range(len(mats)):
+        for i in range(j, len(mats)):
+            g = mats[j].frobenius_inner(mats[i])
+            gram_cols[i][j] = g.conjugate()
+            gram_cols[j][i] = g
     pending = []
     for label, base, row, lam_e, lam_s, l_e, l_s in _ctab_rows():
         for col, expected_expr, expected_str in (

@@ -89,6 +89,16 @@ def test_verify_float_roundoff_exits_1(third_scaled_nil6, capsys):
                  "--suite", "exterior"]) == 0
 
 
+def test_verify_model_with_large_prime_denominators(tmp_path, capsys):
+    # nil6 with denominators 10007, 10009, 10037: d @ d has a zero result over
+    # a denominator beyond int64
+    path = _write_model(tmp_path, "p6", [
+        (1, 2, 4, Fraction(-1, 10007)), (1, 3, 5, Fraction(-1, 10009)),
+        (2, 3, 6, Fraction(-1, 10037))], 3)
+    assert main(["verify", "--model", path]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
+
+
 def test_verify_invalid_model_exits_2(tmp_path, capsys):
     path = _write_model(tmp_path, "nonuni", [(1, 2, 2, Fraction(1))], 1)
     assert main(["verify", "--model", path]) == 2

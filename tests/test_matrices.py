@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kahlerid import gq
@@ -70,6 +70,15 @@ def test_add_and_scale_with_factor_beyond_int64():
     assert total == m
     assert total.entry(0, 0) == gq(Fraction(1, big_den))
     assert ExactMatrix.zeros(2).scale(10**20) == ExactMatrix.zeros(2)
+
+
+def test_zero_matrix_with_denominator_beyond_int64_normalizes_to_den_1():
+    big_den = 10**20 + 39
+    z = np.zeros((2, 2), np.int64)
+    assert ExactMatrix(z, z.copy(), big_den) == ExactMatrix.zeros(2)
+    m = ExactMatrix(np.eye(2, dtype=np.int64), z.copy(), big_den)
+    assert m - m == ExactMatrix.zeros(2)
+    assert (m - m).den == 1
 
 
 def test_complex_parts_and_adjoint():
@@ -216,3 +225,23 @@ def test_frobenius_inner_above_the_int64_bound_takes_the_object_path():
     assert got == gq(want_re, want_im)
     assert max(abs(want_re), abs(want_im)) > 2**63 - 1
     assert got == _as_object(a).frobenius_inner(_as_object(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 64), st.integers(0, 30),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+# 2 * k * a * b is near 2**59: the int64 tier, where float64 would round
+@example(rows=4, k=64, bits=26, a_real=False, b_real=False, seed=0)
+def test_matmul_float64_int64_and_object_tiers_agree(rows, k, bits, a_real, b_real, seed):
+    rng = np.random.default_rng(seed)
+
+    def mat(r, c, real):
+        part = lambda: rng.integers(-(1 << bits), (1 << bits) + 1, size=(r, c))
+        im = np.zeros((r, c), np.int64) if real else part()
+        return ExactMatrix(part(), im, 1)
+
+    a, b = mat(rows, k, a_real), mat(k, 3, b_real)
+    got = a @ b
+    want = _as_object(a) @ _as_object(b)
+    assert got == want
+    assert got.re.dtype == got.im.dtype == want.re.dtype  # never float64

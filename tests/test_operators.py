@@ -27,6 +27,7 @@ from kahlerid.operators import (
     adjoint,
     apply_operator,
     bar,
+    bidegree_decompose,
     blade_structure,
     compose,
     conjugate,
@@ -225,6 +226,53 @@ def test_d_bidegree_components(ws):
     for mat in comps.values():
         total = mat if total is None else total + mat
     assert total == d.matrix
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("picture", ["ext", "cl"])
+def test_complex_frame_inverse(n, picture):
+    bs = blade_structure(n)
+    cf = bs.complex_frame(picture)
+    assert cf.u_inv @ cf.u == bs.identity
+    assert cf.u @ cf.u_inv == bs.identity
+
+
+@st.composite
+def _random_operator(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    dim = 4**n
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), _scalars(),
+        min_size=1, max_size=12))
+    cols = [{} for _ in range(dim)]
+    for (r, c), v in entries.items():
+        cols[c][r] = v
+    picture = draw(st.sampled_from(["ext", "cl"]))
+    return make_operator("P", ExactMatrix.from_columns(dim, cols), picture)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_operator())
+def test_bidegree_decompose_parts_are_pure_and_sum_to_the_operator(op):
+    bs = blade_structure((op.dim.bit_length() - 1) // 2)
+    jd = bs.Jd_ext if op.picture == "ext" else bs.Jd_cl
+    parts = bidegree_decompose(op)
+    assert set(parts) == measured_bidegree(op)
+    total = ExactMatrix.zeros(op.dim)
+    for (a, b), part in parts.items():
+        c = part.matrix
+        assert not c.is_zero()
+        rows, cols = np.nonzero((c.re != 0) | (c.im != 0))
+        assert np.all(bs.degrees[rows] - bs.degrees[cols] == a + b)
+        assert jd @ c - c @ jd == c.scale(gq(0, a - b))
+        total = total + c
+    assert total == op.matrix
+
+
+def test_mixed_operator_reports_every_shift(ws):
+    nil6 = ws("nil6")
+    d_plus_l = add_ops(nil6.ops["d"], nil6.ops["L"])
+    assert measured_bidegree(d_plus_l) == {(2, -1), (1, 0), (0, 1), (-1, 2), (1, 1)}
 
 
 # -- r operator ---------------------------------------------------------------------
