@@ -142,9 +142,6 @@ class Multivector:
     def coeff(self, *indices) -> GaussianRational:
         return self.coeffs.get(mask_of(sorted(indices)), ZERO)
 
-    def coeff_mask(self, mask: int) -> GaussianRational:
-        return self.coeffs.get(mask, ZERO)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

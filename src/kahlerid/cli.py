@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .models import (
@@ -41,6 +42,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True,
                    help="built-in model name or path to a JSON model file")
@@ -71,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exact rational arithmetic (default)")
     mode.add_argument("--float", dest="float_mode", action="store_true",
                       help="complex128 arithmetic with a residual tolerance")
-    p_ver.add_argument("--tolerance", type=float, default=1e-10,
+    p_ver.add_argument("--tolerance", type=_tolerance, default=1e-10,
                        help="max residual accepted in --float mode (default 1e-10)")
 
     p_tab = sub.add_parser(

@@ -13,9 +13,7 @@ from fractions import Fraction
 
 from .algebra import (
     Multivector,
-    form_eval,
     frame,
-    j_vector,
 )
 from .matrices import ExactMatrix
 from .operators import (
@@ -23,9 +21,11 @@ from .operators import (
     apply_operator,
     blade_structure,
     conjugate,
-    derivation,
+    derivation_rebuild,
+    form_slices,
     make_operator,
     multiplication,
+    vector_operator,
 )
 from .models import ModelGeometry, nabla
 from .scalars import GaussianRational, gq
@@ -89,26 +89,20 @@ def sigma(geom: ModelGeometry, a: int, nablas=None) -> LinearOperator:
     return make_operator(f"sigma_{a}", part1 + part2, "cl")
 
 
+def torsion_block(geom: ModelGeometry, a: int) -> ExactMatrix:
+    """B[b-1, c-1] = (d omega)^+(X, e_b, e_c) - (d omega)^+(X, J e_b, J e_c) at X = e_a."""
+    p = form_slices(geom.d_omega_plus)[a - 1]
+    j = blade_structure(geom.n).J_vec
+    return p - j.transpose() @ p @ j
+
+
 def sigma_from_torsion_form(geom: ModelGeometry, a: int) -> LinearOperator:
     """Alternative route on vectors only, extended as an even derivation:
     sigma_X(Y) = sum_B ( (d omega)^+(X, Y, e_B) - (d omega)^+(X, JY, J e_B) ) e_B.
     """
-    n = geom.n
-    x = frame(n, a)
-    plus = geom.d_omega_plus
-    action = {}
-    for b in range(1, 2 * n + 1):
-        y = frame(n, b)
-        jy = j_vector(y, "cl")
-        acc = {}
-        for c in range(1, 2 * n + 1):
-            ec = frame(n, c)
-            jec = j_vector(ec, "cl")
-            v = form_eval(plus, x, y, ec) - form_eval(plus, x, jy, jec)
-            if not (v == gq(0)):
-                acc[1 << (c - 1)] = v
-        action[b] = Multivector(n, acc)
-    return derivation(action, f"sigma_torsion_{a}", "cl")
+    name = f"sigma_torsion_{a}"
+    on_vectors = make_operator(name, vector_operator(torsion_block(geom, a).transpose()), "cl")
+    return derivation_rebuild(on_vectors).renamed(name)
 
 
 def d_sigma(geom: ModelGeometry, sigmas=None) -> LinearOperator:

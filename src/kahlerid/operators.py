@@ -101,6 +101,9 @@ class BladeStructure:
         # J_a is a real signed permutation: inverse = transpose
         self.Ja_ext_inv = self.Ja_ext.transpose()
         self.Ja_cl_inv = self.Ja_cl.transpose()
+        # J on vectors, the degree-1 block of Ja_cl: J e_b = sum_c J_vec[c, b] e_c
+        vectors = np.ix_(self.degree_indices[1], self.degree_indices[1])
+        self.J_vec = ExactMatrix(self.Ja_cl.re[vectors], self.Ja_cl.im[vectors], self.Ja_cl.den)
         self.hodge = self._blade_matrix(hodge_star)
         self._frames: dict[str, ComplexFrame] = {}
         # Generators as row signs, (G_i M)[r] = sign[r] * M[r ^ bit_i]:
@@ -227,7 +230,11 @@ def make_operator(name, matrix, picture, bidegree=None) -> LinearOperator:
 
 
 def operator_from_blade_action(n, fn, name, picture, bidegree=None) -> LinearOperator:
-    """Build an operator column-by-column from its action on basis blades."""
+    """Build an operator column by column, calling fn once per basis blade.
+
+    The blade-by-blade reference that tests compare the generator and
+    slice constructions against; the package itself does not call it.
+    """
     bs = blade_structure(n)
     cols = []
     for mask in range(bs.dim):
@@ -407,6 +414,36 @@ def derivation(images: dict[int, Multivector], name: str, picture: str,
         if image.coeffs:
             total = total + multiplication(image, "E", multiplication(frame(n, i), "C"))
     return make_operator(name, total, picture, bidegree)
+
+
+def tensor_slices(n: int, entries: dict) -> list[ExactMatrix]:
+    """[S_1, ..., S_2n], S_a[b-1, c-1] = entries[(a, b, c)] (1-based keys, zero if absent)."""
+    cols = [[{} for _ in range(2 * n)] for _ in range(2 * n)]
+    for (a, b, c), v in entries.items():
+        cols[a - 1][c - 1][b - 1] = v
+    return [ExactMatrix.from_columns(2 * n, slice_cols) for slice_cols in cols]
+
+
+def form_slices(psi: Multivector) -> list[ExactMatrix]:
+    """The slices P_a[b-1, c-1] = psi(e_a, e_b, e_c) of a 3-form psi."""
+    entries = {}
+    for a in range(1, 2 * psi.n + 1):
+        # P_a is the matrix of the 2-form e_a _| psi
+        for mask, v in contract(frame(psi.n, a), psi).coeffs.items():
+            b, c = blade_indices(mask)
+            entries[(a, b, c)], entries[(a, c, b)] = v, -v
+    return tensor_slices(psi.n, entries)
+
+
+def vector_operator(block: ExactMatrix) -> ExactMatrix:
+    """The 4^n matrix sending e_b to sum_c block[c, b] e_c and every other blade to 0."""
+    bs = blade_structure(block.shape[0] // 2)
+    vectors = np.ix_(bs.degree_indices[1], bs.degree_indices[1])
+    re = np.zeros((bs.dim, bs.dim), dtype=block.re.dtype)
+    im = np.zeros_like(re)
+    re[vectors], im[vectors] = block.re, block.im
+    # zero padding keeps block's normal form
+    return ExactMatrix(re, im, block.den, _normalized=True)
 
 
 def ext_mult(phi: Multivector, name: str, bidegree=None) -> LinearOperator:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -1101,6 +1102,8 @@ def verify(ws: Workspace, suite: str = "all", tolerance: float = 1e-10) -> Repor
     """Evaluate the catalog on a workspace and report per-entry residuals."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if not 0 <= tolerance < math.inf:  # also false for nan
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     entries = [e for e in catalog(ws.n)
                if suite == "all" or GROUP_SUITE[e.group] == suite]
     geom = ws.geom

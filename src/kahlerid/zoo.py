@@ -11,15 +11,10 @@ from __future__ import annotations
 from .algebra import (
     Multivector,
     bidegree_project,
-    blade_degree,
-    blade_indices,
     coframe,
-    contract,
     frame,
-    mask_of,
-    wedge,
 )
-from .dirac import CliffordZoo, clifford_left, sigma_from_torsion_form
+from .dirac import CliffordZoo, clifford_left, sigma_from_torsion_form, torsion_block
 from .matrices import ExactMatrix
 from .models import GeometryError, ModelGeometry, nabla_forms
 from .operators import (
@@ -31,45 +26,21 @@ from .operators import (
     conjugate,
     contract_op,
     ext_mult,
+    form_slices,
     int_mult,
     k_xi,
     make_operator,
-    operator_from_blade_action,
+    multiplication,
     r_xi,
     supercommutator,
+    tensor_slices,
+    vector_operator,
 )
-from .scalars import ZERO, gq
+from .scalars import gq
 
 _D_SHIFTS = {(2, -1): "mu", (1, 0): "del", (0, 1): "delbar", (-1, 2): "mubar"}
 
 _HALF = gq("1/2")
-
-
-def _psi3(psi: Multivector, a, b, c):
-    """psi(s_a e_a, s_b e_b, s_c e_c) for a 3-form; args are (index, sign)."""
-    (ia, sa), (ib, sb), (ic, sc) = a, b, c
-    if ia == ib or ib == ic or ia == ic:
-        return ZERO
-    idx = [ia, ib, ic]
-    sign = sa * sb * sc
-    for i in range(2):
-        for j in range(2 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-    return psi.coeff_mask(mask_of(idx)) * sign
-
-
-def _vector_block(n: int, col_fn, name: str, picture: str) -> LinearOperator:
-    """Operator supported on degree 1: e_b -> col_fn(b), zero elsewhere."""
-
-    def act(blade: Multivector) -> Multivector:
-        (mask,) = blade.coeffs
-        if blade_degree(mask) != 1:
-            return Multivector.zero(n)
-        return col_fn(blade_indices(mask)[0])
-
-    return operator_from_blade_action(n, act, name, picture)
 
 
 class ExteriorZoo:
@@ -171,173 +142,73 @@ class ExteriorZoo:
 # auxiliary catalog operators
 # ---------------------------------------------------------------------------
 
-def _kn_targets(geom: ModelGeometry, a: int):
-    """Right-hand sides of the covariant-J frame formulas at X = e_a.
+def _two_form(m: ExactMatrix) -> Multivector:
+    """sum_{a,b} m[a-1, b-1] theta^a ^ theta^b."""
+    k = m - m.transpose()
+    n2 = k.shape[0]
+    return Multivector(n2 // 2, {(1 << a) | (1 << b): k.entry(a, b)
+                                 for a in range(n2) for b in range(a + 1, n2)})
 
-    Columns over e_b:
-      plain:   <(nabla_X J)Y, Z>       = (dw(X,Y,Z) - dw(X,JY,JZ) + 4<JX,N(Y,Z)>)/2
-      twisted: <J^-1(nabla_JX J)Y, Z>  = (dw(JX,Y,JZ) + dw(JX,JY,Z) - 4<JX,N(Y,Z)>)/2
+
+def _torsion_witnesses(geom: ModelGeometry):
+    """The degree-1 torsion witnesses and frame-trace 2-forms at every X = e_a.
+
+    With P_a[b, c] = psi(e_a, e_b, e_c) the slices of a 3-form and J the
+    matrix of J on vectors, psi(e_a, JY, JZ) is J^T P_a J, psi(e_a, JY, Z)
+    is J^T P_a and psi(e_a, Y, JZ) is P_a J; psi(J e_a, ., .) is the slice
+    s P_j for J e_a = s e_j.  A witness sending e_b to sum_c M[b, c] e_c is
+    the degree-1 operator of M^T.
     """
     n = geom.n
     st = geom.structure
-    dom = geom.d_omega
-    ja, sa = st.pair(a)
+    bs = blade_structure(n)
+    j = bs.J_vec
+    jt = j.transpose()
+    full, plus, minus = (form_slices(f) for f in
+                         (geom.d_omega, geom.d_omega_plus, geom.d_omega_minus))
+    idx = range(1, 2 * n + 1)
+    nij = tensor_slices(n, {(k, b, c): geom.nijenhuis(b, c).coeff(k)  # <e_k, N(e_b, e_c)>
+                            for k in idx for b in idx for c in idx})
 
-    def col(b: int, twisted: bool) -> Multivector:
-        jb, sb = st.pair(b)
-        out = Multivector.zero(n)
-        for c in range(1, 2 * n + 1):
-            jc, sc = st.pair(c)
-            nval = geom.nijenhuis(b, c).coeff(ja) * sa
-            if twisted:
-                v = (
-                    _psi3(dom, (ja, sa), (b, 1), (jc, sc))
-                    + _psi3(dom, (ja, sa), (jb, sb), (c, 1))
-                    - nval * 4
-                )
-            else:
-                v = (
-                    _psi3(dom, (a, 1), (b, 1), (c, 1))
-                    - _psi3(dom, (a, 1), (jb, sb), (jc, sc))
-                    + nval * 4
-                )
-            if v:
-                out = out + frame(n, c) * (v * _HALF)
-        return out
-
-    plain = _vector_block(n, lambda b: col(b, False), f"kn_{a}", "cl")
-    twist = _vector_block(n, lambda b: col(b, True), f"kn_twist_{a}", "cl")
-    return plain, twist
-
-
-def _sigma_flat_oneform(geom: ModelGeometry, a: int) -> LinearOperator:
-    """sigma_flat at e_a on 1-forms: theta^c -> sum_b (dw+(X,e_c,e_b) - dw+(X,Je_c,Je_b)) theta^b."""
-    n = geom.n
-    st = geom.structure
-    psi = geom.d_omega_plus
-
-    def col(c: int) -> Multivector:
-        jc, sc = st.pair(c)
-        out = Multivector.zero(n)
-        for b in range(1, 2 * n + 1):
-            jb, sb = st.pair(b)
-            v = _psi3(psi, (a, 1), (c, 1), (b, 1)) - _psi3(
-                psi, (a, 1), (jc, sc), (jb, sb)
-            )
-            if v:
-                out = out + coframe(n, b) * v
-        return out
-
-    return _vector_block(n, col, f"sigflat1f_{a}", "ext")
-
-
-def _tauplusc_oneform(geom: ModelGeometry) -> LinearOperator:
-    """Conjugated tau_plus on 1-forms:
-
-    alpha -> -J*lee ^ alpha + 1/2 sum_{A,B,C} dw+(Je_A, e_C, Je_B) alpha(e_C) theta^A ^ theta^B
-    """
-    n = geom.n
-    st = geom.structure
-    psi = geom.d_omega_plus
-    mjlee = -geom.jstar_lee
-
-    def col(c: int) -> Multivector:
-        out = wedge(mjlee, coframe(n, c))
-        for a in range(1, 2 * n + 1):
-            ja, sa = st.pair(a)
-            for b in range(1, 2 * n + 1):
-                jb, sb = st.pair(b)
-                v = _psi3(psi, (ja, sa), (c, 1), (jb, sb))
-                if v:
-                    out = out + wedge(coframe(n, a), coframe(n, b)) * (v * _HALF)
-        return out
-
-    return _vector_block(n, col, "tauplusc_1f", "ext")
-
-
-def _threeform_blocks(geom: ModelGeometry, a: int):
-    """Degree-1 witnesses for the pure/mixed 3-form symmetry identities.
-
-    tf_mixed_a: Y -> sum_c [psi(e_a,Y,e_c) - psi(Je_a,JY,e_c)
-                            - psi(Je_a,Y,Je_c) - psi(e_a,JY,Je_c)] e_c
-                with psi the (2,1)+(1,2) part; zero iff the mixed identity
-                holds at X = e_a.
-    tf2_lhs/mid/rhs_a: the three slot-rotations of J against the
-                (3,0)+(0,3) part; the identity asserts all three agree.
-    """
-    n = geom.n
-    st = geom.structure
-    psi = geom.d_omega_plus
-    xi = geom.d_omega_minus
-    ja, sa = st.pair(a)
-
-    def bilinear(name, entry_fn):
-        def col(b: int) -> Multivector:
-            out = Multivector.zero(n)
-            for c in range(1, 2 * n + 1):
-                v = entry_fn(b, c)
-                if v:
-                    out = out + frame(n, c) * v
-            return out
-
-        return _vector_block(n, col, name, "cl")
-
-    def mixed(b, c):
-        jb, sb = st.pair(b)
-        jc, sc = st.pair(c)
-        return (
-            _psi3(psi, (a, 1), (b, 1), (c, 1))
-            - _psi3(psi, (ja, sa), (jb, sb), (c, 1))
-            - _psi3(psi, (ja, sa), (b, 1), (jc, sc))
-            - _psi3(psi, (a, 1), (jb, sb), (jc, sc))
-        )
-
-    def pure_lhs(b, c):
-        return _psi3(xi, (ja, sa), (b, 1), (c, 1))
-
-    def pure_mid(b, c):
-        jb, sb = st.pair(b)
-        return _psi3(xi, (a, 1), (jb, sb), (c, 1))
-
-    def pure_rhs(b, c):
-        jc, sc = st.pair(c)
-        return _psi3(xi, (a, 1), (b, 1), (jc, sc))
-
-    return {
-        f"tf_mixed_{a}": bilinear(f"tf_mixed_{a}", mixed),
-        f"tf2_lhs_{a}": bilinear(f"tf2_lhs_{a}", pure_lhs),
-        f"tf2_mid_{a}": bilinear(f"tf2_mid_{a}", pure_mid),
-        f"tf2_rhs_{a}": bilinear(f"tf2_rhs_{a}", pure_rhs),
-    }
-
-
-def _frame_trace_pair(geom: ModelGeometry, d_idx: int):
-    """The two 2-forms of the frame-trace identity at Z = e_d:
-
-    lhs = sum_{A,B} (psi(e_A,Z,e_B) - psi(e_A,JZ,Je_B)) theta^A ^ theta^B
-    rhs = 1/2 sum_{A,B} (psi(e_A,Z,e_B) + psi(Je_A,Z,Je_B)) theta^A ^ theta^B
-    """
-    n = geom.n
-    st = geom.structure
-    psi = geom.d_omega_plus
-    jd, sd = st.pair(d_idx)
-    lhs = Multivector.zero(n)
-    rhs = Multivector.zero(n)
-    for a in range(1, 2 * n + 1):
+    def at_j(slices, a: int) -> ExactMatrix:
         ja, sa = st.pair(a)
-        for b in range(1, 2 * n + 1):
-            jb, sb = st.pair(b)
-            tab = wedge(coframe(n, a), coframe(n, b))
-            if tab.is_zero():
-                continue
-            base = _psi3(psi, (a, 1), (d_idx, 1), (b, 1))
-            vl = base - _psi3(psi, (a, 1), (jd, sd), (jb, sb))
-            vr = (base + _psi3(psi, (ja, sa), (d_idx, 1), (jb, sb))) * _HALF
-            if vl:
-                lhs = lhs + tab * vl
-            if vr:
-                rhs = rhs + tab * vr
-    return lhs, rhs
+        return slices[ja - 1].scale(sa)
+
+    ops: dict[str, LinearOperator] = {}
+    elements: dict[str, tuple[Multivector, str]] = {}
+
+    def on_vectors(name, m, picture="cl"):
+        ops[name] = make_operator(name, vector_operator(m.transpose()), picture)
+
+    # tau_plus^c on 1-forms: alpha -> -J*lee ^ alpha + 1/2 sum_{A,B,C}
+    # dw+(Je_A, e_C, Je_B) alpha(e_C) theta^A ^ theta^B
+    tau = multiplication(-geom.jstar_lee, "E", bs.degree_proj[1])
+    for a in range(1, 2 * n + 1):
+        p, pp, pm = full[a - 1], plus[a - 1], minus[a - 1]
+        q, qp, qm = at_j(full, a), at_j(plus, a), at_j(minus, a)
+        n4 = at_j(nij, a).scale(4)
+        # 2<(nabla_X J)Y,Z> = dw(X,Y,Z) - dw(X,JY,JZ) + 4<JX,N(Y,Z)>
+        on_vectors(f"kn_{a}", (p - jt @ p @ j + n4).scale(_HALF))
+        # 2<J^-1(nabla_JX J)Y,Z> = dw(JX,Y,JZ) + dw(JX,JY,Z) - 4<JX,N(Y,Z)>
+        on_vectors(f"kn_twist_{a}", (q @ j + jt @ q - n4).scale(_HALF))
+        # sigma_flat on 1-forms: dw+(X,Y,Z) - dw+(X,JY,JZ)
+        on_vectors(f"sigflat1f_{a}", torsion_block(geom, a), "ext")
+        ops[f"sigmat_{a}"] = sigma_from_torsion_form(geom, a)
+        # psi(X,Y,Z) - psi(JX,JY,Z) - psi(JX,Y,JZ) - psi(X,JY,JZ) for psi = dw+:
+        # zero iff the mixed identity holds at X = e_a
+        on_vectors(f"tf_mixed_{a}", pp - jt @ qp - qp @ j - jt @ pp @ j)
+        # xi(JX,Y,Z), xi(X,JY,Z), xi(X,Y,JZ) for xi = dw-: all three agree
+        on_vectors(f"tf2_lhs_{a}", qm)
+        on_vectors(f"tf2_mid_{a}", jt @ pm)
+        on_vectors(f"tf2_rhs_{a}", pm @ j)
+        # frame trace of psi = dw+ at Z = e_a: the 2-forms of psi(e_A,Z,e_B) - psi(e_A,JZ,Je_B)
+        # and of 1/2 (psi(e_A,Z,e_B) + psi(Je_A,Z,Je_B))
+        elements[f"tf_b_lhs_{a}"] = (_two_form(qp @ j - pp), "ext")
+        elements[f"tf_b_rhs_{a}"] = (_two_form((pp + jt @ pp @ j).scale(-_HALF)), "ext")
+        tau = tau + multiplication(
+            coframe(n, a), "E", vector_operator((qp @ j).transpose().scale(_HALF)))
+    ops["tauplusc_1f"] = make_operator("tauplusc_1f", tau, "ext")
+    return ops, elements
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +225,6 @@ def assemble(geom: ModelGeometry):
     bs = blade_structure(n)
     cz = CliffordZoo(geom)
     ez = ExteriorZoo(geom)
-    st = geom.structure
 
     ops: dict[str, LinearOperator] = {
         "d": ez.d,
@@ -397,7 +267,6 @@ def assemble(geom: ModelGeometry):
         "I_jlee": ez.I_jlee,
         "C_lee": contract_op(geom.lee_form, "C_lee"),
         "K_domega_plus": ez.K_domega_plus,
-        "tauplusc_1f": _tauplusc_oneform(geom),
         "Ja_ext": make_operator("J_a", bs.Ja_ext, "ext", (0, 0)),
         "Jd_ext": make_operator("J_d", bs.Jd_ext, "ext", (0, 0)),
         "Ja_ext_inv": make_operator("J_a^-1", bs.Ja_ext_inv, "ext", (0, 0)),
@@ -452,13 +321,7 @@ def assemble(geom: ModelGeometry):
         ops[f"nabla_{a}"] = cz.nablas[a - 1]
         ops[f"nablaf_{a}"] = nabla_forms(geom.model, a, geom.connection)
         ops[f"sigma_{a}"] = cz.sigmas[a - 1]
-        ops[f"sigmat_{a}"] = sigma_from_torsion_form(geom, a)
         ops[f"Lcl_e_{a}"] = clifford_left(frame(n, a), f"Lcl_e_{a}")
-        kn, kn_twist = _kn_targets(geom, a)
-        ops[f"kn_{a}"] = kn
-        ops[f"kn_twist_{a}"] = kn_twist
-        ops[f"sigflat1f_{a}"] = _sigma_flat_oneform(geom, a)
-        ops.update(_threeform_blocks(geom, a))
 
     elements: dict[str, tuple[Multivector, str]] = {
         "omega": (geom.omega_form, "ext"),
@@ -483,9 +346,7 @@ def assemble(geom: ModelGeometry):
         "sigma_vector_sum": (cz.sigma_vector_sum(), "cl"),
         "jstar_lee_cl": (geom.jstar_lee, "cl"),
     }
-    for a in range(1, 2 * n + 1):
-        lhs, rhs = _frame_trace_pair(geom, a)
-        elements[f"tf_b_lhs_{a}"] = (lhs, "ext")
-        elements[f"tf_b_rhs_{a}"] = (rhs, "ext")
-
+    witness_ops, witness_elements = _torsion_witnesses(geom)
+    ops.update(witness_ops)
+    elements.update(witness_elements)
     return ops, elements, cz, ez

@@ -145,16 +145,26 @@ def test_table_subcommand(capsys):
     assert "| d | (d^c)* + (tau^c)* | lam | ok |" in out
 
 
-TABLE_REFS = json.loads(
-    (Path(__file__).resolve().parent.parent / "perfbench" / "refs.json").read_text())["table"]
+REFS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "refs.json").read_text())
+BUILTINS = ["t2", "t4", "kt4", "hopf4", "t6", "iwa6", "nil6"]
 
 
-@pytest.mark.parametrize("name", ["t2", "t4", "kt4", "hopf4", "t6", "iwa6", "nil6"])
+@pytest.mark.parametrize("name", BUILTINS)
 def test_table_json_is_byte_identical_to_the_reference(name, tmp_path):
     # the recorded SHA-256 of `table --which both` JSON for every built-in
     dest = tmp_path / "table.json"
     assert main(["table", "--model", name, "--which", "both", "--out", str(dest)]) == 0
-    assert hashlib.sha256(dest.read_bytes()).hexdigest() == TABLE_REFS[name]
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == REFS["table"][name]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_verify_json_is_byte_identical_to_the_reference(name, tmp_path):
+    # the recorded SHA-256 of exact `verify --suite all` JSON for every built-in
+    dest = tmp_path / "verify.json"
+    assert main(["verify", "--model", name, "--suite", "all", "--exact",
+                 "--format", "json", "--out", str(dest)]) == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == REFS["verify"][f"{name}:all"]["sha256"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -164,6 +174,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     data = json.loads(dest.read_text())
     assert data["suite"] == "elementary"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "abc"])
+def test_tolerance_must_be_a_finite_nonnegative_number(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", "t2", "--float", "--tolerance", value])
+    assert exc.value.code == 2
+    assert "argument --tolerance" in capsys.readouterr().err
 
 
 def test_bad_arguments_raise_usage_error():

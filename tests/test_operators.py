@@ -15,7 +15,9 @@ from kahlerid.algebra import (
     clifford_mul,
     coframe,
     contract,
+    form_eval,
     frame,
+    j_vector,
     wedge,
 )
 from kahlerid.dirac import clifford_left, clifford_right
@@ -35,6 +37,7 @@ from kahlerid.operators import (
     derivation,
     derivation_rebuild,
     ext_mult,
+    form_slices,
     int_mult,
     make_operator,
     measured_bidegree,
@@ -44,6 +47,7 @@ from kahlerid.operators import (
     scale_op,
     supercommutator,
     transport,
+    vector_operator,
 )
 
 
@@ -175,6 +179,59 @@ def test_derivation_is_graded_leibniz(case):
     lhs = apply_operator(D, wedge(a, b))
     rhs = wedge(apply_operator(D, a), b) + wedge(a, apply_operator(D, b)).scale(sign)
     assert lhs == rhs
+
+
+# -- 2n x 2n slices against the per-blade and per-entry references -----------------
+
+@st.composite
+def _n_and_threeform(draw):
+    n = draw(st.sampled_from([2, 3]))
+    masks = [m for m in range(4**n) if blade_degree(m) == 3]
+    return n, Multivector(n, draw(st.dictionaries(st.sampled_from(masks), _scalars(),
+                                                  max_size=6)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_n_and_threeform())
+def test_form_slices_match_form_eval(case):
+    n, psi = case
+    slices = form_slices(psi)
+    for a in range(1, 2 * n + 1):
+        for b in range(1, 2 * n + 1):
+            for c in range(1, 2 * n + 1):
+                assert slices[a - 1].entry(b - 1, c - 1) == form_eval(
+                    psi, frame(n, a), frame(n, b), frame(n, c))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_j_vec_is_j_on_each_frame_vector(n):
+    j = blade_structure(n).J_vec
+    for b in range(1, 2 * n + 1):
+        image = Multivector(n, {1 << c: j.entry(c, b - 1) for c in range(2 * n)})
+        assert image == j_vector(frame(n, b), "cl")
+
+
+@st.composite
+def _n_and_block(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    cols = [draw(st.dictionaries(st.integers(0, 2 * n - 1), _scalars(), max_size=3))
+            for _ in range(2 * n)]
+    return n, ExactMatrix.from_columns(2 * n, cols)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_n_and_block())
+def test_vector_operator_matches_blade_action(case):
+    n, block = case
+
+    def act(blade):
+        (mask,) = blade.coeffs
+        if blade_degree(mask) != 1:
+            return None
+        b = mask.bit_length() - 1
+        return Multivector(n, {1 << c: block.entry(c, b) for c in range(2 * n)})
+
+    assert vector_operator(block) == operator_from_blade_action(n, act, "ref", "cl").matrix
 
 
 # -- adjoint / conjugation ----------------------------------------------------------

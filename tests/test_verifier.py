@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from kahlerid import get_model, verifier
-from kahlerid.operators import StructuralError
+from kahlerid.algebra import Multivector
+from kahlerid.matrices import ExactMatrix
+from kahlerid.operators import StructuralError, make_operator
 from kahlerid.verifier import (
     COVERAGE,
     GROUP_SUITE,
@@ -157,6 +159,45 @@ def test_markdown_render(ws):
 
 
 # -- structural errors ----------------------------------------------------------------
+
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_nonnegative(ws, tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        verify(ws("t2", "float"), tolerance=tolerance)
+
+
+# each torsion witness leaf and the catalog entry that reads it
+WITNESS_ENTRIES = [
+    ("kn_1", "cl.kn.1"),
+    ("kn_twist_1", "cl.kn_twisted.1"),
+    ("sigflat1f_1", "cl.sigma_oneform.1"),
+    ("sigmat_1", "cl.sigma_torsion.1"),
+    ("tf_mixed_1", "cl.threeform_mixed.1"),
+    ("tf2_mid_1", "cl.threeform_pure1.1"),
+    ("tauplusc_1f", "ex.tau_plus_conj_oneform"),
+    ("tf_b_lhs_1", "cl.threeform_trace.1"),
+]
+
+
+@pytest.mark.parametrize("leaf, entry_id", WITNESS_ENTRIES)
+def test_perturbed_torsion_witness_fails(ws, leaf, entry_id, monkeypatch):
+    # one added nonzero entry must make the entry fail; adding (not scaling)
+    # also reaches tf_mixed_*, which is zero on nil6
+    full = verifier.catalog
+    monkeypatch.setattr(verifier, "catalog",
+                        lambda n: tuple(e for e in full(n) if e.id == entry_id))
+    assert [r.status for r in verify(ws("nil6")).results] == ["pass"]
+    w = Workspace(get_model("nil6"))
+    if leaf in w.ops:
+        op = w.ops[leaf]
+        bump = ExactMatrix.zeros(w.dim)
+        bump.re[1, 2] = 1  # e_2 -> e_1, a degree-1 entry
+        w.ops[leaf] = make_operator(op.name, op.matrix + bump, op.picture)
+    else:
+        mv, picture = w.elements[leaf]
+        w.elements[leaf] = (mv + Multivector.basis(3, 1, 2), picture)
+    assert [r.status for r in verify(w).results] == ["fail"]
+
 
 def test_workspace_errors(ws):
     with pytest.raises(ValueError):
