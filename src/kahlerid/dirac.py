@@ -25,6 +25,7 @@ from .operators import (
     form_slices,
     make_operator,
     multiplication,
+    multiplication_sum,
     vector_operator,
 )
 from .models import ModelGeometry, nabla
@@ -50,10 +51,7 @@ def covariant_derivatives(geom: ModelGeometry) -> tuple[LinearOperator, ...]:
 def _frame_sum(kind: str, ops) -> ExactMatrix:
     """sum_A e_A @ ops[A-1], multiplying by e_A as `multiplication` does for kind."""
     n = len(ops) // 2
-    total = ExactMatrix.zeros(4**n)
-    for a, op in enumerate(ops, 1):
-        total = total + multiplication(frame(n, a), kind, op.matrix)
-    return total
+    return multiplication_sum(kind, [(frame(n, a), op.matrix) for a, op in enumerate(ops, 1)])
 
 
 def dirac(geom: ModelGeometry, nablas=None) -> LinearOperator:
@@ -133,14 +131,14 @@ def frame_rotation_check(geom: ModelGeometry, seed: int = 0) -> bool:
     rng.shuffle(perm)
     signs = [rng.choice((1, -1)) for _ in range(dim)]
     nablas = covariant_derivatives(geom)
-    total = ExactMatrix.zeros(4**n)
+    pairs = []
     for pos, a in enumerate(perm):
         s = Fraction(signs[pos])
         vec = frame(n, a).scale(s)
         # nabla is linear in the direction slot: nabla_{s e_a} = s nabla_{e_a}
         nb = nablas[a - 1].matrix.scale(GaussianRational(s))
-        total = total + multiplication(vec, "L", nb)
-    return total == dirac(geom, nablas).matrix
+        pairs.append((vec, nb))
+    return multiplication_sum("L", pairs) == dirac(geom, nablas).matrix
 
 
 class CliffordZoo:
@@ -180,7 +178,6 @@ class CliffordZoo:
         self.L_Jd_Dc_omega = clifford_left(self.Jd_Dc_omega, "L_{J_d D^c omega}")
         self.L_Dsig_omega = clifford_left(self.Dsig_omega, "L_{D_sigma omega}")
         self.L_Dsigc_omega = clifford_left(self.Dsigc_omega, "L_{D_sigma^c omega}")
-        self.L_d_omega = clifford_left(geom.d_omega, "L_{d omega}")
         self.L_jlee = clifford_left(geom.jstar_lee, "L_{(J* lee)#}")
 
     def sigma_vector_sum(self) -> Multivector:

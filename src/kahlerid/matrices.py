@@ -1,13 +1,27 @@
 """Dense exact matrices: integer numerator pairs over a shared denominator.
 
 An ExactMatrix holds complex entries (re + im*i)/den with re, im integer
-arrays and den a single positive integer.  All arithmetic is exact; int64
-storage is used while safe and silently promoted to Python big integers
-(object dtype) when a bound check says int64 could overflow.
+arrays and den a single positive integer.  All arithmetic is exact.
 
-A matmul of int64 operands whose every partial sum stays below 2**53 runs
-on float64 BLAS: float64 holds those integers exactly, so the result is
-the exact integer product.  No float ever enters the object path.
+Every matrix is built in one normal form, so two matrices are equal exactly
+when their parts are, and `==` compares them directly:
+
+- den > 0 and gcd(re, im, den) = 1, so a zero matrix has den = 1;
+- re and im are int64 while every entry is below 2**62 in magnitude and
+  Python integers (object dtype) above that;
+- re and im are read-only (only the blank from `zeros` may be filled in
+  place, until its entry bound is first read).
+
+Each matrix also carries its entry bound max(|re|, |im|), computed at most
+once (per part, so a real matrix is known to be real) and passed on
+unchanged by negation, adjoint, conjugation and transpose.  Every operation
+chooses its tier from the cached bounds of its operands: a matmul whose
+partial sums stay below 2**53 runs on float64 BLAS, which holds those
+integers exactly; below 2**62 it runs on int64; above that on Python big
+integers.  No float ever enters the object path.  Sums and scalings go
+through `linear_combination`, which adds every term into one integer array
+over one common denominator and normalizes once; normalization stops taking
+gcds as soon as the running gcd reaches 1.
 
 FloatMatrix mirrors the same interface over complex128 for timing
 experiments.
@@ -25,6 +39,7 @@ from .scalars import GaussianRational, ZERO
 _I64_BOUND = 1 << 62
 # float64 guard: every integer of magnitude below 2**53 is a float64
 _F64_BOUND = 1 << 53
+_I64_MAX = (1 << 63) - 1
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -43,72 +58,104 @@ def _gcd_reduce(arr: np.ndarray) -> int:
     return int(np.gcd.reduce(np.abs(arr).ravel()))
 
 
-class ExactMatrix:
-    __slots__ = ("re", "im", "den")
+def _normal_form(re: np.ndarray, im: np.ndarray, den: int):
+    """(re, im, den, bounds) in normal form; bounds is None unless it came for free."""
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if den < 0:
+        re, im, den = -re, -im, -den
+    # g = gcd(den, re, im), no further reduction once it is 1
+    g = den
+    for arr in (re, im):
+        if g == 1:
+            break
+        g = math.gcd(g, _gcd_reduce(arr))
+    if g > 1:
+        if re.dtype != object and g > _I64_MAX:
+            # an int64 array divisible by g >= 2**63 is zero; g = den then
+            re, im = re.astype(object), im.astype(object)
+        re, im, den = re // g, im // g, den // g
+    bounds = None
+    if re.dtype == object:
+        bounds = (_max_abs(re), _max_abs(im))
+        if max(bounds) < _I64_BOUND:
+            re, im = re.astype(np.int64), im.astype(np.int64)
+    return re, im, int(den), bounds
 
-    def __init__(self, re: np.ndarray, im: np.ndarray, den: int, *, _normalized=False):
-        if _normalized:
-            self.re, self.im, self.den = re, im, den
-            return
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            re, im, den = -re, -im, -den
-        g = math.gcd(_gcd_reduce(re), _gcd_reduce(im))
-        if g == 0:  # every entry is 0; den may exceed int64, so drop it
-            den = 1
-        g = math.gcd(g, den)
-        if g > 1:
-            re = re // g
-            im = im // g
-            den = den // g
-        if re.dtype == object and max(_max_abs(re), _max_abs(im)) < _I64_BOUND:
-            re = re.astype(np.int64)
-            im = im.astype(np.int64)
-        self.re, self.im, self.den = re, im, int(den)
+
+def _parts(c) -> tuple[int, int, int]:
+    """(a, b, d) with c = (a + b i) / d and d the least common denominator."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if not isinstance(c, GaussianRational):
+        c = GaussianRational(c)
+    re, im = c.re, c.im
+    d = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _fma(acc: np.ndarray, k, x: np.ndarray) -> None:
+    """acc += k * x in place."""
+    if k == 1:
+        acc += x
+    elif k == -1:
+        acc -= x
+    elif k:
+        acc += k * x
+
+
+class ExactMatrix:
+    __slots__ = ("re", "im", "den", "_bounds")
+
+    def __init__(self, re: np.ndarray, im: np.ndarray, den: int, *,
+                 _normalized=False, _bounds=None):
+        if not _normalized:
+            re, im, den, _bounds = _normal_form(re, im, den)
+        re.flags.writeable = False
+        im.flags.writeable = False
+        self.re, self.im, self.den, self._bounds = re, im, den, _bounds
 
     # -- constructors ----------------------------------------------------
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "ExactMatrix":
+        """A blank zero matrix.  Its arrays stay writable until its entry
+        bound is first read, so entries can be set in place before use; the
+        caller keeps the normal form (den = 1 here)."""
         cols = rows if cols is None else cols
         z = np.zeros((rows, cols), dtype=np.int64)
-        return ExactMatrix(z, z.copy(), 1, _normalized=True)
+        m = ExactMatrix(z, z.copy(), 1, _normalized=True)
+        m.re.flags.writeable = m.im.flags.writeable = True
+        return m
 
     @staticmethod
     def identity(dim: int) -> "ExactMatrix":
         return ExactMatrix(
             np.eye(dim, dtype=np.int64), np.zeros((dim, dim), dtype=np.int64), 1,
-            _normalized=True,
+            _normalized=True, _bounds=(1 if dim else 0, 0),
         )
 
     @staticmethod
-    def diag(values) -> "ExactMatrix":
-        """Diagonal matrix from int/Fraction/GaussianRational values."""
-        vals = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in values]
-        den = 1
-        for v in vals:
-            den = math.lcm(den, v.re.denominator, v.im.denominator)
-        dim = len(vals)
-        re = np.zeros((dim, dim), dtype=object)
-        im = np.zeros((dim, dim), dtype=object)
-        for k, v in enumerate(vals):
-            re[k, k] = int(v.re * den)
-            im[k, k] = int(v.im * den)
-        return ExactMatrix(re, im, den)
-
-    @staticmethod
     def from_columns(rows: int, cols: list[dict[int, GaussianRational]]) -> "ExactMatrix":
-        """Columns given as sparse dicts row_index -> GaussianRational."""
+        """Columns given as sparse dicts row_index -> GaussianRational; int64
+        parts whenever every entry over the common denominator fits."""
         den = 1
         for col in cols:
             for v in col.values():
                 den = math.lcm(den, v.re.denominator, v.im.denominator)
-        re = np.zeros((rows, len(cols)), dtype=object)
-        im = np.zeros((rows, len(cols)), dtype=object)
+        idx, res, ims = [], [], []
         for j, col in enumerate(cols):
             for i, v in col.items():
-                re[i, j] = int(v.re * den)
-                im[i, j] = int(v.im * den)
+                idx.append((i, j))
+                res.append(v.re.numerator * (den // v.re.denominator))
+                ims.append(v.im.numerator * (den // v.im.denominator))
+        big = any(abs(x) >= _I64_BOUND for x in res + ims)
+        dtype = object if big else np.int64
+        re = np.zeros((rows, len(cols)), dtype=dtype)
+        im = np.zeros((rows, len(cols)), dtype=dtype)
+        if idx:
+            at = tuple(np.array(idx).T)
+            re[at] = np.array(res, dtype=dtype)
+            im[at] = np.array(ims, dtype=dtype)
         return ExactMatrix(re, im, den)
 
     @staticmethod
@@ -119,6 +166,20 @@ class ExactMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.re.shape
+
+    def _part_bounds(self) -> tuple[int, int]:
+        """(max |re|, max |im|), computed on first use and kept."""
+        if self._bounds is None:
+            # a blank from `zeros` is filled by now: freeze it with its bound
+            self.re.flags.writeable = False
+            self.im.flags.writeable = False
+            self._bounds = (_max_abs(self.re), _max_abs(self.im))
+        return self._bounds
+
+    @property
+    def bound(self) -> int:
+        """The entry bound max(|re|, |im|) over all entries."""
+        return max(self._part_bounds())
 
     def entry(self, i: int, j: int) -> GaussianRational:
         return GaussianRational(
@@ -131,65 +192,27 @@ class ExactMatrix:
         return {int(i): self.entry(i, j) for i in rows}
 
     def is_zero(self) -> bool:
-        return not (np.any(self.re) or np.any(self.im))
+        return self._part_bounds() == (0, 0)
 
     def has_im(self) -> bool:
-        return bool(np.any(self.im))
+        return self._part_bounds()[1] > 0
 
     def max_norm(self) -> Fraction:
-        return Fraction(max(_max_abs(self.re), _max_abs(self.im)), self.den)
+        return Fraction(self.bound, self.den)
 
     # -- linear ops ------------------------------------------------------
-    def _add_scaled(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        den = math.lcm(self.den, other.den)
-        fa = den // self.den
-        fb = sign * (den // other.den)
-        a_max = max(_max_abs(self.re), _max_abs(self.im)) * fa
-        b_max = max(_max_abs(other.re), _max_abs(other.im)) * abs(fb)
-        if (
-            self.re.dtype == np.int64
-            and other.re.dtype == np.int64
-            and a_max + b_max < _I64_BOUND
-            and max(fa, abs(fb)) < _I64_BOUND
-        ):
-            re = self.re * np.int64(fa) + other.re * np.int64(fb)
-            im = self.im * np.int64(fa) + other.im * np.int64(fb)
-        else:
-            re = self.re.astype(object) * fa + other.re.astype(object) * fb
-            im = self.im.astype(object) * fa + other.im.astype(object) * fb
-        return ExactMatrix(re, im, den)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._add_scaled(other, 1)
+        return linear_combination([(1, self, None), (1, other, None)], self.shape)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._add_scaled(other, -1)
+        return linear_combination([(1, self, None), (-1, other, None)], self.shape)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(-self.re, -self.im, self.den, _normalized=True)
+        return ExactMatrix(-self.re, -self.im, self.den, _normalized=True,
+                           _bounds=self._bounds)
 
     def scale(self, c) -> "ExactMatrix":
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational(c)
-        d = math.lcm(c.re.denominator, c.im.denominator)
-        a = int(c.re * d)
-        b = int(c.im * d)
-        m = max(_max_abs(self.re), _max_abs(self.im)) * max(abs(a), abs(b))
-        if (
-            self.re.dtype == np.int64
-            and 2 * m < _I64_BOUND
-            and max(abs(a), abs(b)) < _I64_BOUND
-        ):
-            re = self.re * np.int64(a) - self.im * np.int64(b)
-            im = self.re * np.int64(b) + self.im * np.int64(a)
-        else:
-            ro = self.re.astype(object)
-            io = self.im.astype(object)
-            re = ro * a - io * b
-            im = ro * b + io * a
-        return ExactMatrix(re, im, self.den * d)
+        return linear_combination([(c, self, None)], self.shape)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Exact product on the cheapest safe tier: float64 BLAS while every
@@ -198,17 +221,15 @@ class ExactMatrix:
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         k = self.shape[1]
-        a_max = max(_max_abs(self.re), _max_abs(self.im))
-        b_max = max(_max_abs(other.re), _max_abs(other.im))
-        bound = 2 * k * a_max * b_max
+        bound = 2 * k * self.bound * other.bound
         if self.re.dtype == np.int64 and other.re.dtype == np.int64 and bound < _I64_BOUND:
             dtype = np.float64 if bound < _F64_BOUND else np.int64
         else:
             dtype = object
         ar, ai, br, bi = (x.astype(dtype, copy=False)
                           for x in (self.re, self.im, other.re, other.im))
-        a_imz = not np.any(ai)
-        b_imz = not np.any(bi)
+        a_imz = not self._part_bounds()[1]
+        b_imz = not other._part_bounds()[1]
         if a_imz and b_imz:
             re = ar @ br
             im = np.zeros_like(re)
@@ -229,17 +250,21 @@ class ExactMatrix:
 
     # -- involutions -----------------------------------------------------
     def adjoint(self) -> "ExactMatrix":
-        return ExactMatrix(self.re.T.copy(), -self.im.T, self.den, _normalized=True)
+        return ExactMatrix(self.re.T.copy(), np.negative(self.im.T, order="C"), self.den,
+                           _normalized=True, _bounds=self._bounds)
 
     def bar(self) -> "ExactMatrix":
         """Entrywise complex conjugation."""
-        return ExactMatrix(self.re, -self.im, self.den, _normalized=True)
+        return ExactMatrix(self.re, -self.im, self.den, _normalized=True,
+                           _bounds=self._bounds)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.re.T.copy(), self.im.T.copy(), self.den, _normalized=True)
+        return ExactMatrix(self.re.T.copy(), self.im.T.copy(), self.den, _normalized=True,
+                           _bounds=self._bounds)
 
     # -- comparison ------------------------------------------------------
     def __eq__(self, other):
+        """Equality of values: both sides are in normal form."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return (
@@ -255,18 +280,22 @@ class ExactMatrix:
         """sum_ij self[ij] * conj(other[ij]), exact."""
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        a_max = max(_max_abs(self.re), _max_abs(self.im))
-        b_max = max(_max_abs(other.re), _max_abs(other.im))
         fast = (
             self.re.dtype == np.int64
             and other.re.dtype == np.int64
-            and 2 * self.re.size * a_max * b_max < _I64_BOUND
+            and 2 * self.re.size * self.bound * other.bound < _I64_BOUND
         )
         dtype = np.int64 if fast else object
-        ar, ai, br, bi = (x.astype(dtype, copy=False).ravel()
-                          for x in (self.re, self.im, other.re, other.im))
-        re = int(np.dot(ar, br) + np.dot(ai, bi))
-        im = int(np.dot(ai, br) - np.dot(ar, bi))
+        (a_re, a_im), (b_re, b_im) = self._part_bounds(), other._part_bounds()
+
+        def dot(x, x_bound, y, y_bound) -> int:
+            if not (x_bound and y_bound):
+                return 0
+            return int(np.dot(x.astype(dtype, copy=False).ravel(),
+                              y.astype(dtype, copy=False).ravel()))
+
+        re = dot(self.re, a_re, other.re, b_re) + dot(self.im, a_im, other.im, b_im)
+        im = dot(self.im, a_im, other.re, b_re) - dot(self.re, a_re, other.im, b_im)
         d = self.den * other.den
         return GaussianRational(Fraction(re, d), Fraction(im, d))
 
@@ -276,6 +305,72 @@ class ExactMatrix:
     def __repr__(self):
         r, c = self.shape
         return f"ExactMatrix({r}x{c}, den={self.den}, max={self.max_norm()})"
+
+
+def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
+    """sum_k c_k T_k, added into one integer array and normalized once.
+
+    Each term is (c, m, gather): a scalar c (int, Fraction or
+    GaussianRational), an ExactMatrix m of the given shape or None, and a
+    row gather.  With gather None the term T is m itself.  With gather
+    (sign, rows), sign[r] in {-1, 0, 1}, row r of T is sign[r] * m[rows[r]];
+    m None stands for the identity, and T is then the signed permutation
+    matrix with entry sign[r] at (r, rows[r]), added entry by entry.
+
+    The sum runs over D, the least common multiple of the terms'
+    denominators.  Its tier is chosen before anything is added, from the
+    integer coefficients and the cached entry bounds: int64 when every
+    partial sum stays below 2**62, Python integers otherwise.
+    """
+    live = []
+    den = 1
+    for c, m, gather in terms:
+        if m is not None and m.shape != tuple(shape):
+            raise ValueError(f"shape mismatch {m.shape} vs {tuple(shape)}")
+        a, b, d = _parts(c)
+        b_re, b_im = (1, 0) if m is None else m._part_bounds()
+        if not (a or b) or not (b_re or b_im):
+            continue
+        if m is not None:
+            d *= m.den
+        den = math.lcm(den, d)
+        live.append((a, b, d, m, gather, b_re, b_im))
+    scaled = []
+    re_bound = im_bound = 0
+    int64 = True
+    for a, b, d, m, gather, b_re, b_im in live:
+        f = den // d
+        a, b = a * f, b * f
+        re_bound += abs(a) * b_re + abs(b) * b_im
+        im_bound += abs(b) * b_re + abs(a) * b_im
+        int64 = int64 and (m is None or m.re.dtype == np.int64)
+        scaled.append((a, b, m, gather, b_im))
+    dtype = np.int64 if int64 and max(re_bound, im_bound) < _I64_BOUND else object
+    re = np.zeros(shape, dtype=dtype)
+    im = np.zeros(shape, dtype=dtype)
+    diagonal = np.arange(shape[0])
+    for a, b, m, gather, b_im in scaled:
+        if m is None:
+            sign, rows = gather
+            at = (diagonal, rows)
+            sign = sign.astype(dtype, copy=False)
+            if a:
+                re[at] += a * sign
+            if b:
+                im[at] += b * sign
+            continue
+        mr, mi = m.re.astype(dtype, copy=False), m.im.astype(dtype, copy=False)
+        if gather is not None:
+            sign, rows = gather
+            sign = sign.astype(dtype, copy=False)[:, None]
+            mr = sign * mr[rows]
+            mi = sign * mi[rows] if b_im else None
+        _fma(re, a, mr)
+        _fma(im, b, mr)
+        if b_im:
+            _fma(re, -b, mi)
+            _fma(im, a, mi)
+    return ExactMatrix(re, im, den)
 
 
 class FloatMatrix:

@@ -22,7 +22,7 @@ from .algebra import (
     j_algebra,
     j_derivation,
 )
-from .matrices import ExactMatrix, FloatMatrix
+from .matrices import ExactMatrix, FloatMatrix, linear_combination
 from .scalars import ONE, I
 
 PICTURES = ("ext", "cl")
@@ -89,11 +89,11 @@ class BladeStructure:
             k: np.nonzero(degs == k)[0] for k in range(2 * n + 1)
         }
         self.identity = ExactMatrix.identity(self.dim)
-        self.parity_sign = ExactMatrix.diag([(-1) ** int(k) for k in degs])
-        self.degree_proj = {
-            k: ExactMatrix.diag([1 if d == k else 0 for d in degs])
-            for k in range(2 * n + 1)
-        }
+        parity = 1 - 2 * (degs % 2)
+        zero = np.zeros((self.dim, self.dim), dtype=np.int64)
+        self.parity_sign = ExactMatrix(np.diag(parity), zero, 1)
+        # the projector onto degree 1, the only degree projector read
+        self.proj1 = ExactMatrix(np.diag((degs == 1).astype(np.int64)), zero, 1)
         self.Ja_ext = self._blade_matrix(lambda mv: j_algebra(mv, "ext"))
         self.Jd_ext = self._blade_matrix(lambda mv: j_derivation(mv, "ext"))
         self.Ja_cl = self._blade_matrix(lambda mv: j_algebra(mv, "cl"))
@@ -110,7 +110,6 @@ class BladeStructure:
         # E_i = t^i ^ ., C_i = E_i^T = e_i _| ., L_i = E_i - C_i = e_i . (left
         # Clifford), R_i = (E_i + C_i) par = . e_i (right Clifford).
         self.rows = np.arange(self.dim)
-        parity = 1 - 2 * (degs % 2)
         self.generator_signs: dict[str, list[np.ndarray]] = {k: [] for k in "ECLR"}
         for i in range(2 * n):
             bit = 1 << i
@@ -325,11 +324,14 @@ def scale_op(op: LinearOperator, c) -> LinearOperator:
 
 def add_ops(*ops: LinearOperator) -> LinearOperator:
     first = ops[0]
-    mat = first.matrix
-    for o in ops[1:]:
-        if o.picture != first.picture:
-            raise StructuralError("cannot add operators from different pictures")
-        mat = mat + o.matrix
+    if any(o.picture != first.picture for o in ops):
+        raise StructuralError("cannot add operators from different pictures")
+    if isinstance(first.matrix, ExactMatrix):
+        mat = linear_combination([(1, o.matrix, None) for o in ops], first.matrix.shape)
+    else:
+        mat = first.matrix
+        for o in ops[1:]:
+            mat = mat + o.matrix
     name = "+".join(o.name for o in ops)
     return make_operator(f"({name})", mat, first.picture)
 
@@ -382,22 +384,28 @@ def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperat
 # multiplication operators and derivations
 # ---------------------------------------------------------------------------
 
-def multiplication(phi: Multivector, kind: str, start: ExactMatrix | None = None) -> ExactMatrix:
-    """sum_S phi_S W_S @ start over phi's blades S, W_S the generator word of kind.
+def multiplication_sum(kind: str, pairs) -> ExactMatrix:
+    """sum_k sum_S phi_k,S W_S @ start_k over pairs (phi_k, start_k), W_S the
+    generator word of kind for blade S.
 
     kind "E" multiplies by phi ^ ., "C" by phi _| ., "L" and "R" by phi on
     the left and right in the Clifford algebra.  Each word is a signed
-    permutation, applied to start as a row gather, never as a matmul.
+    permutation, applied to start as a row gather, never as a matmul; a
+    start of None is the identity, whose words are added entry by entry.
+    Every term goes into one linear combination, normalized once.
     """
-    bs = blade_structure(phi.n)
-    start = bs.identity if start is None else start
-    total = ExactMatrix.zeros(*start.shape)
-    for mask, c in phi.coeffs.items():
-        sign = bs.word(kind, mask)[:, None]
-        rows = bs.rows ^ mask
-        term = ExactMatrix(sign * start.re[rows], sign * start.im[rows], start.den)
-        total = total + term.scale(c)
-    return total
+    terms, shape = [], None
+    for phi, start in pairs:
+        bs = blade_structure(phi.n)
+        shape = (bs.dim, bs.dim) if start is None else start.shape
+        terms += [(c, start, (bs.word(kind, mask), bs.rows ^ mask))
+                  for mask, c in phi.coeffs.items()]
+    return linear_combination(terms, shape)
+
+
+def multiplication(phi: Multivector, kind: str, start: ExactMatrix | None = None) -> ExactMatrix:
+    """sum_S phi_S W_S @ start over phi's blades S (see `multiplication_sum`)."""
+    return multiplication_sum(kind, [(phi, start)])
 
 
 def derivation(images: dict[int, Multivector], name: str, picture: str,
@@ -406,14 +414,19 @@ def derivation(images: dict[int, Multivector], name: str, picture: str,
 
     C_i carries the Koszul sign of passing t^i over the factors before it;
     odd images pay it back as they move into place, so one formula gives a
-    derivation for odd images and an antiderivation for even ones.
+    derivation for odd images and an antiderivation for even ones.  Each
+    E_S C_i is a signed permutation; all of them go into one linear
+    combination, normalized once.
     """
-    n = next(iter(images.values())).n
-    total = ExactMatrix.zeros(4**n)
+    bs = blade_structure(next(iter(images.values())).n)
+    terms = []
     for i, image in images.items():
-        if image.coeffs:
-            total = total + multiplication(image, "E", multiplication(frame(n, i), "C"))
-    return make_operator(name, total, picture, bidegree)
+        c_sign = bs.generator_signs["C"][i - 1]
+        for mask, c in image.coeffs.items():
+            # row r of E_S C_i is word_S[r] * c_sign[r ^ S] times row r ^ S ^ bit_i of 1
+            sign = bs.word("E", mask) * c_sign[bs.rows ^ mask]
+            terms.append((c, None, (sign, bs.rows ^ mask ^ (1 << (i - 1)))))
+    return make_operator(name, linear_combination(terms, (bs.dim, bs.dim)), picture, bidegree)
 
 
 def tensor_slices(n: int, entries: dict) -> list[ExactMatrix]:

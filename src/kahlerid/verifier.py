@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .matrices import ExactMatrix, FloatMatrix, solve_exact
+from .matrices import ExactMatrix, FloatMatrix, linear_combination, solve_exact
 from .models import LieModel, geometry
 from .operators import (
     LinearOperator,
@@ -1159,6 +1159,7 @@ _SPAN_FAMILIES = (
     "tau_mu", "tau_del", "tau_delbar", "tau_mubar",
     "rho_mu", "rho_del", "rho_delbar", "rho_mubar",
 )
+_SPAN_LEE = ("E_lee", "I_lee", "E_jlee", "I_jlee")
 
 
 def _span_atoms(ws: Workspace) -> list[tuple[str, LinearOperator]]:
@@ -1167,7 +1168,7 @@ def _span_atoms(ws: Workspace) -> list[tuple[str, LinearOperator]]:
         atoms.append((nm, ws.op(nm)))
     for nm in _SPAN_FAMILIES:
         atoms.append((nm + "*", adjoint(ws.op(nm))))
-    for nm in ("E_lee", "I_lee", "E_jlee", "I_jlee"):
+    for nm in _SPAN_LEE:
         atoms.append((nm, ws.op(nm)))
     return atoms
 
@@ -1223,7 +1224,7 @@ def emit_commutator_table(ws: Workspace) -> dict:
             target = ws.eval(SCom(row, Op(col))).matrix
             expected = (ws.eval(expected_expr) if expected_expr is not None
                         else ws.eval(ZeroOp("ext")))
-            matches = (target - expected.matrix).is_zero()
+            matches = target == expected.matrix
             rhs = [target.frobenius_inner(m) for m in mats]
             pending.append((label, col, expected_str, target, matches, rhs))
     solutions = solve_exact(gram_cols, [rhs for *_, rhs in pending], many=True)
@@ -1236,15 +1237,9 @@ def emit_commutator_table(ws: Workspace) -> dict:
         if x is not None:
             # normal equations can have spurious solutions only if the
             # target is outside the span; re-check by reconstruction
-            recon = None
-            for c, m in zip(x, mats):
-                if not c:
-                    continue
-                piece = m.scale(c)
-                recon = piece if recon is None else recon + piece
-            if recon is None:
-                recon = ExactMatrix.zeros(ws.dim)
-            if (recon - target).is_zero():
+            recon = linear_combination(
+                [(c, m, None) for c, m in zip(x, mats) if c], target.shape)
+            if recon == target:
                 solved = _format_combo(x, labels)
                 support = {label for c, label in zip(x, labels) if c}
         if solved is None:
@@ -1263,9 +1258,9 @@ def emit_commutator_table(ws: Workspace) -> dict:
             for (alabel, aop), t_a, a_a in zip(atoms, rhs, sq_norms):
                 if alabel in support or t_a not in (a_a, -a_a):
                     continue
-                if (target - aop.matrix).is_zero():
+                if target == aop.matrix:
                     aliases.append(alabel)
-                elif (target + aop.matrix).is_zero():
+                elif target == -aop.matrix:
                     aliases.append("-" + alabel)
         cells.append({
             "row": label,

@@ -1,7 +1,7 @@
 """Exterior-side operator zoo and the shared evaluation namespace.
 
 Per model geometry this builds the bidegree parts of d, the Lefschetz
-triple (L, Lam, H), the multiplication families lambda / tau / rho driven
+pair (L, Lam), the multiplication families lambda / tau / rho driven
 by the torsion 3-form, the Lee-form operators, and a bag of auxiliary
 matrices (torsion right-hand sides, frame-trace residuals) consumed by
 the identity catalog.  Everything is exact.
@@ -30,7 +30,7 @@ from .operators import (
     int_mult,
     k_xi,
     make_operator,
-    multiplication,
+    multiplication_sum,
     r_xi,
     supercommutator,
     tensor_slices,
@@ -91,15 +91,13 @@ class ExteriorZoo:
 
         self.L = ext_mult(om, "L", (1, 1))
         self.Lam = adjoint(self.L).renamed("Lam")
-        self.H = supercommutator(self.L, self.Lam).renamed("H")
 
         self.lam_mu = ext_mult(self.muomega, "lam_mu", (3, 0))
         self.lam_del = ext_mult(self.delomega, "lam_del", (2, 1))
         self.lam_delbar = ext_mult(self.delbaromega, "lam_delbar", (1, 2))
         self.lam_mubar = ext_mult(self.mubaromega, "lam_mubar", (0, 3))
-        self.lam_plus = add_ops(self.lam_del, self.lam_delbar).renamed("lam_plus")
-        self.lam_minus = add_ops(self.lam_mu, self.lam_mubar).renamed("lam_minus")
-        self.lam = add_ops(self.lam_plus, self.lam_minus).renamed("lam")
+        self.lam = add_ops(self.lam_mu, self.lam_del, self.lam_delbar,
+                           self.lam_mubar).renamed("lam")
         self.E_domega = ext_mult(geom.d_omega, "E_domega")
         if self.lam.matrix != self.E_domega.matrix:
             raise GeometryError("lambda parts do not sum to E_{d omega}")
@@ -182,7 +180,7 @@ def _torsion_witnesses(geom: ModelGeometry):
 
     # tau_plus^c on 1-forms: alpha -> -J*lee ^ alpha + 1/2 sum_{A,B,C}
     # dw+(Je_A, e_C, Je_B) alpha(e_C) theta^A ^ theta^B
-    tau = multiplication(-geom.jstar_lee, "E", bs.degree_proj[1])
+    tau = [(-geom.jstar_lee, bs.proj1)]
     for a in range(1, 2 * n + 1):
         p, pp, pm = full[a - 1], plus[a - 1], minus[a - 1]
         q, qp, qm = at_j(full, a), at_j(plus, a), at_j(minus, a)
@@ -205,9 +203,8 @@ def _torsion_witnesses(geom: ModelGeometry):
         # and of 1/2 (psi(e_A,Z,e_B) + psi(Je_A,Z,Je_B))
         elements[f"tf_b_lhs_{a}"] = (_two_form(qp @ j - pp), "ext")
         elements[f"tf_b_rhs_{a}"] = (_two_form((pp + jt @ pp @ j).scale(-_HALF)), "ext")
-        tau = tau + multiplication(
-            coframe(n, a), "E", vector_operator((qp @ j).transpose().scale(_HALF)))
-    ops["tauplusc_1f"] = make_operator("tauplusc_1f", tau, "ext")
+        tau.append((coframe(n, a), vector_operator((qp @ j).transpose().scale(_HALF))))
+    ops["tauplusc_1f"] = make_operator("tauplusc_1f", multiplication_sum("E", tau), "ext")
     return ops, elements
 
 
@@ -237,13 +234,10 @@ def assemble(geom: ModelGeometry):
         "mubar": ez.mubar,
         "L": ez.L,
         "Lam": ez.Lam,
-        "H": ez.H,
         "lam_mu": ez.lam_mu,
         "lam_del": ez.lam_del,
         "lam_delbar": ez.lam_delbar,
         "lam_mubar": ez.lam_mubar,
-        "lam_plus": ez.lam_plus,
-        "lam_minus": ez.lam_minus,
         "lam": ez.lam,
         "tau_mu": ez.tau_mu,
         "tau_del": ez.tau_del,
@@ -272,7 +266,7 @@ def assemble(geom: ModelGeometry):
         "Ja_ext_inv": make_operator("J_a^-1", bs.Ja_ext_inv, "ext", (0, 0)),
         "par_ext": make_operator("par", bs.parity_sign, "ext", (0, 0)),
         "id_ext": make_operator("id", bs.identity, "ext", (0, 0)),
-        "proj1_ext": make_operator("proj1", bs.degree_proj[1], "ext", (0, 0)),
+        "proj1_ext": make_operator("proj1", bs.proj1, "ext", (0, 0)),
         "star_ext": make_operator("star", bs.hodge, "ext"),
         # Clifford side
         "D": cz.D,
@@ -293,11 +287,10 @@ def assemble(geom: ModelGeometry):
         "L_Jd_Dc_omega": cz.L_Jd_Dc_omega,
         "L_Dsig_omega": cz.L_Dsig_omega,
         "L_Dsigc_omega": cz.L_Dsigc_omega,
-        "L_d_omega": cz.L_d_omega,
         "L_jlee": cz.L_jlee,
         "par_cl": make_operator("par", bs.parity_sign, "cl", (0, 0)),
         "id_cl": make_operator("id", bs.identity, "cl", (0, 0)),
-        "proj1_cl": make_operator("proj1", bs.degree_proj[1], "cl", (0, 0)),
+        "proj1_cl": make_operator("proj1", bs.proj1, "cl", (0, 0)),
     }
 
     # multiplication operators attached to the named 3-form pieces
@@ -313,6 +306,7 @@ def assemble(geom: ModelGeometry):
         ops[f"K_{nm}"] = k_xi(mv, f"K_{nm}")
         lam_mv = bs.to_multivector(lam_mat @ bs.to_column(mv))
         ops[f"ELam_{nm}"] = ext_mult(lam_mv, f"ELam_{nm}")
+    for nm, mv in xis + [("lee", geom.lee_form)]:
         ops[f"Lcl_{nm}"] = clifford_left(mv, f"Lcl_{nm}")
     for nm, mv in xis:
         ops[f"C_{nm}"] = contract_op(mv, f"C_{nm}")
@@ -327,14 +321,12 @@ def assemble(geom: ModelGeometry):
         "omega": (geom.omega_form, "ext"),
         "domega": (geom.d_omega, "ext"),
         "domega_plus": (geom.d_omega_plus, "ext"),
-        "domega_minus": (geom.d_omega_minus, "ext"),
         "muomega": (ez.muomega, "ext"),
         "delomega": (ez.delomega, "ext"),
         "delbaromega": (ez.delbaromega, "ext"),
         "mubaromega": (ez.mubaromega, "ext"),
         "lee": (geom.lee_form, "ext"),
         "jstar_lee": (geom.jstar_lee, "ext"),
-        "dstar_omega": (geom.dstar_omega, "ext"),
         "unit": (cz.unit, "cl"),
         "omega_cl": (geom.omega_clifford, "cl"),
         "D_omega": (cz.D_omega, "cl"),

@@ -1,12 +1,20 @@
 """Exact Gaussian-rational matrices: arithmetic, overflow fallback, solving."""
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kahlerid import gq
-from kahlerid.matrices import ExactMatrix, FloatMatrix, solve_exact
+from kahlerid.matrices import (
+    ExactMatrix,
+    FloatMatrix,
+    _max_abs,
+    linear_combination,
+    solve_exact,
+)
 
 
 def _from_rows(rows, den=1):
@@ -245,3 +253,109 @@ def test_matmul_float64_int64_and_object_tiers_agree(rows, k, bits, a_real, b_re
     want = _as_object(a) @ _as_object(b)
     assert got == want
     assert got.re.dtype == got.im.dtype == want.re.dtype  # never float64
+
+
+# -- normal form, cached entry bound, read-only parts ------------------------------
+
+_BIG = (1 << 62) + 1
+# factors at and past the int64 bound, in numerators and in denominators
+_FACTORS = [gq(Fraction(-3, 7), Fraction(5, 2)), gq(_BIG), gq(0, Fraction(1, 10**20 + 39)),
+            gq(Fraction(_BIG, 3), -1)]
+
+
+@st.composite
+def _square(draw, dim):
+    """A dim x dim matrix on the float64 (3 bits), int64 (26) or object (64) tier."""
+    bits = draw(st.sampled_from([3, 26, 64]))
+    den = draw(st.sampled_from([1, 6, 10**20 + 39]))
+    num = st.integers(-(1 << bits), 1 << bits)
+    return ExactMatrix.from_columns(dim, [
+        {i: gq(Fraction(draw(num), den), Fraction(draw(num), den))
+         for i in range(dim) if draw(st.booleans())}
+        for _ in range(dim)])
+
+
+_pairs = st.integers(1, 3).flatmap(lambda d: st.tuples(_square(d), _square(d)))
+
+
+def _assert_normal(m):
+    """den > 0, gcd(re, im, den) = 1, int64 exactly below 2**62, read-only
+    parts, and a cached bound equal to a fresh reduction."""
+    assert m._part_bounds() == (_max_abs(m.re), _max_abs(m.im))
+    assert m.den > 0
+    assert math.gcd(m.den, *(int(x) for x in m.re.flat), *(int(x) for x in m.im.flat)) == 1
+    assert (m.re.dtype == m.im.dtype == np.int64) == (m.bound < 1 << 62)
+    assert not (m.re.flags.writeable or m.im.flags.writeable)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs, st.sampled_from(_FACTORS))
+def test_every_operation_keeps_the_normal_form_and_a_true_bound(pair, c):
+    a, b = pair
+    results = [a, b, a + b, a - b, a - a, -a, a.scale(c), b.scale(c).scale(1 / c), a @ b,
+               a.adjoint(), a.bar(), a.transpose(), (a @ b).adjoint() @ a.scale(c),
+               linear_combination([(c, a, None), (2, b, None), (-c, a, None)], a.shape)]
+    for m in results:
+        _assert_normal(m)
+    assert a - a == ExactMatrix.zeros(*a.shape) and (a - a).den == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairs, st.sampled_from(_FACTORS), st.sampled_from(["other", "copy", "scaled", "bumped"]))
+def test_equality_is_a_zero_difference(pair, c, how):
+    a, other = pair
+    bump = ExactMatrix.from_columns(a.shape[0], [{0: gq(Fraction(1, 3))}] * a.shape[1])
+    b = {"other": other, "copy": a + ExactMatrix.zeros(*a.shape),
+         "scaled": a.scale(c).scale(1 / c), "bumped": a + bump}[how]
+    assert (a == b) == (b == a) == (a - b).is_zero()
+    if how in ("copy", "scaled"):
+        assert a == b
+    if how == "bumped":
+        assert a != b
+
+
+def test_parts_are_read_only_and_a_blank_freezes_on_first_use():
+    a = _from_rows([[1, 2], [3, 4]], den=3)
+    big = ExactMatrix(np.array([[_BIG, 0], [0, 1]], dtype=object),
+                      np.zeros((2, 2), dtype=object), 5)
+    assert big.re.dtype == object
+    for m in (a, big, a + a, a @ a, big @ big, a.scale(gq(0, 1)), -a, a.adjoint(), a.bar(),
+              a.transpose(), ExactMatrix.identity(2), linear_combination([(2, a, None)], (2, 2))):
+        for part in (m.re, m.im):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0, 0] = 7
+    blank = ExactMatrix.zeros(2)
+    blank.re[0, 1] = 1  # a blank may be filled until its bound is read
+    assert blank.bound == 1
+    with pytest.raises(ValueError, match="read-only"):
+        blank.re[0, 0] = 1
+
+
+def test_normalization_reduces_to_the_unique_normal_form():
+    re = np.array([[6, -4], [0, 2]], dtype=np.int64)
+    im = np.array([[2, 0], [0, -8]], dtype=np.int64)
+    m = ExactMatrix(re, im, -10)
+    assert (m.den, m.re.tolist(), m.im.tolist()) == (5, [[-3, 2], [0, -1]], [[-1, 0], [0, 4]])
+    # gcd(3, re) is already 1: nothing is divided
+    m3 = ExactMatrix(re.copy(), im.copy(), 3)
+    assert (m3.den, m3.re.tolist(), m3.im.tolist()) == (3, re.tolist(), im.tolist())
+    # object parts drop to int64 once the common factor brings them below 2**62
+    obj = np.array([[2**70, 0], [0, -(2**71)]], dtype=object)
+    m70 = ExactMatrix(obj, np.zeros((2, 2), dtype=object), 2**70)
+    assert (m70.den, m70.re.tolist(), m70.re.dtype) == (1, [[1, 0], [0, -2]], np.int64)
+    m_obj = ExactMatrix(np.array([[_BIG]], dtype=object), np.array([[0]], dtype=object), 3)
+    assert (m_obj.den, m_obj.re[0, 0], m_obj.re.dtype) == (3, _BIG, object)
+    # zero over a denominator past int64, in either dtype, is 0 over 1
+    for dtype in (np.int64, object):
+        z = np.zeros((2, 2), dtype=dtype)
+        zm = ExactMatrix(z, z.copy(), -(2**64 + 13))
+        assert (zm.den, zm.re.dtype, zm.bound) == (1, np.int64, 0)
+        assert zm == ExactMatrix.zeros(2)
+
+
+def test_from_columns_fills_int64_whenever_the_entries_fit():
+    small = ExactMatrix.from_columns(2, [{0: gq(Fraction(1, 3))}, {1: gq(0, 2**59)}])
+    assert small.re.dtype == small.im.dtype == np.int64
+    assert small.entry(1, 1) == gq(0, 2**59) and small.den == 3
+    big = ExactMatrix.from_columns(2, [{0: gq(Fraction(_BIG, 7))}, {}])
+    assert big.re.dtype == object and big.entry(0, 0) == gq(Fraction(_BIG, 7))

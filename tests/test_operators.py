@@ -41,6 +41,7 @@ from kahlerid.operators import (
     int_mult,
     make_operator,
     measured_bidegree,
+    multiplication,
     operator_bidegree_components,
     operator_from_blade_action,
     r_xi,
@@ -179,6 +180,81 @@ def test_derivation_is_graded_leibniz(case):
     lhs = apply_operator(D, wedge(a, b))
     rhs = wedge(apply_operator(D, a), b) + wedge(a, apply_operator(D, b)).scale(sign)
     assert lhs == rhs
+
+
+# -- one-pass sums against term-by-term references ---------------------------------
+
+# numerators past 2**62 and denominators past int64, so the sums take the object path
+_BIG_NUM = st.one_of(st.integers(-9, 9), st.integers(2**62, 2**64), st.integers(-(2**64), -(2**62)))
+_BIG_DEN = st.sampled_from([1, 7, 10**20 + 39, 2**64 + 13])
+
+
+def _big_scalars():
+    return st.builds(lambda a, b, d: gq(Fraction(a, d), Fraction(b, d)),
+                     _BIG_NUM, _BIG_NUM, _BIG_DEN)
+
+
+def _big_multivectors(n, parity=None):
+    masks = [m for m in range(4**n) if parity is None or blade_degree(m) % 2 == parity]
+    return st.dictionaries(st.sampled_from(masks), _big_scalars(), max_size=4).map(
+        lambda d: Multivector(n, d))
+
+
+@st.composite
+def _multiplication_case(draw):
+    n = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from("ECLR"))
+    start = None
+    if draw(st.booleans()):
+        start = ExactMatrix.from_columns(4**n, [
+            draw(st.dictionaries(st.integers(0, 4**n - 1), _big_scalars(), max_size=3))
+            for _ in range(2)])
+    return n, kind, draw(_big_multivectors(n)), start
+
+
+@settings(max_examples=40, deadline=None)
+@given(_multiplication_case())
+def test_one_pass_multiplication_equals_the_entrywise_sum(case):
+    n, kind, phi, start = case
+    bs = blade_structure(n)
+    got = multiplication(phi, kind, start)
+    start = bs.identity if start is None else start
+    # sum_S phi_S W_S start, term by term and entry by entry in Gaussian rationals
+    ref = [[gq(0)] * start.shape[1] for _ in range(bs.dim)]
+    for mask, c in phi.coeffs.items():
+        sign = bs.word(kind, mask)
+        for r in np.flatnonzero(sign):
+            for j in range(start.shape[1]):
+                ref[r][j] += c * int(sign[r]) * start.entry(r ^ mask, j)
+    assert [[got.entry(r, j) for j in range(got.shape[1])] for r in range(bs.dim)] == ref
+
+
+@st.composite
+def _big_derivation_case(draw):
+    n = draw(st.sampled_from([1, 2]))
+    parity = draw(st.sampled_from([0, 1]))
+    return n, {i: draw(_big_multivectors(n, parity)) for i in range(1, 2 * n + 1)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_big_derivation_case())
+def test_one_pass_derivation_equals_the_termwise_sum(case):
+    n, images = case
+    ref = ExactMatrix.zeros(4**n)
+    for i, image in images.items():
+        ref = ref + multiplication(image, "E") @ multiplication(frame(n, i), "C")
+    assert derivation(images, "D", "ext").matrix == ref
+
+
+def test_one_pass_sums_take_the_object_path_past_int64():
+    phi = Multivector(2, {0b11: gq((1 << 62) + 1), 0b1: gq(0, Fraction(1, 10**20 + 39))})
+    m = multiplication(phi, "E")
+    assert m.re.dtype == object and m.bound >= 1 << 62
+    assert m.entry(0b11, 0) == gq((1 << 62) + 1)
+    d = derivation({1: phi, 2: Multivector.zero(2), 3: Multivector.zero(2),
+                    4: Multivector.zero(2)}, "D", "ext")
+    assert d.matrix.re.dtype == object
+    assert apply_operator(d, coframe(2, 1)) == phi
 
 
 # -- 2n x 2n slices against the per-blade and per-entry references -----------------

@@ -1,4 +1,5 @@
 """Catalog integrity, evaluation semantics, vacuity, and table emission."""
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from kahlerid.verifier import (
     SUITES,
     Apply,
     El,
+    Expr,
     Op,
     S,
     Workspace,
@@ -56,6 +58,27 @@ def test_guards_resolve_on_workspaces(ws):
         for e in catalog(w.n):
             for g in e.guards or ():
                 assert g in w.ops or g in w.elements, f"{e.id} guard {g!r}"
+
+
+def _leaf_names(x) -> set[str]:
+    """The operator and element names an expression tree reads."""
+    if isinstance(x, (Op, El)):
+        return {x.name}
+    if isinstance(x, tuple):
+        return set().union(*map(_leaf_names, x))
+    if isinstance(x, Expr):
+        return set().union(*(_leaf_names(getattr(x, f.name)) for f in fields(x)))
+    return set()
+
+
+@pytest.mark.parametrize("name", ["t2", "kt4", "nil6"])
+def test_every_namespace_name_is_read(ws, name):
+    # the span atoms, and the catalog trees and guards (which hold both tables' rows)
+    w = ws(name)
+    reached = set(verifier._SPAN_FAMILIES) | set(verifier._SPAN_LEE)
+    for e in catalog(w.n):
+        reached |= _leaf_names(e.lhs) | _leaf_names(e.rhs) | set(e.guards or ())
+    assert set(w.ops) | set(w.elements) <= reached
 
 
 # -- verification ------------------------------------------------------------------
