@@ -9,8 +9,7 @@ when their parts are, and `==` compares them directly:
 - den > 0 and gcd(re, im, den) = 1, so a zero matrix has den = 1;
 - re and im are int64 while every entry is below 2**62 in magnitude and
   Python integers (object dtype) above that;
-- re and im are read-only (only the blank from `zeros` may be filled in
-  place, until its entry bound is first read).
+- re and im are read-only from construction.
 
 Each matrix also carries its entry bound max(|re|, |im|), computed at most
 once (per part, so a real matrix is known to be real) and passed on
@@ -18,16 +17,23 @@ unchanged by negation, adjoint, conjugation and transpose.  Every operation
 chooses its tier from the cached bounds of its operands: a matmul whose
 partial sums stay below 2**53 runs on float64 BLAS, which holds those
 integers exactly; below 2**62 it runs on int64; above that on Python big
-integers.  No float ever enters the object path.  Sums and scalings go
-through `linear_combination`, which adds every term into one integer array
-over one common denominator and normalizes once; normalization stops taking
-gcds as soon as the running gcd reaches 1.
+integers.  No float ever enters the object path.  A product with a zero
+operand (cached bound (0, 0)) is the shared zero of its shape and costs no
+arithmetic.  Sums and scalings go through `linear_combination`, which adds
+every term into one integer array over one common denominator and normalizes
+once; normalization stops taking gcds as soon as the running gcd reaches 1.
+
+`FrobeniusColumns` gathers a list of matrices y_c once on the union of their
+supports; its `inner` returns every <x_r, y_c> = sum x_r * conj(y_c) for a
+list of matrices x_r from one stacked real product, on the tier its bounds
+allow.  `ExactMatrix.frobenius_inner` is its 1 x 1 case.
 
 FloatMatrix mirrors the same interface over complex128 for timing
 experiments.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -118,14 +124,8 @@ class ExactMatrix:
     # -- constructors ----------------------------------------------------
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "ExactMatrix":
-        """A blank zero matrix.  Its arrays stay writable until its entry
-        bound is first read, so entries can be set in place before use; the
-        caller keeps the normal form (den = 1 here)."""
-        cols = rows if cols is None else cols
-        z = np.zeros((rows, cols), dtype=np.int64)
-        m = ExactMatrix(z, z.copy(), 1, _normalized=True)
-        m.re.flags.writeable = m.im.flags.writeable = True
-        return m
+        """The zero matrix of this shape, shared: its parts are read-only."""
+        return _zero(rows, rows if cols is None else cols)
 
     @staticmethod
     def identity(dim: int) -> "ExactMatrix":
@@ -170,9 +170,6 @@ class ExactMatrix:
     def _part_bounds(self) -> tuple[int, int]:
         """(max |re|, max |im|), computed on first use and kept."""
         if self._bounds is None:
-            # a blank from `zeros` is filled by now: freeze it with its bound
-            self.re.flags.writeable = False
-            self.im.flags.writeable = False
             self._bounds = (_max_abs(self.re), _max_abs(self.im))
         return self._bounds
 
@@ -217,9 +214,11 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Exact product on the cheapest safe tier: float64 BLAS while every
         partial sum is an integer below 2**53, then int64 below 2**62, then
-        Python big integers."""
+        Python big integers.  A zero operand gives the shared zero at once."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        if self.is_zero() or other.is_zero():
+            return _zero(self.shape[0], other.shape[1])
         k = self.shape[1]
         bound = 2 * k * self.bound * other.bound
         if self.re.dtype == np.int64 and other.re.dtype == np.int64 and bound < _I64_BOUND:
@@ -278,26 +277,7 @@ class ExactMatrix:
 
     def frobenius_inner(self, other: "ExactMatrix") -> GaussianRational:
         """sum_ij self[ij] * conj(other[ij]), exact."""
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        fast = (
-            self.re.dtype == np.int64
-            and other.re.dtype == np.int64
-            and 2 * self.re.size * self.bound * other.bound < _I64_BOUND
-        )
-        dtype = np.int64 if fast else object
-        (a_re, a_im), (b_re, b_im) = self._part_bounds(), other._part_bounds()
-
-        def dot(x, x_bound, y, y_bound) -> int:
-            if not (x_bound and y_bound):
-                return 0
-            return int(np.dot(x.astype(dtype, copy=False).ravel(),
-                              y.astype(dtype, copy=False).ravel()))
-
-        re = dot(self.re, a_re, other.re, b_re) + dot(self.im, a_im, other.im, b_im)
-        im = dot(self.im, a_im, other.re, b_re) - dot(self.re, a_re, other.im, b_im)
-        d = self.den * other.den
-        return GaussianRational(Fraction(re, d), Fraction(im, d))
+        return FrobeniusColumns([other]).inner([self])[0][0]
 
     def to_complex(self) -> np.ndarray:
         return (self.re.astype(np.float64) + 1j * self.im.astype(np.float64)) / self.den
@@ -305,6 +285,102 @@ class ExactMatrix:
     def __repr__(self):
         r, c = self.shape
         return f"ExactMatrix({r}x{c}, den={self.den}, max={self.max_norm()})"
+
+
+@functools.cache
+def _zero(rows: int, cols: int) -> ExactMatrix:
+    z = np.zeros((rows, cols), dtype=np.int64)
+    return ExactMatrix(z, z, 1, _normalized=True, _bounds=(0, 0))
+
+
+def _cast(arr: np.ndarray, dtype) -> np.ndarray:
+    """arr as dtype; a float64 array holds exact integers and goes through
+    int64, so no float reaches the object tier."""
+    if arr.dtype == np.float64 and dtype is not np.float64:
+        arr = arr.astype(np.int64)
+    return arr.astype(dtype, copy=False)
+
+
+def _gather(mats, support: np.ndarray, dtype, with_im: bool) -> np.ndarray:
+    """Rows re(m) on support for each m, then im(m) when with_im."""
+    out = np.empty(((1 + with_im) * len(mats), len(support)), dtype=dtype)
+    for r, m in enumerate(mats):
+        out[r] = m.re.ravel()[support]
+        if with_im:
+            out[len(mats) + r] = m.im.ravel()[support]
+    return out
+
+
+class FrobeniusColumns:
+    """A non-empty list of matrices y_c of one shape, gathered once on the
+    union of their supports, for the exact inner products
+    <x, y_c> = sum_ij x[ij] * conj(y_c[ij]).
+
+    Entries of x off that support meet only zeros, so each inner product is
+    a dot product of length k = |support|.  The stack of the y_c is held
+    once, as float64 when its entries are below 2**53 (exact there), else in
+    their own integer dtype.
+    """
+
+    __slots__ = ("shape", "support", "stack", "dens", "bound", "int64", "has_im")
+
+    def __init__(self, cols):
+        cols = list(cols)
+        self.shape = cols[0].shape
+        if any(y.shape != self.shape for y in cols):
+            raise ValueError("shape mismatch")
+        mask = np.zeros(cols[0].re.size, dtype=bool)
+        for y in cols:
+            if not y.is_zero():
+                mask |= (y.re != 0).ravel() | (y.im != 0).ravel()
+        self.support = np.flatnonzero(mask)
+        self.dens = [y.den for y in cols]
+        self.bound = max((y.bound for y in cols), default=0)
+        self.int64 = all(y.re.dtype == np.int64 for y in cols)
+        self.has_im = any(y.has_im() for y in cols)
+        dtype = np.int64 if self.int64 else object
+        if self.int64 and self.bound < _F64_BOUND:
+            dtype = np.float64
+        self.stack = _gather(cols, self.support, dtype, self.has_im)
+
+    def inner(self, rows) -> list[list[GaussianRational]]:
+        """[[<x_r, y_c> for each column c] for each row r], from one product
+        of the stacked real and imaginary parts.  Its tier follows from the
+        bounds, as in `@`: float64 BLAS while 2 k max|x| max|y| < 2**53,
+        int64 below 2**62, Python integers otherwise."""
+        rows = list(rows)
+        if any(x.shape != self.shape for x in rows):
+            raise ValueError("shape mismatch")
+        ncols, k = len(self.dens), len(self.support)
+        x_bound = max((x.bound for x in rows), default=0)
+        if not (k and x_bound and self.bound):
+            return [[ZERO] * ncols for _ in rows]
+        bound = 2 * k * x_bound * self.bound
+        if self.int64 and all(x.re.dtype == np.int64 for x in rows) and bound < _I64_BOUND:
+            dtype = np.float64 if bound < _F64_BOUND else np.int64
+        else:
+            dtype = object
+        x_im = any(x.has_im() for x in rows)
+        p = _gather(rows, self.support, dtype, x_im) @ _cast(self.stack, dtype).T
+        if dtype is np.float64:
+            p = p.astype(np.int64)
+        # blocks of p: re x re, re x im, im x re, im x im
+        nrows = len(rows)
+        re = p[:nrows, :ncols]
+        im = np.zeros_like(re)
+        if self.has_im:
+            im -= p[:nrows, ncols:]
+        if x_im:
+            im += p[nrows:, :ncols]
+            if self.has_im:
+                re = re + p[nrows:, ncols:]
+        out = []
+        for x, re_row, im_row in zip(rows, re.tolist(), im.tolist()):
+            out.append([
+                GaussianRational(Fraction(a, x.den * d), Fraction(b, x.den * d)) if a or b
+                else ZERO
+                for a, b, d in zip(re_row, im_row, self.dens)])
+        return out
 
 
 def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:

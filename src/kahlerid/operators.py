@@ -349,7 +349,11 @@ def _in_complex_frame(op: LinearOperator) -> tuple[ComplexFrame, ExactMatrix]:
 
 
 def _shift_codes(cf: ComplexFrame, m: ExactMatrix) -> np.ndarray:
-    return np.unique(cf.shift_code[(m.re != 0) | (m.im != 0)])
+    """The sorted shift codes of m's nonzero entries (a presence mask over
+    the code range: np.unique would import numpy.ma on first use)."""
+    present = np.zeros((2 * cf.n + 1) ** 2, dtype=bool)
+    present[cf.shift_code[(m.re != 0) | (m.im != 0)]] = True
+    return np.flatnonzero(present)
 
 
 def operator_bidegree_components(op: LinearOperator) -> dict[tuple[int, int], ExactMatrix]:

@@ -15,7 +15,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .matrices import ExactMatrix, FloatMatrix, linear_combination, solve_exact
+from .matrices import (
+    ExactMatrix,
+    FloatMatrix,
+    FrobeniusColumns,
+    linear_combination,
+    solve_exact,
+)
 from .models import LieModel, geometry
 from .operators import (
     LinearOperator,
@@ -1185,12 +1191,9 @@ def _format_coeff(c: GaussianRational) -> str:
     return f"({c}) "
 
 
-def _format_combo(coeffs, labels) -> str:
-    terms = []
-    for c, label in zip(coeffs, labels):
-        if not c:
-            continue
-        terms.append(f"{_format_coeff(c)}{label}")
+def _format_combo(terms) -> str:
+    """sum c * label over the nonzero (c, label) terms."""
+    terms = [f"{_format_coeff(c)}{label}" for c, label in terms]
     if not terms:
         return "0"
     text = terms[0]
@@ -1204,19 +1207,17 @@ def emit_commutator_table(ws: Workspace) -> dict:
     exactly over the operator span, and compare with the expected forms.
 
     The Gram system of the span is shared by every cell, so all cells are
-    solved by one elimination; each cell only adds its right-hand side."""
+    solved by one elimination; each cell only adds its right-hand side.  The
+    span's matrices are stacked once, and the Gram matrix and each
+    right-hand side are stacked inner products against them."""
     if ws.mode != "exact":
         raise StructuralError("the commutator table requires exact mode")
     atoms = _span_atoms(ws)
     labels = [a[0] for a in atoms]
     mats = [a[1].matrix for a in atoms]
-    # the Gram matrix is Hermitian: the upper triangle determines it
-    gram_cols = [[None] * len(mats) for _ in mats]
-    for j in range(len(mats)):
-        for i in range(j, len(mats)):
-            g = mats[j].frobenius_inner(mats[i])
-            gram_cols[i][j] = g.conjugate()
-            gram_cols[j][i] = g
+    span = FrobeniusColumns(mats)
+    # column j of the normal equations is <m_j, m_i> over i
+    gram_cols = span.inner(mats)
     pending = []
     for label, base, row, lam_e, lam_s, l_e, l_s in _ctab_rows():
         for col, expected_expr, expected_str in (
@@ -1225,23 +1226,24 @@ def emit_commutator_table(ws: Workspace) -> dict:
             expected = (ws.eval(expected_expr) if expected_expr is not None
                         else ws.eval(ZeroOp("ext")))
             matches = target == expected.matrix
-            rhs = [target.frobenius_inner(m) for m in mats]
+            rhs = span.inner([target])[0]
             pending.append((label, col, expected_str, target, matches, rhs))
     solutions = solve_exact(gram_cols, [rhs for *_, rhs in pending], many=True)
     cells = []
     ok = True
-    sq_norms = [gram_cols[i][i] for i in range(len(mats))]
+    # +-<atom, atom> for the alias scan
+    signed_norms = [(g[i], -g[i]) for i, g in enumerate(gram_cols)]
     for (label, col, expected_str, target, matches, rhs), x in zip(pending, solutions):
         solved = None
         support: set[str] = set()
         if x is not None:
             # normal equations can have spurious solutions only if the
             # target is outside the span; re-check by reconstruction
-            recon = linear_combination(
-                [(c, m, None) for c, m in zip(x, mats) if c], target.shape)
+            live = [j for j, c in enumerate(x) if c]
+            recon = linear_combination([(x[j], mats[j], None) for j in live], target.shape)
             if recon == target:
-                solved = _format_combo(x, labels)
-                support = {label for c, label in zip(x, labels) if c}
+                solved = _format_combo([(x[j], labels[j]) for j in live])
+                support = {labels[j] for j in live}
         if solved is None:
             status = "unresolved"
         elif matches:
@@ -1255,8 +1257,8 @@ def emit_commutator_table(ws: Workspace) -> dict:
         # those atoms are compared entrywise
         aliases = []
         if not target.is_zero():
-            for (alabel, aop), t_a, a_a in zip(atoms, rhs, sq_norms):
-                if alabel in support or t_a not in (a_a, -a_a):
+            for (alabel, aop), t_a, norm in zip(atoms, rhs, signed_norms):
+                if alabel in support or t_a not in norm:
                     continue
                 if target == aop.matrix:
                     aliases.append(alabel)

@@ -1,6 +1,9 @@
 """Command line interface: subcommands, formats, exit codes."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -192,3 +195,18 @@ def test_bad_arguments_raise_usage_error():
         main(["verify"])  # --model is required
     with pytest.raises(SystemExit):
         main(["verify", "--model", "t2", "--exact", "--float"])
+
+
+def test_table_command_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs set-up time in every invocation and nothing here needs it
+    src = Path(__file__).resolve().parent.parent / "src"
+    dest = tmp_path / "table.json"
+    code = ("import sys\n"
+            "from kahlerid.cli import main\n"
+            f"rc = main(['table', '--model', 't2', '--which', 'both', '--out', {str(dest)!r}])\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.split() == ["0", "False"]

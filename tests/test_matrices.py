@@ -11,6 +11,7 @@ from kahlerid import gq
 from kahlerid.matrices import (
     ExactMatrix,
     FloatMatrix,
+    FrobeniusColumns,
     _max_abs,
     linear_combination,
     solve_exact,
@@ -314,21 +315,19 @@ def test_equality_is_a_zero_difference(pair, c, how):
         assert a != b
 
 
-def test_parts_are_read_only_and_a_blank_freezes_on_first_use():
+def test_parts_are_read_only_from_every_constructor():
     a = _from_rows([[1, 2], [3, 4]], den=3)
     big = ExactMatrix(np.array([[_BIG, 0], [0, 1]], dtype=object),
                       np.zeros((2, 2), dtype=object), 5)
     assert big.re.dtype == object
     for m in (a, big, a + a, a @ a, big @ big, a.scale(gq(0, 1)), -a, a.adjoint(), a.bar(),
-              a.transpose(), ExactMatrix.identity(2), linear_combination([(2, a, None)], (2, 2))):
+              a.transpose(), ExactMatrix.identity(2), linear_combination([(2, a, None)], (2, 2)),
+              ExactMatrix.zeros(2), ExactMatrix.zeros(3, 1), ExactMatrix.column(2, {1: gq(1)}),
+              ExactMatrix(np.eye(2, dtype=np.int64), np.zeros((2, 2), np.int64), 1),
+              ExactMatrix.zeros(2) @ a):
         for part in (m.re, m.im):
             with pytest.raises(ValueError, match="read-only"):
                 part[0, 0] = 7
-    blank = ExactMatrix.zeros(2)
-    blank.re[0, 1] = 1  # a blank may be filled until its bound is read
-    assert blank.bound == 1
-    with pytest.raises(ValueError, match="read-only"):
-        blank.re[0, 0] = 1
 
 
 def test_normalization_reduces_to_the_unique_normal_form():
@@ -359,3 +358,120 @@ def test_from_columns_fills_int64_whenever_the_entries_fit():
     assert small.entry(1, 1) == gq(0, 2**59) and small.den == 3
     big = ExactMatrix.from_columns(2, [{0: gq(Fraction(_BIG, 7))}, {}])
     assert big.re.dtype == object and big.entry(0, 0) == gq(Fraction(_BIG, 7))
+
+
+# -- stacked inner products, zero operands -----------------------------------------
+
+
+@st.composite
+def _sparse(draw, shape, bits_choice):
+    """A matrix of this shape on a random subset of its entries (possibly
+    none), real or complex, with 3-, 26- or 64-bit numerators: the float64,
+    int64 and object tiers."""
+    rows, cols = shape
+    bits = draw(st.sampled_from(bits_choice))
+    den = draw(st.sampled_from([1, 6, 10**20 + 39]))
+    num = st.integers(-(1 << bits), 1 << bits)
+    real = draw(st.booleans())
+    cells = draw(st.sets(st.integers(0, rows * cols - 1)))
+    columns = [{} for _ in range(cols)]
+    for cell in cells:
+        i, j = divmod(cell, cols)
+        columns[j][i] = gq(Fraction(draw(num), den), 0 if real else Fraction(draw(num), den))
+    return ExactMatrix.from_columns(rows, columns)
+
+
+@st.composite
+def _inner_case(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    bits = draw(st.sampled_from([[3], [26], [64], [3, 26, 64]]))
+    mats = st.lists(_sparse(shape, bits), min_size=1, max_size=4)
+    return draw(mats), draw(mats)
+
+
+def _inner_ref(x, y):
+    rows, cols = x.shape
+    return sum((x.entry(i, j) * y.entry(i, j).conjugate()
+                for i in range(rows) for j in range(cols)), gq(0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_inner_case())
+def test_stacked_inner_products_equal_the_pairwise_ones(case):
+    rows, cols = case
+    got = FrobeniusColumns(cols).inner(rows)
+    assert got == [[_inner_ref(x, y) for y in cols] for x in rows]
+    assert got == [[x.frobenius_inner(y) for y in cols] for x in rows]
+    assert got == [[_as_object(x).frobenius_inner(_as_object(y)) for y in cols] for x in rows]
+
+
+def test_stacked_inner_products_of_zero_and_disjoint_matrices_are_zero():
+    a = ExactMatrix.column(3, {0: gq(1, 2)})
+    b = ExactMatrix.column(3, {2: gq(Fraction(1, 7))})
+    zero = ExactMatrix.zeros(3, 1)
+    assert FrobeniusColumns([zero, zero]).inner([a, b]) == [[gq(0)] * 2] * 2
+    assert FrobeniusColumns([b, zero]).inner([a, zero]) == [[gq(0)] * 2] * 2
+    assert FrobeniusColumns([a]).inner([a, b]) == [[gq(5)], [gq(0)]]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        FrobeniusColumns([a, ExactMatrix.zeros(1, 3)])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        FrobeniusColumns([a]).inner([ExactMatrix.zeros(3)])
+
+
+def test_stacked_inner_products_just_past_the_float64_and_int64_bounds():
+    # 2 k max|x| max|y| just past 2**53: the exact sum 2**53 + 2**26 + 1 is
+    # odd and has no float64, so the int64 tier must take it
+    x = ExactMatrix(np.array([[1 << 26, 1]]), np.zeros((1, 2), np.int64), 1)
+    y = ExactMatrix(np.array([[(1 << 27) + 1, 1]]), np.zeros((1, 2), np.int64), 1)
+    assert FrobeniusColumns([y, x]).inner([x]) == [[gq(2**53 + 2**26 + 1), gq(2**52 + 1)]]
+    # just past 2**62: the sums 2**63 and 2**64 wrap in int64
+    big = 1 << 31
+    x = ExactMatrix(np.array([[big, big]]), np.array([[big, -big]]), 1)
+    y = ExactMatrix(np.array([[big, big]]), np.array([[-big, -big]]), 1)
+    want = [[_inner_ref(x, y), _inner_ref(x, x)]]
+    assert want == [[gq(2**63, 2**63), gq(2**64)]]
+    assert FrobeniusColumns([y, x]).inner([x]) == want
+    assert FrobeniusColumns([y, x]).inner([_as_object(x)]) == want
+
+
+def _product_ref(a, b):
+    # the product in Python integers, without any shortcut
+    ar, ai, br, bi = (p.astype(object) for p in (a.re, a.im, b.re, b.im))
+    return ExactMatrix(ar @ br - ai @ bi, ar @ bi + ai @ br, a.den * b.den)
+
+
+@st.composite
+def _zero_product_case(draw):
+    m, k, n = (draw(st.sampled_from([1, 2, 3, 64])) for _ in range(3))
+    zero_left = draw(st.booleans())
+    zshape, oshape = ((m, k), (k, n)) if zero_left else ((k, n), (m, k))
+    how = draw(st.sampled_from(["zeros", "empty", "difference"]))
+    if how == "zeros":
+        zero = ExactMatrix.zeros(*zshape)
+    elif how == "empty":
+        zero = ExactMatrix.from_columns(zshape[0], [{}] * zshape[1])
+    else:
+        x = draw(_sparse(zshape, [3, 64]))
+        zero = x - x
+    other = draw(_sparse(oshape, [3, 26, 64]))
+    return (zero, other) if zero_left else (other, zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_zero_product_case())
+def test_a_zero_operand_gives_the_zero_of_the_product_shape(case):
+    a, b = case
+    got = a @ b
+    want = _product_ref(a, b)
+    assert got == want and want.is_zero()
+    assert got.shape == (a.shape[0], b.shape[1])
+    assert got.den == 1 and got._part_bounds() == (0, 0) == (_max_abs(got.re), _max_abs(got.im))
+    assert got.re.dtype == got.im.dtype == np.int64
+    assert not (got.re.flags.writeable or got.im.flags.writeable)
+
+
+def test_element_columns_times_a_zero_operator():
+    op = ExactMatrix.zeros(64)
+    col = ExactMatrix.column(64, {3: gq(1, 1)})
+    assert (op @ col).shape == (64, 1) and (op @ col).is_zero()
+    assert (col.adjoint() @ op).shape == (1, 64)

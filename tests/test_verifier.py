@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kahlerid import get_model, verifier
+from kahlerid import get_model, gq, verifier
 from kahlerid.algebra import Multivector
 from kahlerid.matrices import ExactMatrix
 from kahlerid.operators import StructuralError, make_operator
@@ -213,8 +213,9 @@ def test_perturbed_torsion_witness_fails(ws, leaf, entry_id, monkeypatch):
     w = Workspace(get_model("nil6"))
     if leaf in w.ops:
         op = w.ops[leaf]
-        bump = ExactMatrix.zeros(w.dim)
-        bump.re[1, 2] = 1  # e_2 -> e_1, a degree-1 entry
+        # e_2 -> e_1, a degree-1 entry at (1, 2)
+        bump = ExactMatrix.from_columns(w.dim, [{1: gq(1)} if j == 2 else {}
+                                                for j in range(w.dim)])
         w.ops[leaf] = make_operator(op.name, op.matrix + bump, op.picture)
     else:
         mv, picture = w.elements[leaf]
