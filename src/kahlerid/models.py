@@ -556,8 +556,12 @@ def load_model_file(path) -> LieModel:
             data = json.load(fh)
     except OSError as e:
         raise ModelFormatError(f"cannot read model file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"model file {path} is not valid UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"model file {path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ModelFormatError(f"model file {path} is nested too deeply: {e}") from e
     return load_model_dict(data)
 
 

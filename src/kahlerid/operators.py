@@ -2,7 +2,8 @@
 
 Operators are dense exact (or float) matrices indexed by blade masks,
 tagged with a picture ("ext" for forms, "cl" for Clifford/polyvectors),
-a parity computed from the matrix, and an optional declared bidegree.
+a parity (measured from the matrix, or carried over from definite-parity
+operands), and an optional declared bidegree.
 """
 from __future__ import annotations
 
@@ -221,11 +222,16 @@ def compute_parity(matrix, bs: BladeStructure) -> str:
     return "even"
 
 
-def make_operator(name, matrix, picture, bidegree=None) -> LinearOperator:
+def make_operator(name, matrix, picture, bidegree=None, parity=None) -> LinearOperator:
+    """An operator on matrix.  parity is the one its operands determine, when
+    they do, and a zero matrix is even; None or "mixed" measures it."""
     if picture not in PICTURES:
         raise ValueError(f"unknown picture {picture!r}")
-    bs = blade_structure(_n_from_dim(matrix.shape[0]))
-    return LinearOperator(name, matrix, picture, compute_parity(matrix, bs), bidegree)
+    if parity in (None, "mixed"):
+        parity = compute_parity(matrix, blade_structure(_n_from_dim(matrix.shape[0])))
+    elif matrix.is_zero():
+        parity = "even"
+    return LinearOperator(name, matrix, picture, parity, bidegree)
 
 
 def operator_from_blade_action(n, fn, name, picture, bidegree=None) -> LinearOperator:
@@ -257,6 +263,13 @@ def _parity_sign(p: str, q: str) -> int:
     return -1 if (p == "odd" and q == "odd") else 1
 
 
+def _product_parity(p: str, q: str) -> str | None:
+    """The parity of a product of operands of parity p and q, when definite."""
+    if "mixed" in (p, q):
+        return None
+    return "even" if p == q else "odd"
+
+
 def supercommutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     """Graded commutator [a, b] = ab - (-1)^{|a||b|} ba."""
     if a.picture != b.picture:
@@ -275,7 +288,8 @@ def supercommutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     bid = None
     if a.bidegree is not None and b.bidegree is not None:
         bid = (a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1])
-    return make_operator(f"[{a.name},{b.name}]", mat, a.picture, bid)
+    return make_operator(f"[{a.name},{b.name}]", mat, a.picture, bid,
+                         _product_parity(a.parity, b.parity))
 
 
 def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
@@ -284,16 +298,18 @@ def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     bid = None
     if a.bidegree is not None and b.bidegree is not None:
         bid = (a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1])
-    return make_operator(f"({a.name}.{b.name})", a.matrix @ b.matrix, a.picture, bid)
+    return make_operator(f"({a.name}.{b.name})", a.matrix @ b.matrix, a.picture, bid,
+                         _product_parity(a.parity, b.parity))
 
 
 def adjoint(op: LinearOperator) -> LinearOperator:
     bid = None if op.bidegree is None else (-op.bidegree[0], -op.bidegree[1])
-    return make_operator(f"{op.name}*", op.matrix.adjoint(), op.picture, bid)
+    return make_operator(f"{op.name}*", op.matrix.adjoint(), op.picture, bid, op.parity)
 
 
 def conjugate(op: LinearOperator) -> LinearOperator:
-    """J-conjugation P^c: J_a^{-1} P J_a in the operator's own picture."""
+    """J-conjugation P^c: J_a^{-1} P J_a in the operator's own picture.
+    J_a keeps the degree, so P^c has the parity of P."""
     bs = blade_structure(_n_from_dim(op.dim))
     if isinstance(op.matrix, FloatMatrix):
         j = FloatMatrix.from_exact(bs.Ja_ext if op.picture == "ext" else bs.Ja_cl)
@@ -303,13 +319,14 @@ def conjugate(op: LinearOperator) -> LinearOperator:
     else:
         j = bs.Ja_ext if op.picture == "ext" else bs.Ja_cl
         jinv = bs.Ja_ext_inv if op.picture == "ext" else bs.Ja_cl_inv
-    return make_operator(f"{op.name}^c", jinv @ (op.matrix @ j), op.picture, op.bidegree)
+    return make_operator(f"{op.name}^c", jinv @ (op.matrix @ j), op.picture, op.bidegree,
+                         op.parity)
 
 
 def bar(op: LinearOperator) -> LinearOperator:
     """Entrywise conjugation (conj . P . conj); swaps declared bidegree."""
     bid = None if op.bidegree is None else (op.bidegree[1], op.bidegree[0])
-    return make_operator(f"bar({op.name})", op.matrix.bar(), op.picture, bid)
+    return make_operator(f"bar({op.name})", op.matrix.bar(), op.picture, bid, op.parity)
 
 
 def transport(op: LinearOperator) -> LinearOperator:
@@ -319,7 +336,8 @@ def transport(op: LinearOperator) -> LinearOperator:
 
 
 def scale_op(op: LinearOperator, c) -> LinearOperator:
-    return make_operator(f"({c})*{op.name}", op.matrix.scale(c), op.picture, op.bidegree)
+    return make_operator(f"({c})*{op.name}", op.matrix.scale(c), op.picture, op.bidegree,
+                         op.parity)
 
 
 def add_ops(*ops: LinearOperator) -> LinearOperator:

@@ -861,9 +861,9 @@ class Workspace:
         self.dim = 4 ** self.n
         self._bs = blade_structure(self.n)
         self._cols: dict[str, ExactMatrix] = {}
-        self._float_ops: dict[str, LinearOperator] = {}
-        self._float_cols: dict[str, FloatMatrix] = {}
         self._memo: dict[tuple, object] = {}
+        # planned requests left per (expr, float_mode) key; see `plan`
+        self._uses: dict[tuple, int] = {}
 
     # -- leaves ------------------------------------------------------------
     def op(self, name: str) -> LinearOperator:
@@ -892,31 +892,45 @@ class Workspace:
         op = self.op(name)
         if not float_mode:
             return op
-        if name not in self._float_ops:
-            self._float_ops[name] = LinearOperator(
-                op.name, FloatMatrix.from_exact(op.matrix), op.picture,
-                op.parity, op.bidegree)
-        return self._float_ops[name]
+        return LinearOperator(op.name, FloatMatrix.from_exact(op.matrix), op.picture,
+                              op.parity, op.bidegree)
 
     def _leaf_el(self, name: str, float_mode: bool) -> ElementValue:
         col, picture = self.element_column(name)
-        if not float_mode:
-            return ElementValue(col, picture)
-        if name not in self._float_cols:
-            self._float_cols[name] = FloatMatrix.from_exact(col)
-        return ElementValue(self._float_cols[name], picture)
+        return ElementValue(FloatMatrix.from_exact(col) if float_mode else col, picture)
 
     # -- evaluation ----------------------------------------------------------
     def eval(self, expr: Expr):
         return self._eval(expr, self.mode == "float")
 
+    def plan(self, requests) -> None:
+        """Count the evaluations that requests of (expr, float_mode) will make.
+
+        Each planned value is dropped from the memo after its last planned
+        use; a node's children are counted once, on its first request,
+        since later requests hit the memo.  Unplanned values stay memoized.
+        A plan replaces the previous one.
+        """
+        uses: dict[tuple, int] = {}
+        todo = list(requests)
+        while todo:
+            key = todo.pop()
+            uses[key] = uses.get(key, 0) + 1
+            if uses[key] == 1:
+                todo.extend(_children(*key))
+        self._uses = uses
+
     def _eval(self, expr: Expr, float_mode: bool):
         key = (expr, float_mode)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        val = self._eval_inner(expr, float_mode)
-        self._memo[key] = val
+        val = self._memo.get(key)
+        if val is None:
+            val = self._eval_inner(expr, float_mode)
+            self._memo[key] = val
+        left = self._uses.get(key)
+        if left == 1:
+            del self._uses[key], self._memo[key]
+        elif left:
+            self._uses[key] = left - 1
         return val
 
     def _eval_inner(self, expr: Expr, float_mode: bool):
@@ -934,14 +948,8 @@ class Workspace:
             if float_mode:
                 mat = FloatMatrix.from_exact(mat)
             return ElementValue(mat, expr.picture)
-        if isinstance(expr, SCom):
-            return supercommutator(self._ev_op(expr.a, float_mode),
-                                   self._ev_op(expr.b, float_mode))
-        if isinstance(expr, Comp):
-            return compose(self._ev_op(expr.a, float_mode),
-                           self._ev_op(expr.b, float_mode))
+        vals = [self._eval(child, fm) for child, fm in _children(expr, float_mode)]
         if isinstance(expr, Add):
-            vals = [self._eval(t, float_mode) for t in expr.terms]
             if all(isinstance(v, LinearOperator) for v in vals):
                 return add_ops(*vals)
             if all(isinstance(v, ElementValue) for v in vals):
@@ -954,31 +962,34 @@ class Workspace:
                 return ElementValue(mat, vals[0].picture)
             raise StructuralError("cannot add operators to elements")
         if isinstance(expr, Scale):
-            v = self._eval(expr.a, float_mode)
+            v = vals[0]
             if isinstance(v, LinearOperator):
                 return scale_op(v, expr.c)
             return ElementValue(v.matrix.scale(expr.c), v.picture)
-        if isinstance(expr, Adj):
-            return adjoint(self._ev_op(expr.a, float_mode))
-        if isinstance(expr, Conj):
-            return conjugate(self._ev_op(expr.a, float_mode))
-        if isinstance(expr, Bar):
-            return bar(self._ev_op(expr.a, float_mode))
-        if isinstance(expr, Transport):
-            return transport(self._ev_op(expr.a, float_mode))
         if isinstance(expr, Apply):
-            opv = self._ev_op(expr.op, float_mode)
-            elv = self._eval(expr.el, float_mode)
+            opv, elv = _operator(vals[0]), vals[1]
             if not isinstance(elv, ElementValue):
                 raise StructuralError("Apply needs an element operand")
             if opv.picture != elv.picture:
                 raise StructuralError(
                     f"cannot apply {opv.name} ({opv.picture}) to a {elv.picture} element")
             return ElementValue(opv.matrix @ elv.matrix, elv.picture)
+        ops = [_operator(v) for v in vals]
+        if isinstance(expr, SCom):
+            return supercommutator(*ops)
+        if isinstance(expr, Comp):
+            return compose(*ops)
+        if isinstance(expr, Adj):
+            return adjoint(ops[0])
+        if isinstance(expr, Conj):
+            return conjugate(ops[0])
+        if isinstance(expr, Bar):
+            return bar(ops[0])
+        if isinstance(expr, Transport):
+            return transport(ops[0])
         if isinstance(expr, Rebuild):
-            # rebuilds need exact columns; convert afterwards in float mode
-            op = self._ev_op(expr.a, False)
-            rebuilt = derivation_rebuild(op)
+            # rebuilds need exact columns (see _children); convert afterwards in float mode
+            rebuilt = derivation_rebuild(ops[0])
             if float_mode:
                 rebuilt = LinearOperator(
                     rebuilt.name, FloatMatrix.from_exact(rebuilt.matrix),
@@ -986,11 +997,26 @@ class Workspace:
             return rebuilt
         raise StructuralError(f"unknown expression node {type(expr).__name__}")
 
-    def _ev_op(self, expr: Expr, float_mode: bool) -> LinearOperator:
-        v = self._eval(expr, float_mode)
-        if not isinstance(v, LinearOperator):
-            raise StructuralError("expected an operator-valued expression")
-        return v
+
+def _children(expr: Expr, float_mode: bool) -> tuple:
+    """The (expr, float_mode) operands a node's evaluation requests, in order."""
+    if isinstance(expr, (SCom, Comp)):
+        return ((expr.a, float_mode), (expr.b, float_mode))
+    if isinstance(expr, Add):
+        return tuple((t, float_mode) for t in expr.terms)
+    if isinstance(expr, Apply):
+        return ((expr.op, float_mode), (expr.el, float_mode))
+    if isinstance(expr, Rebuild):
+        return ((expr.a, False),)
+    if isinstance(expr, (Scale, Adj, Conj, Bar, Transport)):
+        return ((expr.a, float_mode),)
+    return ()
+
+
+def _operator(v) -> LinearOperator:
+    if not isinstance(v, LinearOperator):
+        raise StructuralError("expected an operator-valued expression")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -1104,6 +1130,14 @@ def _value_residual(lhs, rhs):
     return diff.max_norm()
 
 
+def _requests(e: IdentityEntry, is_float: bool) -> tuple:
+    """The (expr, float_mode) evaluations verify makes for entry e."""
+    if e.kind == "bidegree":
+        # bidegree placement is a structural fact; measure exactly
+        return ((e.lhs, False),)
+    return ((e.lhs, is_float), (e.rhs, is_float))
+
+
 def verify(ws: Workspace, suite: str = "all", tolerance: float = 1e-10) -> Report:
     """Evaluate the catalog on a workspace and report per-entry residuals."""
     if suite not in SUITES:
@@ -1126,14 +1160,21 @@ def verify(ws: Workspace, suite: str = "all", tolerance: float = 1e-10) -> Repor
         },
     )
     is_float = ws.mode == "float"
+
+    def skipped(e: IdentityEntry) -> bool:
+        return e.condition == "almost_kahler" and not geom.almost_kahler
+
+    # the catalog is static: count every evaluation first, so that each
+    # value is dropped after its last use
+    ws.plan(req for e in entries if not skipped(e) for req in _requests(e, is_float))
     for e in entries:
-        if e.condition == "almost_kahler" and not geom.almost_kahler:
+        if skipped(e):
             report.results.append(
                 EntryResult(e, "skipped", False, None, "requires d omega = 0"))
             continue
+        vals = [ws._eval(x, fm) for x, fm in _requests(e, is_float)]
         if e.kind == "bidegree":
-            # bidegree placement is a structural fact; measure exactly
-            measured = measured_bidegree(ws._eval(e.lhs, False))
+            measured = measured_bidegree(vals[0])
             ok = measured <= {e.cell}
             exercised = bool(measured) if e.guards is None else all(
                 ws.nonzero(g) for g in e.guards)
@@ -1141,8 +1182,7 @@ def verify(ws: Workspace, suite: str = "all", tolerance: float = 1e-10) -> Repor
             report.results.append(EntryResult(
                 e, "pass" if ok else "fail", exercised, None, detail))
             continue
-        lhs = ws.eval(e.lhs)
-        rhs = ws.eval(e.rhs)
+        lhs, rhs = vals
         residual = _value_residual(lhs, rhs)
         ok = (residual <= tolerance) if is_float else (residual == 0)
         if e.guards is None:

@@ -122,6 +122,22 @@ def test_unparseable_file_exits_3(tmp_path, capsys):
     assert main(["validate", "--model", str(missing)]) == 3
 
 
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_model_file_that_is_not_utf8_exits_3(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "caf\u00e9", "n": 1, "brackets": []}'.encode("latin-1"))
+    assert main([command, "--model", str(bad)]) == 3
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_model_file_nested_too_deeply_exits_3(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert main([command, "--model", str(deep)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_malformed_model_exits_3(tmp_path, capsys):
     bad = tmp_path / "m.json"
     bad.write_text(json.dumps({"name": "m", "n": 1,
@@ -168,6 +184,22 @@ def test_verify_json_is_byte_identical_to_the_reference(name, tmp_path):
     assert main(["verify", "--model", name, "--suite", "all", "--exact",
                  "--format", "json", "--out", str(dest)]) == 0
     assert hashlib.sha256(dest.read_bytes()).hexdigest() == REFS["verify"][f"{name}:all"]["sha256"]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_float_verify_json_matches_the_reference_view(name, tmp_path):
+    # float `verify --suite all` keeps the recorded view: every field but the
+    # entries, and the SHA-256 of the id/status lines (`report_view` in
+    # perfbench/run.py)
+    dest = tmp_path / "verify.json"
+    assert main(["verify", "--model", name, "--suite", "all", "--float",
+                 "--format", "json", "--out", str(dest)]) == 0
+    rep = json.loads(dest.read_text())
+    statuses = "".join(f"{e['id']} {e['status']}\n" for e in rep["entries"])
+    view = {k: rep[k] for k in ("model", "n", "dimension", "mode", "suite",
+                                "tolerance", "properties", "summary")}
+    view["statuses_sha256"] = hashlib.sha256(statuses.encode()).hexdigest()
+    assert view == REFS["float"][f"{name}:all"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

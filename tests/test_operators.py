@@ -32,6 +32,7 @@ from kahlerid.operators import (
     bidegree_decompose,
     blade_structure,
     compose,
+    compute_parity,
     conjugate,
     contract_op,
     derivation,
@@ -406,6 +407,46 @@ def test_mixed_operator_reports_every_shift(ws):
     nil6 = ws("nil6")
     d_plus_l = add_ops(nil6.ops["d"], nil6.ops["L"])
     assert measured_bidegree(d_plus_l) == {(2, -1), (1, 0), (0, 1), (-1, 2), (1, 1)}
+
+
+@st.composite
+def _parity_operands(draw):
+    """Two operators of one picture, each even, odd, mixed or zero, exact or float."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    bs = blade_structure(n)
+    picture = draw(st.sampled_from(["ext", "cl"]))
+    pools = {"even": np.argwhere(~bs.cross_parity), "odd": np.argwhere(bs.cross_parity)}
+    float_mode = draw(st.booleans())
+    ops = []
+    for name in "AB":
+        kind = draw(st.sampled_from(["even", "odd", "mixed", "zero"]))
+        cols = [{} for _ in range(bs.dim)]
+        for part in ("even", "odd"):
+            if kind in (part, "mixed"):
+                pool = pools[part]
+                for k in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                                       max_size=3 * bs.dim)):
+                    r, c = pool[k]
+                    cols[c][int(r)] = draw(_scalars().filter(bool))
+        op = make_operator(name, ExactMatrix.from_columns(bs.dim, cols), picture)
+        if float_mode:
+            op = LinearOperator(name, FloatMatrix.from_exact(op.matrix), picture, op.parity)
+        ops.append(op)
+    c = draw(st.sampled_from([gq(0), gq(1), gq(0, -1), gq(Fraction(1, 3), 2)]))
+    return bs, ops[0], ops[1], c
+
+
+@settings(max_examples=80, deadline=None)
+@given(_parity_operands())
+def test_carried_parity_equals_the_measured_parity(case):
+    bs, a, b, c = case
+    results = [compose(a, b), compose(b, a), compose(a, a), adjoint(a), conjugate(a),
+               bar(a), scale_op(a, c)]
+    if "mixed" not in (a.parity, b.parity):
+        # [a, a] of an even a is zero
+        results += [supercommutator(a, b), supercommutator(a, a)]
+    for r in results:
+        assert r.parity == compute_parity(r.matrix, bs), r.name
 
 
 # -- r operator ---------------------------------------------------------------------

@@ -17,6 +17,7 @@ from kahlerid.verifier import (
     Expr,
     Op,
     S,
+    SCom,
     Workspace,
     catalog,
     emit_bidegree_table,
@@ -179,6 +180,39 @@ def test_markdown_render(ws):
     assert "# Identity report: kt4" in text
     assert "| id | statement | status | exercised | residual |" in text
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_computes_each_planned_value_once_and_keeps_none(mode):
+    w = Workspace(get_model("nil6"), mode=mode)
+    computed = []
+    inner = w._eval_inner
+
+    def counting(expr, float_mode):
+        computed.append((expr, float_mode))
+        return inner(expr, float_mode)
+
+    planned = []
+    plan = w.plan
+
+    def recording(requests):
+        plan(requests)
+        planned.append(set(w._uses))
+
+    w._eval_inner = counting
+    w.plan = recording
+    for suite in SUITES:
+        computed.clear()
+        planned.clear()
+        assert verify(w, suite=suite).ok()
+        [keys] = planned
+        assert len(computed) == len(keys) == len(set(computed))
+        assert set(computed) == keys
+        assert not keys & set(w._memo)
+        assert w._uses == {}
+    # outside verify nothing is planned: a repeated tree is memoized
+    tree = SCom(Op("d"), Op("L"))
+    assert w.eval(tree) is w.eval(tree)
 
 
 # -- structural errors ----------------------------------------------------------------
