@@ -19,7 +19,8 @@ partial sums stay below 2**53 runs on float64 BLAS, which holds those
 integers exactly; below 2**62 it runs on int64; above that on Python big
 integers.  No float ever enters the object path.  A product with a zero
 operand (cached bound (0, 0)) is the shared zero of its shape and costs no
-arithmetic.  Sums and scalings go through `linear_combination`, which adds
+arithmetic, and a real or imaginary part with bound 0 is neither converted
+nor multiplied.  Sums and scalings go through `linear_combination`, which adds
 every term into one integer array over one common denominator and normalizes
 once; normalization stops taking gcds as soon as the running gcd reaches 1.
 
@@ -225,26 +226,10 @@ class ExactMatrix:
             dtype = np.float64 if bound < _F64_BOUND else np.int64
         else:
             dtype = object
-        ar, ai, br, bi = (x.astype(dtype, copy=False)
-                          for x in (self.re, self.im, other.re, other.im))
-        a_imz = not self._part_bounds()[1]
-        b_imz = not other._part_bounds()[1]
-        if a_imz and b_imz:
-            re = ar @ br
-            im = np.zeros_like(re)
-        elif a_imz:
-            re = ar @ br
-            im = ar @ bi
-        elif b_imz:
-            re = ar @ br
-            im = ai @ br
-        else:
-            re = ar @ br - ai @ bi
-            im = ar @ bi + ai @ br
-        if dtype is np.float64:
-            # exact integers below 2**53: the conversion loses nothing
-            re = re.astype(np.int64)
-            im = im.astype(np.int64)
+        (ar, ai), (br, bi) = _live_parts(self, dtype), _live_parts(other, dtype)
+        out = (self.shape[0], other.shape[1])
+        re = _dot_sum(((1, ar, br), (-1, ai, bi)), out, dtype)
+        im = _dot_sum(((1, ar, bi), (1, ai, br)), out, dtype)
         return ExactMatrix(re, im, self.den * other.den)
 
     # -- involutions -----------------------------------------------------
@@ -285,6 +270,35 @@ class ExactMatrix:
     def __repr__(self):
         r, c = self.shape
         return f"ExactMatrix({r}x{c}, den={self.den}, max={self.max_norm()})"
+
+
+def _live_parts(m: ExactMatrix, dtype) -> list:
+    """[re, im] of m as dtype, None for a part whose cached bound is zero, so
+    that a part never read is never converted."""
+    return [x.astype(dtype, copy=False) if b else None
+            for x, b in zip((m.re, m.im), m._part_bounds())]
+
+
+def _dot_sum(terms, shape: tuple[int, int], dtype) -> np.ndarray:
+    """sum of sign * (x @ y) over the terms (sign, x, y) with both operands
+    present (a part that is zero is None), in the integer dtype of the tier:
+    float64 products hold exact integers below 2**53 and go back to int64."""
+    out = None
+    for sign, x, y in terms:
+        if x is None or y is None:
+            continue
+        p = x @ y
+        if out is None:
+            out = p if sign > 0 else -p
+        elif sign > 0:
+            out += p
+        else:
+            out -= p
+    if dtype is np.float64:
+        dtype = np.int64
+        if out is not None:
+            out = out.astype(np.int64)
+    return np.zeros(shape, dtype=dtype) if out is None else out
 
 
 @functools.cache
@@ -450,49 +464,60 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
 
 
 class FloatMatrix:
-    """complex128 twin of ExactMatrix with the same operation surface."""
+    """complex128 twin of ExactMatrix with the same operation surface.
 
-    __slots__ = ("data",)
+    `zero` marks a matrix known to be zero: one converted from a zero
+    ExactMatrix, or made from such matrices by a product, a sum, a scaling or
+    an involution.  A product with a known-zero operand is a zero of its
+    shape and costs no BLAS call, as in `ExactMatrix.__matmul__`.
+    """
 
-    def __init__(self, data: np.ndarray):
+    __slots__ = ("data", "zero")
+
+    def __init__(self, data: np.ndarray, zero: bool = False):
         self.data = np.asarray(data, dtype=np.complex128)
+        self.zero = zero
 
     @staticmethod
     def from_exact(m: ExactMatrix) -> "FloatMatrix":
-        return FloatMatrix(m.to_complex())
+        return FloatMatrix(m.to_complex(), m.is_zero())
 
     @property
     def shape(self):
         return self.data.shape
 
     def __add__(self, other):
-        return FloatMatrix(self.data + other.data)
+        return FloatMatrix(self.data + other.data, self.zero and other.zero)
 
     def __sub__(self, other):
-        return FloatMatrix(self.data - other.data)
+        return FloatMatrix(self.data - other.data, self.zero and other.zero)
 
     def __neg__(self):
-        return FloatMatrix(-self.data)
+        return FloatMatrix(-self.data, self.zero)
 
     def scale(self, c):
         if isinstance(c, GaussianRational):
             c = c.to_complex()
-        return FloatMatrix(self.data * c)
+        return FloatMatrix(self.data * c, self.zero)
 
     def __matmul__(self, other):
+        if self.zero or other.zero:
+            if self.shape[1] != other.shape[0]:
+                raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+            return FloatMatrix(np.zeros((self.shape[0], other.shape[1]), np.complex128), True)
         return FloatMatrix(self.data @ other.data)
 
     def adjoint(self):
-        return FloatMatrix(self.data.conj().T)
+        return FloatMatrix(self.data.conj().T, self.zero)
 
     def bar(self):
-        return FloatMatrix(self.data.conj())
+        return FloatMatrix(self.data.conj(), self.zero)
 
     def transpose(self):
-        return FloatMatrix(self.data.T)
+        return FloatMatrix(self.data.T, self.zero)
 
     def is_zero(self) -> bool:
-        return not np.any(self.data)
+        return self.zero or not np.any(self.data)
 
     def max_norm(self) -> float:
         if self.data.size == 0:

@@ -14,6 +14,8 @@ relies on.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -478,6 +480,12 @@ def get_model(name: str) -> LieModel:
 # largest half-dimension a model file may declare
 MAX_N = 4
 
+# Fraction expands "me<k>" through 10**|k| in full, so an exponent of 10**8
+# takes minutes.  10**k has k + 1 digits: hold it to Python's default limit
+# on the digits of an integer string, which already caps plain integers.
+MAX_EXPONENT = sys.int_info.default_max_str_digits - 1
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
 
 def _parse_value(v, where: str) -> Fraction:
     if isinstance(v, bool):
@@ -486,6 +494,9 @@ def _parse_value(v, where: str) -> Fraction:
         return Fraction(v)
     if isinstance(v, str):
         try:
+            exponent = _EXPONENT.search(v)
+            if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+                raise ValueError(f"exponent {exponent[1]} is beyond ±{MAX_EXPONENT}")
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise ModelFormatError(f"{where}: bad rational string {v!r}: {e}") from e

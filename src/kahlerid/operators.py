@@ -107,6 +107,7 @@ class BladeStructure:
         self.J_vec = ExactMatrix(self.Ja_cl.re[vectors], self.Ja_cl.im[vectors], self.Ja_cl.den)
         self.hodge = self._blade_matrix(hodge_star)
         self._frames: dict[str, ComplexFrame] = {}
+        self._float_ja: dict[str, tuple[FloatMatrix, FloatMatrix]] = {}
         # Generators as row signs, (G_i M)[r] = sign[r] * M[r ^ bit_i]:
         # E_i = t^i ^ ., C_i = E_i^T = e_i _| ., L_i = E_i - C_i = e_i . (left
         # Clifford), R_i = (E_i + C_i) par = . e_i (right Clifford).
@@ -151,6 +152,22 @@ class BladeStructure:
             sign = sign * self.generator_signs[kind][i - 1][self.rows ^ flip]
             flip |= 1 << (i - 1)
         return sign
+
+    def ja(self, picture: str, float_mode: bool) -> tuple:
+        """(J_a, J_a^-1) in the picture; in float mode read-only complex128
+        copies, converted once per picture and shared."""
+        if picture == "ext":
+            pair = (self.Ja_ext, self.Ja_ext_inv)
+        else:
+            pair = (self.Ja_cl, self.Ja_cl_inv)
+        if not float_mode:
+            return pair
+        if picture not in self._float_ja:
+            twins = tuple(FloatMatrix.from_exact(m) for m in pair)
+            for t in twins:
+                t.data.flags.writeable = False
+            self._float_ja[picture] = twins
+        return self._float_ja[picture]
 
     # -- complex frame -----------------------------------------------------
     def complex_frame(self, picture: str) -> ComplexFrame:
@@ -311,14 +328,7 @@ def conjugate(op: LinearOperator) -> LinearOperator:
     """J-conjugation P^c: J_a^{-1} P J_a in the operator's own picture.
     J_a keeps the degree, so P^c has the parity of P."""
     bs = blade_structure(_n_from_dim(op.dim))
-    if isinstance(op.matrix, FloatMatrix):
-        j = FloatMatrix.from_exact(bs.Ja_ext if op.picture == "ext" else bs.Ja_cl)
-        jinv = FloatMatrix.from_exact(
-            bs.Ja_ext_inv if op.picture == "ext" else bs.Ja_cl_inv
-        )
-    else:
-        j = bs.Ja_ext if op.picture == "ext" else bs.Ja_cl
-        jinv = bs.Ja_ext_inv if op.picture == "ext" else bs.Ja_cl_inv
+    j, jinv = bs.ja(op.picture, isinstance(op.matrix, FloatMatrix))
     return make_operator(f"{op.name}^c", jinv @ (op.matrix @ j), op.picture, op.bidegree,
                          op.parity)
 

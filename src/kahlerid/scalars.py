@@ -30,6 +30,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return GaussianRational, (self.re, self.im)
+
     # -- predicates ------------------------------------------------------
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

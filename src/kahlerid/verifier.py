@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .matrices import (
@@ -45,80 +45,110 @@ from .zoo import assemble
 # expression trees
 # ---------------------------------------------------------------------------
 
+# Every node is interned: building a node twice with equal fields returns the
+# same object, so `==` and `hash` are identity and each memo or plan lookup
+# hashes two pointers, not a tree.  The table lives as long as the process,
+# as does every catalog tree it holds (`catalog` is cached).
+_INTERNED: dict[tuple, "Expr"] = {}
+
+
 class Expr:
+    """An immutable, interned expression node, built from positional fields."""
+
     __slots__ = ()
 
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _INTERNED.get(key)
+        if node is None:
+            names = [f.name for f in fields(cls)]
+            if len(args) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
+            node = object.__new__(cls)
+            for name, value in zip(names, args):
+                object.__setattr__(node, name, value)
+            node = _INTERNED.setdefault(key, node)
+        return node
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __new__: the interned node
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+# frozen fields, identity equality, construction by Expr.__new__ alone
+_node = dataclass(frozen=True, eq=False, init=False)
+
+
+@_node
 class Op(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class El(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class SCom(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Comp(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Scale(Expr):
     c: GaussianRational
     a: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Adj(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Conj(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Bar(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Transport(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Apply(Expr):
     op: Expr
     el: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Rebuild(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class ZeroOp(Expr):
     picture: str
 
 
-@dataclass(frozen=True)
+@_node
 class ZeroEl(Expr):
     picture: str
 
@@ -1126,8 +1156,10 @@ def _value_residual(lhs, rhs):
     rp = rhs.picture
     if lp != rp:
         raise StructuralError(f"picture mismatch: {lp} vs {rp}")
-    diff = lhs.matrix - rhs.matrix
-    return diff.max_norm()
+    if isinstance(lhs.matrix, ExactMatrix) and lhs.matrix == rhs.matrix:
+        # one normal form per value: equal parts are a zero difference
+        return Fraction(0)
+    return (lhs.matrix - rhs.matrix).max_norm()
 
 
 def _requests(e: IdentityEntry, is_float: bool) -> tuple:

@@ -11,6 +11,7 @@ import pytest
 
 from kahlerid import get_model
 from kahlerid.cli import main
+from kahlerid.models import MAX_EXPONENT
 
 
 def _write_model(tmp_path, name, entries, n):
@@ -150,6 +151,19 @@ def test_oversized_model_exits_3(tmp_path, capsys):
     path = _write_model(tmp_path, "big", [], 5)
     assert main(["validate", "--model", path]) == 3
     assert "n <= 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, code", [
+    ("1e4000", 0), (f"1e{MAX_EXPONENT}", 0), (f"-3.5E-{MAX_EXPONENT}", 0),
+    (f"1e{MAX_EXPONENT + 1}", 3), (f"-3.5E-{MAX_EXPONENT + 1}", 3), ("1e1_000_000", 3),
+    ("1e" + "9" * 5000, 3),
+])
+def test_exponent_strings_are_held_to_the_integer_digit_limit(tmp_path, capsys, value, code):
+    # 10**k has k + 1 digits: beyond the limit Fraction would expand it in full
+    path = _write_model(tmp_path, "exp", [(1, 2, 3, value)], 2)
+    assert main(["validate", "--model", path]) == code
+    if code:
+        assert "bad rational string" in capsys.readouterr().err
 
 
 def test_table_subcommand(capsys):

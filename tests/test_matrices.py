@@ -236,23 +236,28 @@ def test_frobenius_inner_above_the_int64_bound_takes_the_object_path():
     assert got == _as_object(a).frobenius_inner(_as_object(b))
 
 
+_PARTS = st.sampled_from(["complex", "real", "imaginary"])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 64), st.integers(0, 30),
-       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+       _PARTS, _PARTS, st.integers(0, 2**32 - 1))
 # 2 * k * a * b is near 2**59: the int64 tier, where float64 would round
-@example(rows=4, k=64, bits=26, a_real=False, b_real=False, seed=0)
-def test_matmul_float64_int64_and_object_tiers_agree(rows, k, bits, a_real, b_real, seed):
+@example(rows=4, k=64, bits=26, a_parts="complex", b_parts="complex", seed=0)
+def test_matmul_float64_int64_and_object_tiers_agree(rows, k, bits, a_parts, b_parts, seed):
     rng = np.random.default_rng(seed)
 
-    def mat(r, c, real):
+    def mat(r, c, parts):
         part = lambda: rng.integers(-(1 << bits), (1 << bits) + 1, size=(r, c))
-        im = np.zeros((r, c), np.int64) if real else part()
-        return ExactMatrix(part(), im, 1)
+        zero = np.zeros((r, c), np.int64)
+        re = zero if parts == "imaginary" else part()
+        im = zero if parts == "real" else part()
+        return ExactMatrix(re, im, 1)
 
-    a, b = mat(rows, k, a_real), mat(k, 3, b_real)
+    a, b = mat(rows, k, a_parts), mat(k, 3, b_parts)
     got = a @ b
     want = _as_object(a) @ _as_object(b)
-    assert got == want
+    assert got == want == _product_ref(a, b)
     assert got.re.dtype == got.im.dtype == want.re.dtype  # never float64
 
 
@@ -475,3 +480,32 @@ def test_element_columns_times_a_zero_operator():
     col = ExactMatrix.column(64, {3: gq(1, 1)})
     assert (op @ col).shape == (64, 1) and (op @ col).is_zero()
     assert (col.adjoint() @ op).shape == (1, 64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 4, 64]), st.sampled_from([1, 4, 64]), st.sampled_from([1, 4, 64]),
+       st.booleans(), st.sampled_from(["zeros", "negated", "adjoint", "sum", "product"]),
+       st.integers(0, 2**32 - 1))
+def test_a_float_product_with_a_known_zero_operand_equals_the_blas_product(
+        m, k, n, zero_left, how, seed):
+    # n = 1 makes the right operand a column, as an element is
+    rng = np.random.default_rng(seed)
+    zshape, oshape = ((m, k), (k, n)) if zero_left else ((k, n), (m, k))
+    r, c = zshape
+
+    def z(rows, cols):
+        return FloatMatrix.from_exact(ExactMatrix.zeros(rows, cols))
+
+    zero = {"zeros": z(r, c), "negated": -z(r, c), "adjoint": z(c, r).adjoint(),
+            "sum": z(r, c) + z(r, c),
+            "product": z(r, 2) @ FloatMatrix(rng.normal(size=(2, c)))}[how]
+    other = FloatMatrix(rng.normal(size=oshape) + 1j * rng.normal(size=oshape))
+    a, b = (zero, other) if zero_left else (other, zero)
+    assert zero.zero and zero.shape == zshape
+    got = a @ b
+    assert got.zero and got.is_zero()
+    assert got.shape == (m, n) and got.data.dtype == np.complex128
+    assert np.array_equal(got.data, a.data @ b.data)
+    # a nonzero product is not marked, and neither is a matrix of unknown value
+    assert not (other @ other.adjoint()).zero and not other.zero
+    assert not FloatMatrix.from_exact(ExactMatrix.identity(k)).zero

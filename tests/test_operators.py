@@ -123,6 +123,20 @@ def test_bidegree_measurement_requires_exact():
         measured_bidegree(fl)
 
 
+@pytest.mark.parametrize("picture", ["ext", "cl"])
+def test_float_conjugation_converts_j_a_once_and_matches_the_exact_one(picture):
+    bs = blade_structure(2)
+    op = make_operator("L", ext_mult(AdaptedStructure(2).omega(), "L").matrix.scale(gq(1, 2)),
+                       picture)
+    fl = LinearOperator("L", FloatMatrix.from_exact(op.matrix), picture, op.parity)
+    got = conjugate(fl)
+    assert bs.ja(picture, True) is bs.ja(picture, True)
+    assert not bs.ja(picture, True)[0].data.flags.writeable
+    assert np.allclose(got.matrix.data, FloatMatrix.from_exact(conjugate(op).matrix).data,
+                       rtol=0, atol=1e-12)
+    assert got.parity == op.parity
+
+
 # -- generator construction against the per-blade reference -------------------------
 
 def _scalars():

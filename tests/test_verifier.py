@@ -1,24 +1,37 @@
 """Catalog integrity, evaluation semantics, vacuity, and table emission."""
-from dataclasses import fields
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerid import get_model, gq, verifier
 from kahlerid.algebra import Multivector
 from kahlerid.matrices import ExactMatrix
-from kahlerid.operators import StructuralError, make_operator
+from kahlerid.operators import LinearOperator, StructuralError, make_operator
+from kahlerid.scalars import GaussianRational
 from kahlerid.verifier import (
     COVERAGE,
     GROUP_SUITE,
     SUITES,
+    Adj,
     Apply,
+    Conj,
     El,
+    ElementValue,
     Expr,
     Op,
     S,
+    Scale,
     SCom,
+    Transport,
     Workspace,
+    ZeroEl,
+    ZeroOp,
+    add,
     catalog,
     emit_bidegree_table,
     emit_commutator_table,
@@ -80,6 +93,84 @@ def test_every_namespace_name_is_read(ws, name):
     for e in catalog(w.n):
         reached |= _leaf_names(e.lhs) | _leaf_names(e.rhs) | set(e.guards or ())
     assert set(w.ops) | set(w.elements) <= reached
+
+
+# -- interned expression trees ------------------------------------------------------
+
+def _tree(c):
+    return add(S(c, SCom(Op("d"), Op("L"))), Conj(Transport(Op("D"))), Adj(Op("d")))
+
+
+def test_equal_trees_are_one_node():
+    a = _tree(gq(Fraction(1, 2), -3))
+    # built again, from an equal coefficient that is a different object
+    b = _tree(GaussianRational(Fraction(2, 4), Fraction(-6, 2)))
+    assert a is b and a == b and hash(a) == hash(b)
+    assert Scale(gq(-1), Op("d")) is S(-1, Op("d"))
+    others = [_tree(gq(Fraction(1, 2), 3)), _tree(gq(1)), a.terms[0], SCom(Op("L"), Op("d")),
+              Op("d"), El("d"), ZeroOp("ext"), ZeroOp("cl"), ZeroEl("ext"),
+              add(Op("d"), Op("L")), add(Op("L"), Op("d"))]
+    assert len({id(x) for x in [a, *others]}) == len(others) + 1
+    assert all(x != y for i, x in enumerate([a, *others]) for y in others[i:])
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_return_the_interned_node(clone):
+    tree = _tree(gq(Fraction(1, 2), -3))
+    scale = tree.terms[0]
+    c, before = scale.c, repr(tree)
+    assert clone(tree) is tree and clone(scale) is scale
+    assert repr(tree) == before and tree.terms[0] is scale and scale.c is c
+
+
+def test_nodes_take_their_fields_by_position_only():
+    with pytest.raises(TypeError):
+        Op(name="d")
+    with pytest.raises(TypeError):
+        SCom(Op("d"))
+    with pytest.raises(FrozenInstanceError):
+        Op("d").name = "L"
+    assert Op("d").name == "d"
+
+
+@st.composite
+def _exact_sides(draw):
+    """Two matrices, equal (built apart) or not, on the int64 or object tier."""
+    rows, cols = draw(st.sampled_from([(1, 1), (2, 2), (3, 1), (3, 3)]))
+    bits = draw(st.sampled_from([3, 64]))
+    num = st.integers(-(1 << bits), 1 << bits)
+    dens = st.sampled_from([1, 6, 10**20 + 39])
+
+    def matrix():
+        return ExactMatrix.from_columns(rows, [
+            {i: gq(Fraction(draw(num), draw(dens)), Fraction(draw(num), draw(dens)))
+             for i in range(rows) if draw(st.booleans())} for _ in range(cols)])
+
+    a = matrix()
+    how = draw(st.sampled_from(["equal", "other", "bumped"]))
+    if how == "equal":
+        b = a.scale(3).scale(Fraction(1, 3))
+    elif how == "other":
+        b = matrix()
+    else:
+        b = a + ExactMatrix.from_columns(rows, [{0: gq(0, Fraction(1, 7))}] * cols)
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exact_sides())
+def test_exact_residual_is_the_max_norm_of_the_difference(sides):
+    a, b = sides
+    want = (a - b).max_norm()
+    if a.shape[1] == 1:
+        pair = (ElementValue(a, "cl"), ElementValue(b, "cl"))
+    else:
+        pair = (LinearOperator("a", a, "cl", "mixed"), LinearOperator("b", b, "cl", "mixed"))
+    got = verifier._value_residual(*pair)
+    assert type(got) is Fraction and got == want and str(got) == str(want)
+    assert (got == 0) == (a == b)
 
 
 # -- verification ------------------------------------------------------------------
@@ -254,7 +345,12 @@ def test_perturbed_torsion_witness_fails(ws, leaf, entry_id, monkeypatch):
     else:
         mv, picture = w.elements[leaf]
         w.elements[leaf] = (mv + Multivector.basis(3, 1, 2), picture)
-    assert [r.status for r in verify(w).results] == ["fail"]
+    [result] = verify(w).results
+    assert result.status == "fail"
+    # the residual reported is the one a plain subtraction of the sides gives
+    [entry] = verifier.catalog(3)
+    diff = w.eval(entry.lhs).matrix - w.eval(entry.rhs).matrix
+    assert result.residual == diff.max_norm() > 0
 
 
 def test_workspace_errors(ws):
