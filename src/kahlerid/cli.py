@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true",
                       help="exact rational arithmetic (default)")
     mode.add_argument("--float", dest="float_mode", action="store_true",
-                      help="complex128 arithmetic with a residual tolerance")
+                      help="float64 arithmetic with a residual tolerance")
     p_ver.add_argument("--tolerance", type=_tolerance, default=1e-10,
                        help="max residual accepted in --float mode (default 1e-10)")
 

@@ -29,8 +29,11 @@ supports; its `inner` returns every <x_r, y_c> = sum x_r * conj(y_c) for a
 list of matrices x_r from one stacked real product, on the tier its bounds
 allow.  `ExactMatrix.frobenius_inner` is its 1 x 1 case.
 
-FloatMatrix mirrors the same interface over complex128 for timing
-experiments.
+FloatMatrix is the float view that `verify --float` evaluates: the same
+operation surface over float64 real and imaginary parts, a part known to be
+zero not stored.  Its products and the exact tiers' go through one part-wise
+product, `_part_product`, which skips every real product with a zero
+operand; no complex128 product is ever made.
 """
 from __future__ import annotations
 
@@ -192,6 +195,10 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return self._part_bounds() == (0, 0)
 
+    def nonzero_mask(self) -> np.ndarray:
+        """True at the nonzero entries."""
+        return (self.re != 0) | (self.im != 0)
+
     def has_im(self) -> bool:
         return self._part_bounds()[1] > 0
 
@@ -226,10 +233,12 @@ class ExactMatrix:
             dtype = np.float64 if bound < _F64_BOUND else np.int64
         else:
             dtype = object
-        (ar, ai), (br, bi) = _live_parts(self, dtype), _live_parts(other, dtype)
         out = (self.shape[0], other.shape[1])
-        re = _dot_sum(((1, ar, br), (-1, ai, bi)), out, dtype)
-        im = _dot_sum(((1, ar, bi), (1, ai, br)), out, dtype)
+        # float64 products hold exact integers below 2**53 and go back to int64
+        dtype_out = np.int64 if dtype is np.float64 else dtype
+        re, im = (np.zeros(out, dtype=dtype_out) if x is None
+                  else x.astype(dtype_out, copy=False)
+                  for x in _part_product(_live_parts(self, dtype), _live_parts(other, dtype)))
         return ExactMatrix(re, im, self.den * other.den)
 
     # -- involutions -----------------------------------------------------
@@ -279,10 +288,23 @@ def _live_parts(m: ExactMatrix, dtype) -> list:
             for x, b in zip((m.re, m.im), m._part_bounds())]
 
 
-def _dot_sum(terms, shape: tuple[int, int], dtype) -> np.ndarray:
+def _part_product(a, b) -> tuple:
+    """(re, im) of the product of a = (ar, ai) and b = (br, bi), each given
+    by its real and imaginary parts, a part that is zero being None.
+
+    re = ar @ br - ai @ bi and im = ar @ bi + ai @ br, with each of the four
+    real products run only when both its operands are present; a result
+    part that no product reaches is None.  The exact tiers and FloatMatrix
+    both multiply through here.
+    """
+    (ar, ai), (br, bi) = a, b
+    return (_dot_sum(((1, ar, br), (-1, ai, bi))),
+            _dot_sum(((1, ar, bi), (1, ai, br))))
+
+
+def _dot_sum(terms):
     """sum of sign * (x @ y) over the terms (sign, x, y) with both operands
-    present (a part that is zero is None), in the integer dtype of the tier:
-    float64 products hold exact integers below 2**53 and go back to int64."""
+    present, or None when no term has both."""
     out = None
     for sign, x, y in terms:
         if x is None or y is None:
@@ -294,11 +316,7 @@ def _dot_sum(terms, shape: tuple[int, int], dtype) -> np.ndarray:
             out += p
         else:
             out -= p
-    if dtype is np.float64:
-        dtype = np.int64
-        if out is not None:
-            out = out.astype(np.int64)
-    return np.zeros(shape, dtype=dtype) if out is None else out
+    return out
 
 
 @functools.cache
@@ -346,7 +364,7 @@ class FrobeniusColumns:
         mask = np.zeros(cols[0].re.size, dtype=bool)
         for y in cols:
             if not y.is_zero():
-                mask |= (y.re != 0).ravel() | (y.im != 0).ravel()
+                mask |= y.nonzero_mask().ravel()
         self.support = np.flatnonzero(mask)
         self.dens = [y.den for y in cols]
         self.bound = max((y.bound for y in cols), default=0)
@@ -464,65 +482,111 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
 
 
 class FloatMatrix:
-    """complex128 twin of ExactMatrix with the same operation surface.
+    """The float64 view of a matrix, with ExactMatrix's operation surface.
 
-    `zero` marks a matrix known to be zero: one converted from a zero
-    ExactMatrix, or made from such matrices by a product, a sum, a scaling or
-    an involution.  A product with a known-zero operand is a zero of its
-    shape and costs no BLAS call, as in `ExactMatrix.__matmul__`.
+    The value is re + i im, each part a read-only float64 array, or None
+    for a part known to be zero: a real matrix stores no imaginary part,
+    and a matrix with no stored part is known to be zero.  A part is known
+    zero when it was converted from an exact part of bound 0, or when no
+    term of the operation that made it had a stored operand.  Products go
+    through `_part_product`, as ExactMatrix's do, so a product of real
+    matrices is one float64 BLAS call and a product with a known-zero
+    operand is known zero without any.
     """
 
-    __slots__ = ("data", "zero")
+    __slots__ = ("re", "im", "shape")
 
-    def __init__(self, data: np.ndarray, zero: bool = False):
-        self.data = np.asarray(data, dtype=np.complex128)
-        self.zero = zero
+    def __init__(self, re: np.ndarray | None, im: np.ndarray | None, shape):
+        for x in (re, im):
+            if x is not None:
+                x.flags.writeable = False
+        self.re, self.im, self.shape = re, im, tuple(shape)
 
     @staticmethod
     def from_exact(m: ExactMatrix) -> "FloatMatrix":
-        return FloatMatrix(m.to_complex(), m.is_zero())
+        re, im = (x.astype(np.float64) / m.den if b else None
+                  for x, b in zip((m.re, m.im), m._part_bounds()))
+        return FloatMatrix(re, im, m.shape)
 
     @property
-    def shape(self):
-        return self.data.shape
+    def zero(self) -> bool:
+        """Known to be zero: no part is stored."""
+        return self.re is None and self.im is None
 
     def __add__(self, other):
-        return FloatMatrix(self.data + other.data, self.zero and other.zero)
+        return FloatMatrix(_float_sum(((1, self.re), (1, other.re))),
+                           _float_sum(((1, self.im), (1, other.im))), self.shape)
 
     def __sub__(self, other):
-        return FloatMatrix(self.data - other.data, self.zero and other.zero)
+        return FloatMatrix(_float_sum(((1, self.re), (-1, other.re))),
+                           _float_sum(((1, self.im), (-1, other.im))), self.shape)
 
     def __neg__(self):
-        return FloatMatrix(-self.data, self.zero)
+        return FloatMatrix(_part(np.negative, self.re), _part(np.negative, self.im),
+                           self.shape)
 
     def scale(self, c):
-        if isinstance(c, GaussianRational):
-            c = c.to_complex()
-        return FloatMatrix(self.data * c, self.zero)
+        c = c.to_complex() if isinstance(c, GaussianRational) else complex(c)
+        return FloatMatrix(_float_sum(((c.real, self.re), (-c.imag, self.im))),
+                           _float_sum(((c.imag, self.re), (c.real, self.im))), self.shape)
 
     def __matmul__(self, other):
-        if self.zero or other.zero:
-            if self.shape[1] != other.shape[0]:
-                raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            return FloatMatrix(np.zeros((self.shape[0], other.shape[1]), np.complex128), True)
-        return FloatMatrix(self.data @ other.data)
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        re, im = _part_product((self.re, self.im), (other.re, other.im))
+        return FloatMatrix(re, im, (self.shape[0], other.shape[1]))
 
     def adjoint(self):
-        return FloatMatrix(self.data.conj().T, self.zero)
+        return FloatMatrix(_part(np.transpose, self.re), _part(lambda x: -x.T, self.im),
+                           self.shape[::-1])
 
     def bar(self):
-        return FloatMatrix(self.data.conj(), self.zero)
+        return FloatMatrix(self.re, _part(np.negative, self.im), self.shape)
 
     def transpose(self):
-        return FloatMatrix(self.data.T, self.zero)
+        return FloatMatrix(_part(np.transpose, self.re), _part(np.transpose, self.im),
+                           self.shape[::-1])
 
     def is_zero(self) -> bool:
-        return self.zero or not np.any(self.data)
+        return not any(x is not None and x.any() for x in (self.re, self.im))
+
+    def nonzero_mask(self) -> np.ndarray:
+        """True at the nonzero entries."""
+        mask = np.zeros(self.shape, dtype=bool)
+        for x in (self.re, self.im):
+            if x is not None:
+                mask |= x != 0
+        return mask
 
     def max_norm(self) -> float:
-        if self.data.size == 0:
+        """max |re + i im| over the entries."""
+        parts = [x for x in (self.re, self.im) if x is not None]
+        if not parts or not parts[0].size:
             return 0.0
-        return float(np.max(np.abs(self.data)))
+        return float((np.abs(parts[0]) if len(parts) == 1 else np.hypot(*parts)).max())
+
+
+def _float_sum(terms):
+    """sum of k * x over the terms (k, x) with k nonzero and x present, or
+    None when no term is; a lone term with k = 1 is x itself (read-only)."""
+    out = None
+    for k, x in terms:
+        if x is None or not k:
+            continue
+        if out is None:
+            out = x if k == 1 else -x if k == -1 else k * x
+        elif k == 1:
+            out = out + x
+        elif k == -1:
+            out = out - x
+        else:
+            out = out + k * x
+    return out
+
+
+def _part(fn, x):
+    """fn(x) for a stored part x, None for a part known to be zero."""
+    return None if x is None else fn(x)
 
 
 def solve_exact(columns: list[list[GaussianRational]], target, *, many: bool = False):

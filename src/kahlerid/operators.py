@@ -18,10 +18,10 @@ from .algebra import (
     blade_degree,
     blade_indices,
     contract,
+    coframe,
     frame,
-    hodge_star,
-    j_algebra,
     j_derivation,
+    j_vector,
 )
 from .matrices import ExactMatrix, FloatMatrix, linear_combination
 from .scalars import ONE, I
@@ -95,23 +95,33 @@ class BladeStructure:
         self.parity_sign = ExactMatrix(np.diag(parity), zero, 1)
         # the projector onto degree 1, the only degree projector read
         self.proj1 = ExactMatrix(np.diag((degs == 1).astype(np.int64)), zero, 1)
-        self.Ja_ext = self._blade_matrix(lambda mv: j_algebra(mv, "ext"))
-        self.Jd_ext = self._blade_matrix(lambda mv: j_derivation(mv, "ext"))
-        self.Ja_cl = self._blade_matrix(lambda mv: j_algebra(mv, "cl"))
-        self.Jd_cl = self._blade_matrix(lambda mv: j_derivation(mv, "cl"))
+        self.rows = np.arange(self.dim)
+        # J_a sends each factor t^i to +-t^{i+n} (i <= n) or +-t^{i-n} (i > n),
+        # so blade m to +-blade swap[m].  With p and q the factors of m at
+        # most and above n, sorting the images costs (-1)^(p q), and the
+        # factor signs are (-1)^p on forms (J* t^i = -t^{i+n} for i <= n)
+        # and (-1)^q on polyvectors (J e_i = -e_{i-n} for i > n)
+        low, high = self.rows & ((1 << n) - 1), self.rows >> n
+        swap = (low << n) | high
+        p, q = degs[low], degs[high]
+        self.Ja_ext = self._signed_permutation(swap, 1 - 2 * ((p + p * q) % 2))
+        self.Ja_cl = self._signed_permutation(swap, 1 - 2 * ((q + p * q) % 2))
         # J_a is a real signed permutation: inverse = transpose
         self.Ja_ext_inv = self.Ja_ext.transpose()
         self.Ja_cl_inv = self.Ja_cl.transpose()
         # J on vectors, the degree-1 block of Ja_cl: J e_b = sum_c J_vec[c, b] e_c
         vectors = np.ix_(self.degree_indices[1], self.degree_indices[1])
         self.J_vec = ExactMatrix(self.Ja_cl.re[vectors], self.Ja_cl.im[vectors], self.Ja_cl.den)
-        self.hodge = self._blade_matrix(hodge_star)
+        # the Hodge star sends blade m to wedge_sign(m, c) blade c, c = ~m:
+        # (-1) to the number of pairs (a in m, b in c) with a > b
+        comp = (self.dim - 1) ^ self.rows
+        crossings = sum(((comp >> b) & 1) * degs[self.rows >> (b + 1)] for b in range(2 * n))
+        self.hodge = self._signed_permutation(comp, 1 - 2 * (crossings % 2))
         self._frames: dict[str, ComplexFrame] = {}
         self._float_ja: dict[str, tuple[FloatMatrix, FloatMatrix]] = {}
         # Generators as row signs, (G_i M)[r] = sign[r] * M[r ^ bit_i]:
         # E_i = t^i ^ ., C_i = E_i^T = e_i _| ., L_i = E_i - C_i = e_i . (left
         # Clifford), R_i = (E_i + C_i) par = . e_i (right Clifford).
-        self.rows = np.arange(self.dim)
         self.generator_signs: dict[str, list[np.ndarray]] = {k: [] for k in "ECLR"}
         for i in range(2 * n):
             bit = 1 << i
@@ -120,6 +130,25 @@ class BladeStructure:
             c = np.where(self.rows & bit, 0, before)
             for kind, sign in zip("ECLR", (e, c, e - c, -parity * (e + c))):
                 self.generator_signs[kind].append(sign)
+
+    def _signed_permutation(self, image: np.ndarray, sign: np.ndarray) -> ExactMatrix:
+        """The matrix sending blade m to sign[m] * blade image[m], image an
+        involution: its row r holds sign[image[r]] in column image[r]."""
+        return linear_combination([(1, None, (sign[image], image))], (self.dim, self.dim))
+
+    @functools.cached_property
+    def Jd_ext(self) -> ExactMatrix:
+        return self._j_derivation("ext")
+
+    @functools.cached_property
+    def Jd_cl(self) -> ExactMatrix:
+        return self._j_derivation("cl")
+
+    def _j_derivation(self, picture: str) -> ExactMatrix:
+        """J_d, the derivation extending J (cl) or J* (ext) from degree 1."""
+        n = self.n
+        images = {i: j_vector(coframe(n, i), picture) for i in range(1, 2 * n + 1)}
+        return derivation(images, "J_d", picture).matrix
 
     # -- conversions -------------------------------------------------------
     def mv(self, mask: int) -> Multivector:
@@ -132,10 +161,6 @@ class BladeStructure:
         if col.shape != (self.dim, 1):
             raise ValueError("expected a column vector")
         return Multivector(self.n, col.column_dict(0))
-
-    def _blade_matrix(self, fn) -> ExactMatrix:
-        cols = [fn(self.mv(m)).coeffs for m in range(self.dim)]
-        return ExactMatrix.from_columns(self.dim, cols)
 
     def word(self, kind: str, mask: int) -> np.ndarray:
         """Row signs of blade mask's generator word W: (W M)[r] = sign[r] * M[r ^ mask].
@@ -154,8 +179,8 @@ class BladeStructure:
         return sign
 
     def ja(self, picture: str, float_mode: bool) -> tuple:
-        """(J_a, J_a^-1) in the picture; in float mode read-only complex128
-        copies, converted once per picture and shared."""
+        """(J_a, J_a^-1) in the picture; in float mode their float views
+        (real, read-only), converted once per picture and shared."""
         if picture == "ext":
             pair = (self.Ja_ext, self.Ja_ext_inv)
         else:
@@ -163,10 +188,7 @@ class BladeStructure:
         if not float_mode:
             return pair
         if picture not in self._float_ja:
-            twins = tuple(FloatMatrix.from_exact(m) for m in pair)
-            for t in twins:
-                t.data.flags.writeable = False
-            self._float_ja[picture] = twins
+            self._float_ja[picture] = tuple(FloatMatrix.from_exact(m) for m in pair)
         return self._float_ja[picture]
 
     # -- complex frame -----------------------------------------------------
@@ -226,10 +248,7 @@ def _n_from_dim(dim: int) -> int:
 # ---------------------------------------------------------------------------
 
 def compute_parity(matrix, bs: BladeStructure) -> str:
-    if isinstance(matrix, FloatMatrix):
-        nz = matrix.data != 0
-    else:
-        nz = (matrix.re != 0) | (matrix.im != 0)
+    nz = matrix.nonzero_mask()
     eo = bool(np.any(nz & bs.cross_parity))
     ee = bool(np.any(nz & ~bs.cross_parity))
     if ee and eo:
@@ -380,7 +399,7 @@ def _shift_codes(cf: ComplexFrame, m: ExactMatrix) -> np.ndarray:
     """The sorted shift codes of m's nonzero entries (a presence mask over
     the code range: np.unique would import numpy.ma on first use)."""
     present = np.zeros((2 * cf.n + 1) ** 2, dtype=bool)
-    present[cf.shift_code[(m.re != 0) | (m.im != 0)]] = True
+    present[cf.shift_code[m.nonzero_mask()]] = True
     return np.flatnonzero(present)
 
 

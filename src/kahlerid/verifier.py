@@ -2,7 +2,7 @@
 
 Identities are stored as expression trees over named zoo operators and
 elements.  A Workspace evaluates them on one model, exactly (Gaussian
-rational matrices) or in complex128; a Report collects residuals plus
+rational matrices) or in float64 parts; a Report collects residuals plus
 vacuity information.  The commutator and bidegree tables are emitted
 from the same expression data, with cells recovered by exact linear
 solves over the operator span.
@@ -878,7 +878,7 @@ COVERAGE = {
 
 class Workspace:
     """All zoo operators and elements for one model, with an expression
-    evaluator that is exact by default and complex128 in float mode."""
+    evaluator that is exact by default and float (`FloatMatrix`) in float mode."""
 
     def __init__(self, model: LieModel, mode: str = "exact"):
         if mode not in ("exact", "float"):

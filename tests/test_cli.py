@@ -200,20 +200,38 @@ def test_verify_json_is_byte_identical_to_the_reference(name, tmp_path):
     assert hashlib.sha256(dest.read_bytes()).hexdigest() == REFS["verify"][f"{name}:all"]["sha256"]
 
 
-@pytest.mark.parametrize("name", BUILTINS)
-def test_float_verify_json_matches_the_reference_view(name, tmp_path):
-    # float `verify --suite all` keeps the recorded view: every field but the
-    # entries, and the SHA-256 of the id/status lines (`report_view` in
-    # perfbench/run.py)
+def _float_view(model: str, tmp_path) -> dict:
+    # float `verify --suite all` of model, reduced to what it must keep: every
+    # field but the entries, and the SHA-256 of the id/status lines
+    # (`report_view` in perfbench/run.py)
     dest = tmp_path / "verify.json"
-    assert main(["verify", "--model", name, "--suite", "all", "--float",
+    assert main(["verify", "--model", model, "--suite", "all", "--float",
                  "--format", "json", "--out", str(dest)]) == 0
     rep = json.loads(dest.read_text())
     statuses = "".join(f"{e['id']} {e['status']}\n" for e in rep["entries"])
     view = {k: rep[k] for k in ("model", "n", "dimension", "mode", "suite",
                                 "tolerance", "properties", "summary")}
     view["statuses_sha256"] = hashlib.sha256(statuses.encode()).hexdigest()
-    assert view == REFS["float"][f"{name}:all"]
+    return view
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_float_verify_json_matches_the_reference_view(name, tmp_path):
+    assert _float_view(name, tmp_path) == REFS["float"][f"{name}:all"]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_float_verify_in_the_seed_1_frame_matches_the_reference_view(name, tmp_path):
+    # the benchmark checks every seed's float view against the seed-0 one; a
+    # frame rotation moves every entry, so rounding lands elsewhere
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import frames
+    finally:
+        sys.path.pop(0)
+    path = tmp_path / f"{name}.model.json"
+    path.write_text(json.dumps(frames.permuted(frames.builtin_dict(name), 1)))
+    assert _float_view(str(path), tmp_path) == REFS["float"][f"{name}:all"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

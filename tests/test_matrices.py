@@ -119,7 +119,7 @@ def test_scale_and_identity():
 def test_float_matrix_roundtrip():
     m = _from_rows([[1, 2], [3, 4]], den=3)
     f = FloatMatrix.from_exact(m)
-    assert abs(f.data[0, 1] - 2 / 3) < 1e-15
+    assert abs(f.re[0, 1] - 2 / 3) < 1e-15 and f.im is None
     assert (f - f).max_norm() == 0.0
     assert f.max_norm() > 1.0
 
@@ -482,6 +482,16 @@ def test_element_columns_times_a_zero_operator():
     assert (col.adjoint() @ op).shape == (1, 64)
 
 
+def _value(f):
+    # the complex128 value of a FloatMatrix
+    out = np.zeros(f.shape, dtype=np.complex128)
+    if f.re is not None:
+        out.real = f.re
+    if f.im is not None:
+        out.imag = f.im
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([1, 4, 64]), st.sampled_from([1, 4, 64]), st.sampled_from([1, 4, 64]),
        st.booleans(), st.sampled_from(["zeros", "negated", "adjoint", "sum", "product"]),
@@ -498,14 +508,69 @@ def test_a_float_product_with_a_known_zero_operand_equals_the_blas_product(
 
     zero = {"zeros": z(r, c), "negated": -z(r, c), "adjoint": z(c, r).adjoint(),
             "sum": z(r, c) + z(r, c),
-            "product": z(r, 2) @ FloatMatrix(rng.normal(size=(2, c)))}[how]
-    other = FloatMatrix(rng.normal(size=oshape) + 1j * rng.normal(size=oshape))
+            "product": z(r, 2) @ FloatMatrix(rng.normal(size=(2, c)), None, (2, c))}[how]
+    other = FloatMatrix(rng.normal(size=oshape), rng.normal(size=oshape), oshape)
     a, b = (zero, other) if zero_left else (other, zero)
     assert zero.zero and zero.shape == zshape
     got = a @ b
     assert got.zero and got.is_zero()
-    assert got.shape == (m, n) and got.data.dtype == np.complex128
-    assert np.array_equal(got.data, a.data @ b.data)
+    assert got.shape == (m, n) and got.re is None and got.im is None
+    assert np.array_equal(_value(got), _value(a) @ _value(b))
     # a nonzero product is not marked, and neither is a matrix of unknown value
     assert not (other @ other.adjoint()).zero and not other.zero
     assert not FloatMatrix.from_exact(ExactMatrix.identity(k)).zero
+
+
+_FLOAT_KINDS = st.sampled_from(["real", "imaginary", "complex", "zero"])
+
+
+@st.composite
+def _float_operand(draw, shape):
+    # an exact matrix of the given kind, entries (a + b i) / den with |a|, |b| <= 3
+    kind = draw(_FLOAT_KINDS)
+    if kind == "zero":
+        return ExactMatrix.zeros(*shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    re, im = (rng.integers(-3, 4, size=shape) if part else np.zeros(shape, dtype=np.int64)
+              for part in (kind != "imaginary", kind != "real"))
+    return ExactMatrix(re, im, draw(st.integers(1, 6)))
+
+
+@st.composite
+def _float_case(draw):
+    r, k, c = (draw(st.sampled_from([1, 4, 64])) for _ in range(3))
+    scalar = st.builds(gq, st.fractions(-4, 4, max_denominator=5),
+                       st.fractions(-4, 4, max_denominator=5))
+    return (draw(_float_operand((r, k))), draw(_float_operand((r, k))),
+            draw(_float_operand((k, c))), draw(scalar))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_float_case())
+def test_float_matrix_operations_equal_the_complex128_reference(case):
+    a, a2, b, c = case
+    fa, fa2, fb = (FloatMatrix.from_exact(x) for x in (a, a2, b))
+    ra, ra2, rb = (x.to_complex() for x in (a, a2, b))
+    pairs = [
+        (fa, ra), (fa + fa2, ra + ra2), (fa - fa2, ra - ra2), (-fa, -ra),
+        (fa.scale(c), ra * c.to_complex()), (fa @ fb, ra @ rb),
+        (fa.adjoint(), ra.conj().T), (fa.bar(), ra.conj()), (fa.transpose(), ra.T),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(_value(got) - want).max() <= 1e-12
+        assert abs(got.max_norm() - np.abs(want).max()) <= 1e-12
+        for part in (got.re, got.im):
+            assert part is None or (part.dtype == np.float64 and not part.flags.writeable)
+        # a matrix known to be zero is zero
+        assert not got.zero or not want.any()
+        assert got.is_zero() == (not _value(got).any())
+    # parts known to be zero stay unstored: a product of real operands
+    # stores no imaginary part
+    assert (fa @ fb).zero == (a.is_zero() or b.is_zero())
+    if not (a.has_im() or b.has_im()):
+        assert (fa @ fb).im is None
+    if not (a.has_im() or a2.has_im()):
+        assert (fa + fa2).im is None and (fa - fa2).im is None
+    if not a.has_im():
+        assert fa.im is None and fa.adjoint().im is None and fa.bar().im is None
