@@ -1,5 +1,6 @@
 """Catalog integrity, evaluation semantics, vacuity, and table emission."""
 import copy
+import hashlib
 import pickle
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
@@ -49,6 +50,23 @@ def test_catalog_counts_match_coverage(n):
     for e in catalog(n):
         got[e.group] = got.get(e.group, 0) + 1
     assert got == COVERAGE[n]
+
+
+# sha256 of the catalog's entry reprs, one per line: every id, statement, tree,
+# guard and order.  The report pins cannot see a tree that changes but still
+# passes, and a changed tree can change the evaluated work.
+CATALOG_SHA256 = {
+    1: "abcce732f942f074347099dd2d6de2706daf0442b10d214d0758c92f8528a493",
+    2: "19b8baf66ad2e3acc763ecce4b4454eb862e2834f434149182fec951caf84560",
+    3: "b27bf170611ecc4418788ee93f36bc08c3ec26ce83a82e72cd5db462ca605add",
+    4: "54cc210309821c127eaaedf372f8a37be71323dfd85622b446b865edfab83fe7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CATALOG_SHA256))
+def test_catalog_trees_are_pinned(n):
+    text = "\n".join(map(repr, catalog(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
