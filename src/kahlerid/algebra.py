@@ -153,9 +153,6 @@ class Multivector:
             self.n, {m: c for m, c in self.coeffs.items() if blade_degree(m) == k}
         )
 
-    def max_degree(self) -> int:
-        return max((blade_degree(m) for m in self.coeffs), default=0)
-
     # -- linear structure --------------------------------------------------
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check(other)
@@ -341,21 +338,6 @@ class AdaptedStructure:
         return Multivector(self.n, {(1 << (2 * self.n)) - 1: ONE})
 
     # complex frame helpers -------------------------------------------------
-    def eps(self, j: int) -> Multivector:
-        """(1,0) frame vector (e_j - i e_{j+n})/2."""
-        self._chk(j)
-        return Multivector(
-            self.n,
-            {1 << (j - 1): gq(Fraction(1, 2)), 1 << (j - 1 + self.n): gq(0, Fraction(-1, 2))},
-        )
-
-    def eps_bar(self, j: int) -> Multivector:
-        self._chk(j)
-        return Multivector(
-            self.n,
-            {1 << (j - 1): gq(Fraction(1, 2)), 1 << (j - 1 + self.n): gq(0, Fraction(1, 2))},
-        )
-
     def zeta(self, j: int) -> Multivector:
         """(1,0) coframe form t^j + i t^{j+n}."""
         self._chk(j)

@@ -589,17 +589,15 @@ def _part(fn, x):
     return None if x is None else fn(x)
 
 
-def solve_exact(columns: list[list[GaussianRational]], target, *, many: bool = False):
-    """Solve sum_j x_j * columns[j] = target exactly.
+def solve_exact(columns: list[list[GaussianRational]], targets: list[list[GaussianRational]]):
+    """Solve sum_j x_j * columns[j] = t exactly for each right-hand side t in `targets`.
 
-    Gauss-Jordan elimination over the Gaussian rationals.  Returns a
-    coefficient list (free variables set to 0) or None if inconsistent.
-    With many=True, `target` is a list of right-hand sides reduced together
-    in one pass, and the result holds one such answer per right-hand side.
+    Gauss-Jordan elimination over the Gaussian rationals, every right-hand
+    side reduced in the same pass.  Returns one answer per right-hand side:
+    a coefficient list (free variables set to 0), or None if inconsistent.
     Pivots are chosen from `columns` only, so each answer is exactly the one
-    a separate call would return.
+    a call with that right-hand side alone would return.
     """
-    targets = target if many else [target]
     ncols = len(columns)
     nrows = len(targets[0]) if targets else 0
     aug = [[columns[j][i] for j in range(ncols)] + [t[i] for t in targets]
@@ -635,4 +633,4 @@ def solve_exact(columns: list[list[GaussianRational]], target, *, many: bool = F
         for r, c in pivots:
             x[c] = aug[r][k]
         answers.append(x)
-    return answers if many else answers[0]
+    return answers

@@ -38,9 +38,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic ------------------------------------------------------
     @staticmethod
     def _coerce(x) -> "GaussianRational":

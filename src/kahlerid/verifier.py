@@ -298,7 +298,6 @@ def _group_elementary(n: int) -> list[IdentityEntry]:
     ent("codifferential", "d* = -star . d . star (unimodular model)",
         Adj(Op("d")), neg(Comp(Op("star_ext"), Comp(Op("d"), Op("star_ext")))), guards=("d",))
     for a in range(1, 2 * n + 1):
-        j, s = _pair(a, n)
         twist = Comp(Op("Ja_cl_inv"), SCom(Op(f"nabla_{a}"), Op("Ja_cl")))
         ent(f"nabla_deriv.{a}", f"nabla_{a} is a degree-0 derivation",
             Rebuild(Op(f"nabla_{a}")), Op(f"nabla_{a}"), guards=(f"nabla_{a}",))
@@ -503,7 +502,7 @@ def _group_exterior(n: int) -> list[IdentityEntry]:
             guards=(nm,))
     ent("clifford_mult.oneform", "(a# . phi#)b = a^phi - a#_|phi for a 1-form (a = lee)",
         Transport(Op("Lcl_lee")), add(Op("E_lee"), neg(Op("C_lee"))), guards=("lee",))
-    for nm, cell in (("mu", (2, -1)), ("del", (1, 0)), ("delbar", (0, 1)), ("mubar", (-1, 2))):
+    for nm, cell in _PC_SCALAR[:4]:
         ent(f"rho_bidegree.{nm}",
             f"r_xi has bidegree (r-1, s-1) for xi of bidegree (r, s) (xi = {nm} omega)",
             Op(f"rho_{nm}"), None, kind="bidegree", cell=cell, guards=None)
@@ -603,239 +602,179 @@ def _group_main(n: int) -> list[IdentityEntry]:
     return out
 
 
+# -- groups 5-8: the commutator relations and everything derived from them ---
+
+# ([P, Lam], [P, L]) for each base row P.  The conjugate rows, adjoint rows,
+# statement strings, corollary variants and bidegree cells are derived.
+_RELATIONS = {
+    "d": (add(Op("dc_star"), Adj(Conj(Op("tau")))), Op("lam")),
+    "mu": (S(I, add(Adj(Op("mubar")), Adj(Op("tau_mubar")))), Op("lam_mu")),
+    "tau_mu": (S(gq(0, -2), Adj(Op("tau_mubar"))), S(-3, Op("lam_mu"))),
+    "lam_mu": (neg(Op("tau_mu")), ZeroOp("ext")),
+    "del": (S(-I, add(Adj(Op("delbar")), Adj(Op("tau_delbar")))), Op("lam_del")),
+    "tau_del": (S(gq(0, 2), Adj(Op("tau_delbar"))), S(-3, Op("lam_del"))),
+    "lam_del": (neg(Op("tau_del")), ZeroOp("ext")),
+    "rho_del": (add(S(-I, Adj(Op("rho_delbar"))), Adj(Op("tau_delbar"))), S(I, Op("lam_del"))),
+}
+
+# the same brackets when d omega = 0, where lam, tau and rho vanish
+_AK_RELATIONS = {
+    "mu": (S(I, Adj(Op("mubar"))), ZeroOp("ext")),
+    "del": (S(-I, Adj(Op("delbar"))), ZeroOp("ext")),
+}
+
+_CTAB_ROWS = ("d", "mu", "tau_mu", "mubar", "tau_mubar", "del", "tau_del", "rho_del",
+              "delbar", "tau_delbar", "rho_delbar", "lam_mubar", "lam_delbar", "lam_del",
+              "lam_mu")
+
+_BAR_NAME = {"mu": "mubar", "mubar": "mu", "del": "delbar", "delbar": "del"}
+
+
+def _bar(x: Expr) -> Expr:
+    """The complex conjugate of a relation tree: mu <-> mubar and del <-> delbar
+    in every name, and each coefficient conjugated."""
+    if isinstance(x, Op):
+        head, sep, part = x.name.rpartition("_")
+        return Op(head + sep + _BAR_NAME.get(part, part))
+    if isinstance(x, Scale):
+        return Scale(x.c.conjugate(), _bar(x.a))
+    if isinstance(x, Add):
+        return Add(tuple(map(_bar, x.terms)))
+    if isinstance(x, Adj):
+        return Adj(_bar(x.a))
+    if isinstance(x, ZeroOp):
+        return x
+    raise TypeError(f"no conjugate rule for {type(x).__name__}")
+
+
+def _minus_adj(x: Expr) -> Expr:
+    """-x*: the [P*, Q'] cell from the [P, Q] cell, Q' the other column."""
+    return x if isinstance(x, ZeroOp) else neg(Adj(x))
+
+
+def _terms(x: Expr, c: GaussianRational = ONE, star: bool = False) -> list:
+    """A relation tree as [(coefficient, label)]; `star` is set under an odd number of Adj."""
+    if isinstance(x, ZeroOp):
+        return []
+    if isinstance(x, Add):
+        return [t for y in x.terms for t in _terms(y, c, star)]
+    if isinstance(x, Scale):
+        k = x.c.conjugate() if star else x.c
+        return _terms(x.a, k if c == ONE else c * k, star)
+    if isinstance(x, Adj):
+        return _terms(x.a, c, not star)
+    if x == Op("dc_star"):  # the zoo's name for (d^c)*
+        return _terms(Adj(Conj(Op("d"))), c, star)
+    label = x.a.name + "^c" if isinstance(x, Conj) else x.name
+    if star:
+        label = f"({label})*" if "^" in label else label + "*"
+    return [(c, label)]
+
+
+def _format_expr(x: Expr) -> str:
+    """A relation tree as text, a shared non-unit coefficient factored out:
+    `i(mubar* + tau_mubar*)`, `-i rho_delbar - tau_delbar`, `3 lam_mu*`."""
+    terms = _terms(x)
+    c = terms[0][0] if terms else ONE
+    if c == ONE or any(k != c for k, _ in terms):
+        return _format_combo(terms)
+    text = {"-1": "-", "-1i": "-i"}.get(str(c), str(c))
+    body = " + ".join(label for _, label in terms)
+    if len(terms) > 1:
+        return f"{text}({body})"
+    return text + body if text == "-" else f"{text} {body}"
+
+
+def _relation(p: str) -> tuple[Expr, Expr]:
+    """([p, Lam], [p, L]) for a base row or the conjugate of one."""
+    if p in _RELATIONS:
+        return _RELATIONS[p]
+    return tuple(map(_bar, _RELATIONS[_bar(Op(p)).name]))
+
+
+def _variant_entries(prefix, group, relations, families, condition=None):
+    """[P, Q] = R for P in each family of `relations` (columns Lam, then L),
+    each with its adjoint [P*, Q'] = -R*, conjugate [P-bar, Q] = R-bar and
+    conjugate adjoint [P-bar*, Q'] = -R-bar*."""
+    out = []
+    for family in families:
+        for col, other, k in (("Lam", "L", 0), ("L", "Lam", 1)):
+            for p in family:
+                rhs = relations[p][k]
+                adj = _minus_adj(rhs)
+                stmt = f"[{p}, {col}] = {_format_expr(rhs)}"
+                zero = isinstance(rhs, ZeroOp)
+                for suffix, note, lhs, r in (
+                        ("", "", SCom(Op(p), Op(col)), rhs),
+                        (".adj", "adjoint: ", SCom(Adj(Op(p)), Op(other)), adj),
+                        (".bar", "conjugate: ", SCom(Bar(Op(p)), Op(col)),
+                         rhs if zero else Bar(rhs)),
+                        (".baradj", "conjugate adjoint: ", SCom(Bar(Adj(Op(p))), Op(other)),
+                         adj if zero else Bar(adj))):
+                    out.append(IdentityEntry(f"{prefix}.{p}.{col}{suffix}", group, note + stmt,
+                                             "operator", lhs, r, guards=(p,),
+                                             condition=condition))
+    return out
+
+
 # -- group 5: the bidegree-split commutator corollary -------------------------
 
-_COR_BASE = [
-    ("mu.Lam", "mu", "Lam", "[mu, Lam] = i(mubar* + tau_mubar*)",
-     lambda: S(I, add(Adj(Op("mubar")), Adj(Op("tau_mubar"))))),
-    ("tau_mu.Lam", "tau_mu", "Lam", "[tau_mu, Lam] = -2i tau_mubar*",
-     lambda: S(gq(0, -2), Adj(Op("tau_mubar")))),
-    ("lam_mu.Lam", "lam_mu", "Lam", "[lam_mu, Lam] = -tau_mu",
-     lambda: neg(Op("tau_mu"))),
-    ("mu.L", "mu", "L", "[mu, L] = lam_mu", lambda: Op("lam_mu")),
-    ("tau_mu.L", "tau_mu", "L", "[tau_mu, L] = -3 lam_mu",
-     lambda: S(-3, Op("lam_mu"))),
-    ("lam_mu.L", "lam_mu", "L", "[lam_mu, L] = 0", lambda: None),
-    ("del.Lam", "del", "Lam", "[del, Lam] = -i(delbar* + tau_delbar*)",
-     lambda: S(-I, add(Adj(Op("delbar")), Adj(Op("tau_delbar"))))),
-    ("tau_del.Lam", "tau_del", "Lam", "[tau_del, Lam] = 2i tau_delbar*",
-     lambda: S(gq(0, 2), Adj(Op("tau_delbar")))),
-    ("lam_del.Lam", "lam_del", "Lam", "[lam_del, Lam] = -tau_del",
-     lambda: neg(Op("tau_del"))),
-    ("del.L", "del", "L", "[del, L] = lam_del", lambda: Op("lam_del")),
-    ("tau_del.L", "tau_del", "L", "[tau_del, L] = -3 lam_del",
-     lambda: S(-3, Op("lam_del"))),
-    ("lam_del.L", "lam_del", "L", "[lam_del, L] = 0", lambda: None),
-]
-
-
 def _group_corollary(n: int) -> list[IdentityEntry]:
-    out = []
-    for eid, p, q, stmt, rhs_fn in _COR_BASE:
-        rhs = rhs_fn()
-        other = "L" if q == "Lam" else "Lam"
-        zero = rhs is None
-        base_rhs = ZeroOp("ext") if zero else rhs
-        out.append(IdentityEntry(f"cor.{eid}", "corollary", stmt, "operator",
-                                 SCom(Op(p), Op(q)), base_rhs, guards=(p,)))
-        adj_rhs = ZeroOp("ext") if zero else neg(Adj(rhs))
-        out.append(IdentityEntry(f"cor.{eid}.adj", "corollary", f"adjoint: {stmt}",
-                                 "operator", SCom(Adj(Op(p)), Op(other)), adj_rhs,
-                                 guards=(p,)))
-        bar_rhs = ZeroOp("ext") if zero else Bar(rhs)
-        out.append(IdentityEntry(f"cor.{eid}.bar", "corollary", f"conjugate: {stmt}",
-                                 "operator", SCom(Bar(Op(p)), Op(q)), bar_rhs,
-                                 guards=(p,)))
-        baradj_rhs = ZeroOp("ext") if zero else Bar(neg(Adj(rhs)))
-        out.append(IdentityEntry(f"cor.{eid}.baradj", "corollary",
-                                 f"conjugate adjoint: {stmt}", "operator",
-                                 SCom(Bar(Adj(Op(p))), Op(other)), baradj_rhs,
-                                 guards=(p,)))
-    return out
+    return _variant_entries("cor", "corollary", _RELATIONS,
+                            (("mu", "tau_mu", "lam_mu"), ("del", "tau_del", "lam_del")))
 
 
 # -- group 6: the commutator table -------------------------------------------
 
-def _ctab_rows():
-    """Row data: (label, base name, row expr, [row,Lam] expr+string, [row,L] expr+string)."""
-    tauc = Conj(Op("tau"))
-    left = [
-        ("d", "d", Op("d"),
-         add(Op("dc_star"), Adj(tauc)), "(d^c)* + (tau^c)*", Op("lam"), "lam"),
-        ("mu", "mu", Op("mu"),
-         S(I, add(Adj(Op("mubar")), Adj(Op("tau_mubar")))), "i(mubar* + tau_mubar*)",
-         Op("lam_mu"), "lam_mu"),
-        ("tau_mu", "tau_mu", Op("tau_mu"),
-         S(gq(0, -2), Adj(Op("tau_mubar"))), "-2i tau_mubar*",
-         S(-3, Op("lam_mu")), "-3 lam_mu"),
-        ("mubar", "mubar", Op("mubar"),
-         S(-I, add(Adj(Op("mu")), Adj(Op("tau_mu")))), "-i(mu* + tau_mu*)",
-         Op("lam_mubar"), "lam_mubar"),
-        ("tau_mubar", "tau_mubar", Op("tau_mubar"),
-         S(gq(0, 2), Adj(Op("tau_mu"))), "2i tau_mu*",
-         S(-3, Op("lam_mubar")), "-3 lam_mubar"),
-        ("del", "del", Op("del"),
-         S(-I, add(Adj(Op("delbar")), Adj(Op("tau_delbar")))), "-i(delbar* + tau_delbar*)",
-         Op("lam_del"), "lam_del"),
-        ("tau_del", "tau_del", Op("tau_del"),
-         S(gq(0, 2), Adj(Op("tau_delbar"))), "2i tau_delbar*",
-         S(-3, Op("lam_del")), "-3 lam_del"),
-        ("rho_del", "rho_del", Op("rho_del"),
-         add(S(-I, Adj(Op("rho_delbar"))), Adj(Op("tau_delbar"))),
-         "-i rho_delbar* + tau_delbar*", S(I, Op("lam_del")), "i lam_del"),
-        ("delbar", "delbar", Op("delbar"),
-         S(I, add(Adj(Op("del")), Adj(Op("tau_del")))), "i(del* + tau_del*)",
-         Op("lam_delbar"), "lam_delbar"),
-        ("tau_delbar", "tau_delbar", Op("tau_delbar"),
-         S(gq(0, -2), Adj(Op("tau_del"))), "-2i tau_del*",
-         S(-3, Op("lam_delbar")), "-3 lam_delbar"),
-        ("rho_delbar", "rho_delbar", Op("rho_delbar"),
-         add(S(I, Adj(Op("rho_del"))), Adj(Op("tau_del"))), "i rho_del* + tau_del*",
-         S(-I, Op("lam_delbar")), "-i lam_delbar"),
-        ("lam_mubar", "lam_mubar", Op("lam_mubar"),
-         neg(Op("tau_mubar")), "-tau_mubar", None, "0"),
-        ("lam_delbar", "lam_delbar", Op("lam_delbar"),
-         neg(Op("tau_delbar")), "-tau_delbar", None, "0"),
-        ("lam_del", "lam_del", Op("lam_del"),
-         neg(Op("tau_del")), "-tau_del", None, "0"),
-        ("lam_mu", "lam_mu", Op("lam_mu"),
-         neg(Op("tau_mu")), "-tau_mu", None, "0"),
-    ]
-    right_strings = {
-        "d": ("-lam*", "-(d^c + tau^c)"),
-        "mu": ("-lam_mu*", "i(mubar + tau_mubar)"),
-        "tau_mu": ("3 lam_mu*", "-2i tau_mubar"),
-        "mubar": ("-lam_mubar*", "-i(mu + tau_mu)"),
-        "tau_mubar": ("3 lam_mubar*", "2i tau_mu"),
-        "del": ("-lam_del*", "-i(delbar + tau_delbar)"),
-        "tau_del": ("3 lam_del*", "2i tau_delbar"),
-        "rho_del": ("i lam_del*", "-i rho_delbar - tau_delbar"),
-        "delbar": ("-lam_delbar*", "i(del + tau_del)"),
-        "tau_delbar": ("3 lam_delbar*", "-2i tau_del"),
-        "rho_delbar": ("-i lam_delbar*", "i rho_del - tau_del"),
-        "lam_mubar": ("0", "tau_mubar*"),
-        "lam_delbar": ("0", "tau_delbar*"),
-        "lam_del": ("0", "tau_del*"),
-        "lam_mu": ("0", "tau_mu*"),
-    }
-    rows = []
-    for label, base, row, lam_e, lam_s, l_e, l_s in left:
-        rows.append((label, base, row, lam_e, lam_s, l_e, l_s))
-    for label, base, row, lam_e, lam_s, l_e, l_s in left:
-        # adjoint rows: [P*, Lam] = -[P, L]* and [P*, L] = -[P, Lam]*
-        rlam = None if l_e is None else neg(Adj(l_e))
-        rl = None if lam_e is None else neg(Adj(lam_e))
-        slam, sl = right_strings[label]
-        rows.append((label + "*", base, Adj(row), rlam, slam, rl, sl))
-    return rows
+def _ctab_rows() -> list[tuple]:
+    """(label, base, row, [row, Lam], [row, L]) for every table row, adjoint rows last."""
+    rows = [(p, p, Op(p), *_relation(p)) for p in _CTAB_ROWS]
+    # [P*, Lam] = -[P, L]* and [P*, L] = -[P, Lam]*
+    return rows + [(p + "*", p, Adj(row), _minus_adj(l), _minus_adj(lam))
+                   for p, _, row, lam, l in rows]
 
 
 def _group_ctab(n: int) -> list[IdentityEntry]:
-    out = []
-    for label, base, row, lam_e, lam_s, l_e, l_s in _ctab_rows():
-        out.append(IdentityEntry(
-            f"ctab.{label}.Lam", "commutator-table",
-            f"[{label}, Lam] = {lam_s}", "operator",
-            SCom(row, Op("Lam")), ZeroOp("ext") if lam_e is None else lam_e,
-            guards=(base,)))
-        out.append(IdentityEntry(
-            f"ctab.{label}.L", "commutator-table",
-            f"[{label}, L] = {l_s}", "operator",
-            SCom(row, Op("L")), ZeroOp("ext") if l_e is None else l_e,
-            guards=(base,)))
-    return out
+    return [IdentityEntry(f"ctab.{label}.{col}", "commutator-table",
+                          f"[{label}, {col}] = {_format_expr(rhs)}", "operator",
+                          SCom(row, Op(col)), rhs, guards=(base,))
+            for label, base, row, lam, l in _ctab_rows()
+            for col, rhs in (("Lam", lam), ("L", l))]
 
 
 # -- group 7: the bidegree table ----------------------------------------------
 
-def _btab_cells():
-    """Cell data: (p, q, label, expr).  Brackets of the zoo with L and Lam."""
-
-    def br(nm, col):
-        x = Adj(Op(nm[:-1])) if nm.endswith("*") else Op(nm)
-        return (f"[{nm},{col}]", SCom(x, Op(col)))
-
-    def at(nm):
-        return (nm, Adj(Op(nm[:-1])) if nm.endswith("*") else Op(nm))
-
-    cells = [
-        (1, 4, [br("lam_mubar", "L")]),
-        (0, 3, [at("lam_mubar"), br("mubar", "L"), br("tau_mubar", "L")]),
-        (2, 3, [br("lam_delbar", "L")]),
-        (-1, 2, [at("mubar"), at("tau_mubar"), br("mu*", "L"), br("tau_mu*", "L"),
-                 br("lam_mubar", "Lam")]),
-        (1, 2, [at("lam_delbar"), br("delbar", "L"), br("tau_delbar", "L")]),
-        (3, 2, [br("lam_del", "L")]),
-        (-2, 1, [at("mu*"), at("tau_mu*"), br("lam_mu*", "L"), br("mubar", "Lam"),
-                 br("tau_mubar", "Lam")]),
-        (0, 1, [at("delbar"), at("tau_delbar"), br("del*", "L"), br("tau_del*", "L"),
-                br("lam_delbar", "Lam")]),
-        (2, 1, [at("lam_del"), br("del", "L"), br("tau_del", "L")]),
-        (4, 1, [br("lam_mu", "L")]),
-        (-3, 0, [at("lam_mu*"), br("mu*", "Lam"), br("tau_mu*", "Lam")]),
-        (-1, 0, [at("del*"), at("tau_del*"), br("lam_del*", "L"), br("delbar", "Lam"),
-                 br("tau_delbar", "Lam")]),
-        (1, 0, [at("del"), at("tau_del"), br("delbar*", "L"), br("tau_delbar*", "L"),
-                br("lam_del", "Lam")]),
-        (3, 0, [at("lam_mu"), br("mu", "L"), br("tau_mu", "L")]),
-        (-4, -1, [br("lam_mu*", "Lam")]),
-        (-2, -1, [at("lam_del*"), br("del*", "Lam"), br("tau_del*", "Lam")]),
-        (0, -1, [at("delbar*"), at("tau_delbar*"), br("lam_delbar*", "L"),
-                 br("del", "Lam"), br("tau_del", "Lam")]),
-        (2, -1, [at("mu"), at("tau_mu"), br("mubar*", "L"), br("tau_mubar*", "L"),
-                 br("lam_mu", "Lam")]),
-        (-3, -2, [br("lam_del*", "Lam")]),
-        (-1, -2, [at("lam_delbar*"), br("delbar*", "Lam"), br("tau_delbar*", "Lam")]),
-        (1, -2, [at("mubar*"), at("tau_mubar*"), br("lam_mubar*", "L"),
-                 br("mu", "Lam"), br("tau_mu", "Lam")]),
-        (-2, -3, [br("lam_delbar*", "Lam")]),
-        (0, -3, [at("lam_mubar*"), br("mubar*", "Lam"), br("tau_mubar*", "Lam")]),
-        (-1, -4, [br("lam_mubar*", "Lam")]),
-    ]
-    return cells
+def _btab_cells() -> list[tuple]:
+    """((p, q), [(label, expr)]) in (-q, p) order.  Each d, lam and tau part X
+    and X* sits at its own bidegree, [X, L] one step up and [X, Lam] one down;
+    within a cell atoms come first, then [., L], then [., Lam]."""
+    atoms = [(nm, Op(nm), bd) for nm, bd in _PC_SCALAR
+             if nm not in ("L", "Lam") and not nm.startswith("rho_")]
+    atoms += [(nm + "*", Adj(x), (-p, -q)) for nm, x, (p, q) in atoms]
+    cells: dict[tuple[int, int], list] = {}
+    for col, shift in ((None, 0), ("L", 1), ("Lam", -1)):
+        for nm, x, (p, q) in atoms:
+            item = (nm, x) if col is None else (f"[{nm},{col}]", SCom(x, Op(col)))
+            cells.setdefault((p + shift, q + shift), []).append(item)
+    return sorted(cells.items(), key=lambda cell: (-cell[0][1], cell[0][0]))
 
 
 def _group_btab(n: int) -> list[IdentityEntry]:
-    out = []
-    for p, q, items in _btab_cells():
-        for label, expr in items:
-            out.append(IdentityEntry(
-                f"btab.{p}.{q}.{label}", "bidegree-table",
-                f"{label} is concentrated in bidegree ({p},{q})", "bidegree",
-                expr, None, cell=(p, q), guards=None))
-    return out
+    return [IdentityEntry(f"btab.{p}.{q}.{label}", "bidegree-table",
+                          f"{label} is concentrated in bidegree ({p},{q})", "bidegree",
+                          expr, None, cell=(p, q), guards=None)
+            for (p, q), items in _btab_cells() for label, expr in items]
 
 
 # -- group 8: the integrable-torsion-free specialization ----------------------
 
 def _group_ak(n: int) -> list[IdentityEntry]:
-    out = []
-
-    def ent(eid, stmt, lhs, rhs, guards):
-        out.append(IdentityEntry("ak." + eid, "almost-kahler", stmt, "operator",
-                                 lhs, rhs, guards=guards, condition="almost_kahler"))
-
-    ent("rho_zero", "rho = 0 when d omega = 0", Op("rho"), ZeroOp("ext"), ())
-    ent("lam_zero", "lam = 0 when d omega = 0", Op("lam"), ZeroOp("ext"), ())
-    ent("tau_zero", "tau = 0 when d omega = 0", Op("tau"), ZeroOp("ext"), ())
-    base = [
-        ("mu.Lam", "mu", "Lam", "[mu, Lam] = i mubar*", S(I, Adj(Op("mubar")))),
-        ("mu.L", "mu", "L", "[mu, L] = 0", None),
-        ("del.Lam", "del", "Lam", "[del, Lam] = -i delbar*", S(-I, Adj(Op("delbar")))),
-        ("del.L", "del", "L", "[del, L] = 0", None),
-    ]
-    for eid, p, q, stmt, rhs in base:
-        other = "L" if q == "Lam" else "Lam"
-        zero = rhs is None
-        ent(eid, stmt, SCom(Op(p), Op(q)), ZeroOp("ext") if zero else rhs, (p,))
-        ent(eid + ".adj", f"adjoint: {stmt}", SCom(Adj(Op(p)), Op(other)),
-            ZeroOp("ext") if zero else neg(Adj(rhs)), (p,))
-        ent(eid + ".bar", f"conjugate: {stmt}", SCom(Bar(Op(p)), Op(q)),
-            ZeroOp("ext") if zero else Bar(rhs), (p,))
-        ent(eid + ".baradj", f"conjugate adjoint: {stmt}",
-            SCom(Bar(Adj(Op(p))), Op(other)),
-            ZeroOp("ext") if zero else Bar(neg(Adj(rhs))), (p,))
-    return out
+    out = [IdentityEntry(f"ak.{nm}_zero", "almost-kahler", f"{nm} = 0 when d omega = 0",
+                         "operator", Op(nm), ZeroOp("ext"), guards=(),
+                         condition="almost_kahler")
+           for nm in ("rho", "lam", "tau")]
+    return out + _variant_entries("ak", "almost-kahler", _AK_RELATIONS,
+                                  (("mu",), ("del",)), condition="almost_kahler")
 
 
 @functools.lru_cache(maxsize=None)
@@ -1291,16 +1230,13 @@ def emit_commutator_table(ws: Workspace) -> dict:
     # column j of the normal equations is <m_j, m_i> over i
     gram_cols = span.inner(mats)
     pending = []
-    for label, base, row, lam_e, lam_s, l_e, l_s in _ctab_rows():
-        for col, expected_expr, expected_str in (
-                ("Lam", lam_e, lam_s), ("L", l_e, l_s)):
+    for label, _, row, lam, l in _ctab_rows():
+        for col, expected in (("Lam", lam), ("L", l)):
             target = ws.eval(SCom(row, Op(col))).matrix
-            expected = (ws.eval(expected_expr) if expected_expr is not None
-                        else ws.eval(ZeroOp("ext")))
-            matches = target == expected.matrix
+            matches = target == ws.eval(expected).matrix
             rhs = span.inner([target])[0]
-            pending.append((label, col, expected_str, target, matches, rhs))
-    solutions = solve_exact(gram_cols, [rhs for *_, rhs in pending], many=True)
+            pending.append((label, col, _format_expr(expected), target, matches, rhs))
+    solutions = solve_exact(gram_cols, [rhs for *_, rhs in pending])
     cells = []
     ok = True
     # +-<atom, atom> for the alias scan
@@ -1376,7 +1312,7 @@ def emit_bidegree_table(ws: Workspace) -> dict:
         raise StructuralError("the bidegree table requires exact mode")
     cells = []
     ok = True
-    for p, q, items in _btab_cells():
+    for (p, q), items in _btab_cells():
         placed = []
         vacuous = []
         misplaced = []

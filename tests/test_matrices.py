@@ -126,32 +126,32 @@ def test_float_matrix_roundtrip():
 
 def test_solve_exact_unique():
     cols = [[gq(1), gq(0)], [gq(1), gq(1)]]
-    x = solve_exact(cols, [gq(3), gq(2)])
+    [x] = solve_exact(cols, [[gq(3), gq(2)]])
     assert x == [gq(1), gq(2)]
 
 
 def test_solve_exact_complex():
     cols = [[gq(0, 1), gq(1)]]
-    x = solve_exact(cols, [gq(1), gq(0, -1)])
+    [x] = solve_exact(cols, [[gq(1), gq(0, -1)]])
     assert x == [gq(0, -1)]
 
 
 def test_solve_exact_inconsistent_returns_none():
     cols = [[gq(1), gq(1)]]
-    assert solve_exact(cols, [gq(1), gq(2)]) is None
+    assert solve_exact(cols, [[gq(1), gq(2)]]) == [None]
 
 
 def test_solve_exact_underdetermined_prefers_leading_columns():
     # second column dependent on first: free variable pinned to zero
     cols = [[gq(1), gq(2)], [gq(2), gq(4)]]
-    x = solve_exact(cols, [gq(3), gq(6)])
+    [x] = solve_exact(cols, [[gq(3), gq(6)]])
     assert x == [gq(3), gq(0)]
 
 
 def test_solve_exact_many_empty_and_single():
     cols = [[gq(1), gq(0)], [gq(1), gq(1)]]
-    assert solve_exact(cols, [], many=True) == []
-    assert solve_exact(cols, [[gq(3), gq(2)]], many=True) == [[gq(1), gq(2)]]
+    assert solve_exact(cols, []) == []
+    assert solve_exact(cols, [[gq(3), gq(2)]]) == [[gq(1), gq(2)]]
 
 
 _small = st.builds(gq, st.integers(-3, 3), st.integers(-2, 2))
@@ -183,8 +183,8 @@ def _systems(draw):
 @given(_systems())
 def test_solve_exact_many_equals_separate_solves(system):
     columns, targets, in_span = system
-    got = solve_exact(columns, targets, many=True)
-    assert got == [solve_exact(columns, t) for t in targets]
+    got = solve_exact(columns, targets)
+    assert got == [solve_exact(columns, [t])[0] for t in targets]
     for t, x, inside in zip(targets, got, in_span):
         assert x is not None or not inside
         if x is not None:
@@ -196,7 +196,7 @@ def test_solve_exact_many_pins_free_variables_and_flags_inconsistent_columns():
     # rank 1: the second column is twice the first, the third is zero
     cols = [[gq(1), gq(0, 1)], [gq(2), gq(0, 2)], [gq(0), gq(0)]]
     targets = [[gq(3), gq(0, 3)], [gq(1), gq(1)], [gq(0), gq(0)]]
-    assert solve_exact(cols, targets, many=True) == [
+    assert solve_exact(cols, targets) == [
         [gq(3), gq(0), gq(0)], None, [gq(0), gq(0), gq(0)]]
 
 

@@ -417,10 +417,10 @@ def test_commutator_cell_with_a_wrong_expected_form_is_a_mismatch(ws, monkeypatc
 
     def doubled():
         out = []
-        for label, base, row, lam_e, lam_s, l_e, l_s in rows():
+        for label, base, row, lam, l in rows():
             if label == "mu":
-                l_e = S(2, l_e)
-            out.append((label, base, row, lam_e, lam_s, l_e, l_s))
+                l = S(2, l)
+            out.append((label, base, row, lam, l))
         return out
 
     monkeypatch.setattr(verifier, "_ctab_rows", doubled)
@@ -429,6 +429,39 @@ def test_commutator_cell_with_a_wrong_expected_form_is_a_mismatch(ws, monkeypatc
     bad = [c for c in table["cells"] if c["status"] != "ok"]
     assert [(c["row"], c["column"], c["status"], c["solved"]) for c in bad] == [
         ("mu", "L", "mismatch", "lam_mu")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_corollary_and_table_hold_each_relation_once(n):
+    by_id = {e.id: e for e in catalog(n)}
+    cor = [e for e in catalog(n) if e.group == "corollary"
+           and not e.id.endswith((".bar", ".baradj"))]
+    assert len(cor) == 24
+    for e in cor:
+        _, p, col, *adj = e.id.split(".")
+        if adj:
+            # [P*, Q'] is the table's adjoint row, in the other column
+            p, col = p + "*", "L" if col == "Lam" else "Lam"
+        cell = by_id[f"ctab.{p}.{col}"]
+        assert cell.lhs is e.lhs and cell.rhs is e.rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_statements_print_their_trees(n):
+    for e in catalog(n):
+        if e.group == "commutator-table":
+            _, row, col = e.id.rsplit(".", 2)
+            assert e.statement == f"[{row}, {col}] = {verifier._format_expr(e.rhs)}"
+
+
+def test_relation_printer_factors_a_shared_coefficient():
+    stmts = {e.id: e.statement for e in catalog(1)}
+    assert stmts["ctab.mu.Lam"] == "[mu, Lam] = i(mubar* + tau_mubar*)"
+    assert stmts["ctab.d*.L"] == "[d*, L] = -(d^c + tau^c)"
+    assert stmts["ctab.rho_del*.L"] == "[rho_del*, L] = -i rho_delbar - tau_delbar"
+    assert stmts["ctab.tau_mu*.Lam"] == "[tau_mu*, Lam] = 3 lam_mu*"
+    assert stmts["ctab.lam_mu.L"] == "[lam_mu, L] = 0"
+    assert stmts["ak.del.Lam.baradj"] == "conjugate adjoint: [del, Lam] = -i delbar*"
 
 
 @pytest.mark.parametrize("name", ["kt4", "hopf4"])
