@@ -7,21 +7,7 @@ the derived operator zoo (Dirac operators, Lefschetz pair, torsion
 operators), and checks every identity in the catalog with exact Gaussian
 rational arithmetic.
 """
-from .algebra import (
-    AdaptedStructure,
-    Multivector,
-    bidegree_components,
-    bidegree_project,
-    clifford_mul,
-    coframe,
-    contract,
-    flat,
-    frame,
-    hodge_star,
-    inner,
-    sharp,
-    wedge,
-)
+from .algebra import AdaptedStructure, Multivector, coframe, frame
 from .matrices import ExactMatrix, FloatMatrix, solve_exact
 from .models import (
     GeometryError,
@@ -42,9 +28,11 @@ from .operators import (
     StructuralError,
     adjoint,
     bar,
+    bidegree_project,
     blade_structure,
     compose,
     conjugate,
+    contract,
     derivation_rebuild,
     make_operator,
     measured_bidegree,
@@ -87,13 +75,11 @@ __all__ = [
     "adjoint",
     "assemble",
     "bar",
-    "bidegree_components",
     "bidegree_project",
     "blade_structure",
     "builtin_descriptions",
     "builtin_models",
     "catalog",
-    "clifford_mul",
     "coframe",
     "compose",
     "conjugate",
@@ -101,23 +87,18 @@ __all__ = [
     "derivation_rebuild",
     "emit_bidegree_table",
     "emit_commutator_table",
-    "flat",
     "frame",
     "geometry",
     "get_model",
     "gq",
-    "hodge_star",
-    "inner",
     "load_model_dict",
     "load_model_file",
     "make_operator",
     "measured_bidegree",
     "resolve_model",
-    "sharp",
     "solve_exact",
     "supercommutator",
     "transport",
     "validate_model",
     "verify",
-    "wedge",
 ]

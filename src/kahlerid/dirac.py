@@ -119,28 +119,6 @@ def d_sigma_split(geom: ModelGeometry, sigmas=None) -> tuple[LinearOperator, Lin
     )
 
 
-def frame_rotation_check(geom: ModelGeometry, seed: int = 0) -> bool:
-    """D is frame-independent: rebuild it from a random signed permutation
-    of the orthonormal frame and compare."""
-    import random
-
-    rng = random.Random(seed)
-    n = geom.n
-    dim = 2 * n
-    perm = list(range(1, dim + 1))
-    rng.shuffle(perm)
-    signs = [rng.choice((1, -1)) for _ in range(dim)]
-    nablas = covariant_derivatives(geom)
-    pairs = []
-    for pos, a in enumerate(perm):
-        s = Fraction(signs[pos])
-        vec = frame(n, a).scale(s)
-        # nabla is linear in the direction slot: nabla_{s e_a} = s nabla_{e_a}
-        nb = nablas[a - 1].matrix.scale(GaussianRational(s))
-        pairs.append((vec, nb))
-    return multiplication_sum("L", pairs) == dirac(geom, nablas).matrix
-
-
 class CliffordZoo:
     """All Clifford-picture operators and elements for one model."""
 

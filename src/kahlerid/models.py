@@ -23,16 +23,16 @@ from .algebra import (
     AdaptedStructure,
     Multivector,
     blade_indices,
-    contract,
     frame,
     j_vector,
-    three_form_split,
 )
 from .operators import (
     LinearOperator,
     apply_operator,
     blade_structure,
+    contract,
     derivation,
+    three_form_split,
 )
 from .scalars import GaussianRational, ZERO
 

@@ -3,7 +3,8 @@
 Operators are dense exact (or float) matrices indexed by blade masks,
 tagged with a picture ("ext" for forms, "cl" for Clifford/polyvectors),
 a parity (measured from the matrix, or carried over from definite-parity
-operands), and an optional declared bidegree.
+operands), and an optional declared bidegree.  Contraction and the (p, q)
+projection of a form apply these matrices to a single column.
 """
 from __future__ import annotations
 
@@ -17,14 +18,12 @@ from .algebra import (
     Multivector,
     blade_degree,
     blade_indices,
-    contract,
     coframe,
     frame,
-    j_derivation,
     j_vector,
 )
 from .matrices import ExactMatrix, FloatMatrix, linear_combination
-from .scalars import ONE, I
+from .scalars import I
 
 PICTURES = ("ext", "cl")
 
@@ -151,9 +150,6 @@ class BladeStructure:
         return derivation(images, "J_d", picture).matrix
 
     # -- conversions -------------------------------------------------------
-    def mv(self, mask: int) -> Multivector:
-        return Multivector(self.n, {mask: ONE})
-
     def to_column(self, a: Multivector) -> ExactMatrix:
         return ExactMatrix.column(self.dim, a.coeffs)
 
@@ -219,8 +215,9 @@ class BladeStructure:
             u_inv = ExactMatrix(re.T * w, -im.T * w, 1 << (2 * n))
             n_zeta = self.degrees[self.rows & ((1 << n) - 1)]
             n_bar = self.degrees - n_zeta
-            z = st.zeta(1)
-            p, q = (n_zeta, n_bar) if j_derivation(z, picture) == z.scale(I) else (n_bar, n_zeta)
+            z = self.to_column(st.zeta(1))
+            jd = self.Jd_ext if picture == "ext" else self.Jd_cl
+            p, q = (n_zeta, n_bar) if jd @ z == z.scale(I) else (n_bar, n_zeta)
             width = 2 * n + 1
             code = (p[:, None] - p[None, :] + n) * width + (q[:, None] - q[None, :] + n)
             self._frames[picture] = ComplexFrame(u, u_inv, code, n)
@@ -268,20 +265,6 @@ def make_operator(name, matrix, picture, bidegree=None, parity=None) -> LinearOp
     elif matrix.is_zero():
         parity = "even"
     return LinearOperator(name, matrix, picture, parity, bidegree)
-
-
-def operator_from_blade_action(n, fn, name, picture, bidegree=None) -> LinearOperator:
-    """Build an operator column by column, calling fn once per basis blade.
-
-    The blade-by-blade reference that tests compare the generator and
-    slice constructions against; the package itself does not call it.
-    """
-    bs = blade_structure(n)
-    cols = []
-    for mask in range(bs.dim):
-        out = fn(bs.mv(mask))
-        cols.append(out.coeffs if out is not None else {})
-    return make_operator(name, ExactMatrix.from_columns(bs.dim, cols), picture, bidegree)
 
 
 def apply_operator(op: LinearOperator, a: Multivector) -> Multivector:
@@ -431,6 +414,34 @@ def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperat
     }
 
 
+def bidegree_project(a: Multivector, p: int, q: int) -> Multivector:
+    """The (p, q) part of the form a: its coordinates on the columns of the
+    complex frame of bidegree (p, q), mapped back to the blade basis."""
+    n = a.n
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
+    bs = blade_structure(n)
+    cf = bs.complex_frame("ext")
+    # frame column 0 is the scalar 1, so row r of shift_code[:, 0] codes the
+    # bidegree of column r
+    keep = (cf.shift_code[:, 0] == (p + n) * (2 * n + 1) + q + n)[:, None]
+    x = cf.u_inv @ bs.to_column(a)
+    part = ExactMatrix(np.where(keep, x.re, 0), np.where(keep, x.im, 0), x.den)
+    return bs.to_multivector(cf.u @ part)
+
+
+def three_form_split(psi: Multivector) -> tuple[Multivector, Multivector]:
+    """Split a 3-form into its (2,1)+(1,2) and (3,0)+(0,3) parts."""
+    if psi.degrees() not in ({3}, set()):
+        raise ValueError("three_form_split expects a homogeneous 3-form")
+    n = psi.n
+
+    def part(p, q):
+        return bidegree_project(psi, p, q) if max(p, q) <= n else Multivector.zero(n)
+
+    return part(2, 1) + part(1, 2), part(3, 0) + part(0, 3)
+
+
 # ---------------------------------------------------------------------------
 # multiplication operators and derivations
 # ---------------------------------------------------------------------------
@@ -457,6 +468,14 @@ def multiplication_sum(kind: str, pairs) -> ExactMatrix:
 def multiplication(phi: Multivector, kind: str, start: ExactMatrix | None = None) -> ExactMatrix:
     """sum_S phi_S W_S @ start over phi's blades S (see `multiplication_sum`)."""
     return multiplication_sum(kind, [(phi, start)])
+
+
+def contract(phi: Multivector, psi: Multivector) -> Multivector:
+    """Bilinear interior product phi _| psi: e_S _| t^T = sign t^{T-S} for
+    t^T = sign t^S ^ t^{T-S}, and 0 unless S lies in T."""
+    phi._check(psi)
+    bs = blade_structure(psi.n)
+    return bs.to_multivector(multiplication(phi, "C", bs.to_column(psi)))
 
 
 def derivation(images: dict[int, Multivector], name: str, picture: str,

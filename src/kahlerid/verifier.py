@@ -22,6 +22,7 @@ from .matrices import (
     linear_combination,
     solve_exact,
 )
+from .algebra import AdaptedStructure
 from .models import LieModel, geometry
 from .operators import (
     LinearOperator,
@@ -204,11 +205,6 @@ GROUP_SUITE = {
 SUITES = ("all", "elementary", "clifford", "exterior", "tables")
 
 
-def _pair(a: int, n: int) -> tuple[int, int]:
-    """J e_a = s e_j in the adapted frame: returns (j, s)."""
-    return (a + n, 1) if a <= n else (a - n, -1)
-
-
 # -- group 1: elementary properties of J, the musicals, and conjugation -----
 
 _PC_SCALAR = [
@@ -344,7 +340,7 @@ def _group_clifford(n: int) -> list[IdentityEntry]:
         add(S(-I, Op("Dc")), S(I, Op("Dsig")), S(-I, Op("L_D_omega"))), guards=())
     terms = []
     for a in range(1, 2 * n + 1):
-        j, s = _pair(a, n)
+        j, s = AdaptedStructure(n).pair(a)
         sig = add(
             SCom(Op(f"nabla_{a}"), Op("Jd_cl")),
             Comp(Op("Ja_cl_inv"), SCom(S(s, Op(f"nabla_{j}")), Op("Ja_cl"))),
@@ -400,7 +396,7 @@ def _group_clifford(n: int) -> list[IdentityEntry]:
     ent("lemma.j_conj", "D_sigma^c - L_{D^c omega} is self-adjoint", Adj(Xc), Xc, guards=None)
     # per-direction sigma properties
     for a in range(1, 2 * n + 1):
-        j, s = _pair(a, n)
+        j, s = AdaptedStructure(n).pair(a)
         sig = Op(f"sigma_{a}")
         p1 = Op("proj1_cl")
 
@@ -825,7 +821,7 @@ class Workspace:
         self.model = model
         self.mode = mode
         self.geom = geometry(model)
-        self.ops, self.elements, self.cliff, self.ext = assemble(self.geom)
+        self.ops, self.elements = assemble(self.geom)
         self.n = self.geom.n
         self.dim = 4 ** self.n
         self._bs = blade_structure(self.n)

@@ -8,12 +8,7 @@ the identity catalog.  Everything is exact.
 """
 from __future__ import annotations
 
-from .algebra import (
-    Multivector,
-    bidegree_project,
-    coframe,
-    frame,
-)
+from .algebra import Multivector, coframe, frame
 from .dirac import CliffordZoo, clifford_left, sigma_from_torsion_form, torsion_block
 from .matrices import ExactMatrix
 from .models import GeometryError, ModelGeometry, nabla_forms
@@ -22,6 +17,7 @@ from .operators import (
     adjoint,
     add_ops,
     bidegree_decompose,
+    bidegree_project,
     blade_structure,
     conjugate,
     contract_op,
@@ -215,8 +211,8 @@ def _torsion_witnesses(geom: ModelGeometry):
 def assemble(geom: ModelGeometry):
     """Build both zoos and the evaluation namespaces.
 
-    Returns (ops, elements, czoo, ezoo) where ops maps names to operators
-    and elements maps names to (multivector, picture) pairs.
+    Returns (ops, elements) where ops maps names to operators and
+    elements maps names to (multivector, picture) pairs.
     """
     n = geom.n
     bs = blade_structure(n)
@@ -341,4 +337,4 @@ def assemble(geom: ModelGeometry):
     witness_ops, witness_elements = _torsion_witnesses(geom)
     ops.update(witness_ops)
     elements.update(witness_elements)
-    return ops, elements, cz, ez
+    return ops, elements

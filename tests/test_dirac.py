@@ -2,12 +2,11 @@
 import pytest
 
 from kahlerid import gq
-from kahlerid.algebra import Multivector, clifford_mul, coframe, frame, wedge
+from kahlerid.algebra import Multivector, coframe, frame
 from kahlerid.dirac import (
     d_sigma,
     d_sigma_split,
     dirac,
-    frame_rotation_check,
     hc_operator,
     sigma,
     sigma_from_torsion_form,
@@ -19,6 +18,7 @@ from kahlerid.operators import (
     supercommutator,
     transport,
 )
+from reference import clifford_mul, frame_rotation_check, wedge
 
 BUILTINS = ["t2", "t4", "t6", "kt4", "hopf4", "iwa6", "nil6"]
 

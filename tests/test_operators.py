@@ -7,21 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahlerid import gq
+from kahlerid import gq, operators
 from kahlerid.algebra import (
     AdaptedStructure,
     Multivector,
     blade_degree,
-    clifford_mul,
     coframe,
-    contract,
-    form_eval,
     frame,
-    hodge_star,
-    j_algebra,
-    j_derivation,
     j_vector,
-    wedge,
 )
 from kahlerid.dirac import clifford_left, clifford_right
 from kahlerid.matrices import ExactMatrix, FloatMatrix
@@ -47,12 +40,23 @@ from kahlerid.operators import (
     measured_bidegree,
     multiplication,
     operator_bidegree_components,
-    operator_from_blade_action,
     r_xi,
     scale_op,
     supercommutator,
     transport,
     vector_operator,
+)
+import reference
+from reference import (
+    basis,
+    clifford_mul,
+    contract,
+    form_eval,
+    hodge_star,
+    j_algebra,
+    j_derivation,
+    operator_from_blade_action,
+    wedge,
 )
 
 
@@ -188,6 +192,26 @@ def test_multiplication_matches_blade_products(case):
     for op, action in pairs:
         ref = operator_from_blade_action(n, action, "ref", op.picture)
         assert op.matrix == ref.matrix
+
+
+@st.composite
+def _n_and_two_multivectors(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    return n, draw(_multivectors(n)), draw(_multivectors(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_n_and_two_multivectors())
+def test_contraction_and_bidegree_projection_match_the_blade_by_blade_reference(case):
+    n, phi, a = case
+    assert operators.contract(phi, a) == reference.contract(phi, a)
+    total = Multivector.zero(n)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            part = operators.bidegree_project(a, p, q)
+            assert part == reference.bidegree_project(a, p, q)
+            total = total + part
+    assert total == a
 
 
 @st.composite
@@ -485,7 +509,7 @@ def test_carried_parity_equals_the_measured_parity(case):
 # -- r operator ---------------------------------------------------------------------
 
 def test_r_xi_sign_convention():
-    xi = Multivector.basis(2, 1, 2, 3)
+    xi = basis(2, 1, 2, 3)
     r = r_xi(xi, "r")
     assert apply_operator(r, coframe(2, 1)) == -wedge(coframe(2, 2), coframe(2, 3))
     # r kills scalars and, for a 3-form, raises degree by one

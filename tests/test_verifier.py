@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kahlerid import get_model, gq, verifier
 from kahlerid.algebra import Multivector
 from kahlerid.matrices import ExactMatrix
+from kahlerid.models import from_brackets
 from kahlerid.operators import LinearOperator, StructuralError, make_operator
 from kahlerid.scalars import GaussianRational
 from kahlerid.verifier import (
@@ -38,6 +39,7 @@ from kahlerid.verifier import (
     emit_commutator_table,
     verify,
 )
+from reference import basis
 
 BUILTINS = ["t2", "t4", "t6", "kt4", "hopf4", "iwa6", "nil6"]
 
@@ -232,6 +234,20 @@ def test_exercised_counts(ws):
     assert t4c["exercised"] >= 40  # structural identities stay live even when d = 0
 
 
+def test_big_integer_model_verifies_like_nil6(ws):
+    # nil6 with two brackets rescaled by 2^32 and 2^-32: a nilpotent model of
+    # the same shape whose d, D and nabla_2 leave int64 for Python integers
+    big = Workspace(from_brackets("big32", 3, {(1, 2): {4: -2**32}, (1, 3): {5: -1},
+                                               (2, 3): {6: Fraction(-1, 2**32)}}))
+    assert any(op.matrix.re.dtype == object or op.matrix.im.dtype == object
+               for op in big.ops.values())
+    got, want = verify(big), verify(ws("nil6"))
+    assert [(r.entry.id, r.status, r.exercised) for r in got.results] == [
+        (r.entry.id, r.status, r.exercised) for r in want.results]
+    c = got.counts()
+    assert (c["passed"], c["exercised"], c["failed"]) == (441, 410, 0)
+
+
 def test_guard_semantics(ws):
     # empty guard tuple: always exercised, even with both sides zero
     rep = verify(ws("kt4"))
@@ -362,7 +378,7 @@ def test_perturbed_torsion_witness_fails(ws, leaf, entry_id, monkeypatch):
         w.ops[leaf] = make_operator(op.name, op.matrix + bump, op.picture)
     else:
         mv, picture = w.elements[leaf]
-        w.elements[leaf] = (mv + Multivector.basis(3, 1, 2), picture)
+        w.elements[leaf] = (mv + basis(3, 1, 2), picture)
     [result] = verify(w).results
     assert result.status == "fail"
     # the residual reported is the one a plain subtraction of the sides gives
