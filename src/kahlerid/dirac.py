@@ -32,20 +32,14 @@ from .models import ModelGeometry, nabla
 from .scalars import GaussianRational, gq
 
 
-def clifford_left(phi: Multivector, name: str, bidegree=None) -> LinearOperator:
+def clifford_left(phi: Multivector, name: str) -> LinearOperator:
     """Left Clifford multiplication L_phi."""
-    return make_operator(name, multiplication(phi, "L"), "cl", bidegree)
+    return make_operator(name, multiplication(phi, "L"), "cl")
 
 
-def clifford_right(phi: Multivector, name: str, bidegree=None) -> LinearOperator:
+def clifford_right(phi: Multivector, name: str) -> LinearOperator:
     """Right Clifford multiplication R_phi."""
-    return make_operator(name, multiplication(phi, "R"), "cl", bidegree)
-
-
-def covariant_derivatives(geom: ModelGeometry) -> tuple[LinearOperator, ...]:
-    """(nabla_{e_1}, ..., nabla_{e_2n}) as Clifford-picture operators."""
-    m = geom.model
-    return tuple(nabla(m, a, geom.connection) for a in range(1, m.dim + 1))
+    return make_operator(name, multiplication(phi, "R"), "cl")
 
 
 def _frame_sum(kind: str, ops) -> ExactMatrix:
@@ -54,30 +48,19 @@ def _frame_sum(kind: str, ops) -> ExactMatrix:
     return multiplication_sum(kind, [(frame(n, a), op.matrix) for a, op in enumerate(ops, 1)])
 
 
-def dirac(geom: ModelGeometry, nablas=None) -> LinearOperator:
-    """D = sum_A L_{e_A} nabla_{e_A}."""
-    return make_operator("D", _frame_sum("L", nablas or covariant_derivatives(geom)), "cl")
+def dirac(nablas) -> LinearOperator:
+    """D = sum_A L_{e_A} nabla_{e_A}, from (nabla_{e_1}, ..., nabla_{e_2n})."""
+    return make_operator("D", _frame_sum("L", nablas), "cl")
 
 
-def hc_operator(geom: ModelGeometry) -> LinearOperator:
-    """H_c = (1/2i)(L_omega + R_omega), the Clifford-side counterpart of
-    the degree-counting commutator on forms."""
-    om = geom.omega_clifford
-    lw = clifford_left(om, "L_omega")
-    rw = clifford_right(om, "R_omega")
-    return make_operator("H_c", (lw.matrix + rw.matrix).scale(gq(0, Fraction(-1, 2))), "cl")
-
-
-def sigma(geom: ModelGeometry, a: int, nablas=None) -> LinearOperator:
+def sigma(nablas, a: int) -> LinearOperator:
     """sigma_{e_a} = [nabla_{e_a}, J_d] + J_a^{-1} [nabla_{J e_a}, J_a].
 
     An even, degree-preserving operator; it vanishes identically when the
     fundamental form is closed.
     """
-    n = geom.n
-    nablas = nablas or covariant_derivatives(geom)
-    bs = blade_structure(n)
-    j, s = geom.structure.pair(a)
+    bs = blade_structure(len(nablas) // 2)
+    j, s = bs.structure.pair(a)
     na = nablas[a - 1].matrix
     nja = nablas[j - 1].matrix.scale(GaussianRational(Fraction(s)))
     jd = bs.Jd_cl
@@ -103,65 +86,51 @@ def sigma_from_torsion_form(geom: ModelGeometry, a: int) -> LinearOperator:
     return derivation_rebuild(on_vectors).renamed(name)
 
 
-def d_sigma(geom: ModelGeometry, sigmas=None) -> LinearOperator:
-    """D_sigma = sum_A L_{e_A} sigma_{e_A}."""
-    sigmas = sigmas or [sigma(geom, a) for a in range(1, 2 * geom.n + 1)]
-    return make_operator("D_sigma", _frame_sum("L", sigmas), "cl")
-
-
-def d_sigma_split(geom: ModelGeometry, sigmas=None) -> tuple[LinearOperator, LinearOperator]:
-    """(D_sigma^ext, D_sigma^int): the wedge and contraction halves of
-    D_sigma under e.x = e^x - e_|x, so D_sigma = ext - int."""
-    sigmas = sigmas or [sigma(geom, a) for a in range(1, 2 * geom.n + 1)]
-    return (
-        make_operator("D_sigma_ext", _frame_sum("E", sigmas), "cl"),
-        make_operator("D_sigma_int", _frame_sum("C", sigmas), "cl"),
-    )
-
-
 class CliffordZoo:
-    """All Clifford-picture operators and elements for one model."""
+    """The Clifford-picture operators and elements of one model, under their
+    catalog names: `ops` maps names to operators, `elements` to
+    (multivector, "cl") pairs."""
 
     def __init__(self, geom: ModelGeometry):
-        self.geom = geom
         n = geom.n
         bs = blade_structure(n)
-        self.nablas = covariant_derivatives(geom)
-        self.sigmas = tuple(sigma(geom, a, self.nablas) for a in range(1, 2 * n + 1))
-
         om = geom.omega_clifford
-        self.L_omega = clifford_left(om, "L_omega")
-        self.R_omega = clifford_right(om, "R_omega")
-        self.D = dirac(geom, self.nablas)
-        self.Dc = conjugate(self.D).renamed("D^c")
-        self.Hc = hc_operator(geom)
-        self.Jd = make_operator("J_d", bs.Jd_cl, "cl", (0, 0))
-        self.Ja = make_operator("J_a", bs.Ja_cl, "cl", (0, 0))
-        self.Dsig = d_sigma(geom, self.sigmas)
-        self.Dsigc = conjugate(self.Dsig).renamed("D_sigma^c")
-        self.Dsig_ext, self.Dsig_int = d_sigma_split(geom, self.sigmas)
+        nablas = [nabla(geom.connection, a) for a in range(1, 2 * n + 1)]
+        sigmas = [sigma(nablas, a) for a in range(1, 2 * n + 1)]
+        ops = {f"nabla_{a}": op for a, op in enumerate(nablas, 1)}
+        ops.update((f"sigma_{a}", op) for a, op in enumerate(sigmas, 1))
+        ops["L_omega"] = clifford_left(om, "L_omega")
+        ops["R_omega"] = clifford_right(om, "R_omega")
+        # H_c = (1/2i)(L_omega + R_omega), the Clifford-side counterpart of
+        # the degree-counting commutator on forms
+        hc = (ops["L_omega"].matrix + ops["R_omega"].matrix).scale(gq(0, Fraction(-1, 2)))
+        ops["Hc"] = make_operator("H_c", hc, "cl")
+        ops["D"] = dirac(nablas)
+        ops["Dc"] = conjugate(ops["D"]).renamed("D^c")
+        ops["Jd_cl"] = make_operator("J_d", bs.Jd_cl, "cl")
+        ops["Ja_cl"] = make_operator("J_a", bs.Ja_cl, "cl")
+        # D_sigma = sum_A L_{e_A} sigma_{e_A}, and its wedge and contraction
+        # halves under e.x = e^x - e_|x, so D_sigma = ext - int
+        ops["Dsig"] = make_operator("D_sigma", _frame_sum("L", sigmas), "cl")
+        ops["Dsigc"] = conjugate(ops["Dsig"]).renamed("D_sigma^c")
+        ops["Dsig_ext"] = make_operator("D_sigma_ext", _frame_sum("E", sigmas), "cl")
+        ops["Dsig_int"] = make_operator("D_sigma_int", _frame_sum("C", sigmas), "cl")
 
-        self.unit = Multivector.unit(n)
-        self.omega = om
-        self.D_omega = apply_operator(self.D, om)
-        self.Dc_omega = apply_operator(self.Dc, om)
-        self.Dsig_omega = apply_operator(self.Dsig, om)
-        self.Dsigc_omega = apply_operator(self.Dsigc, om)
-        self.Jd_D_omega = apply_operator(self.Jd, self.D_omega)
-        self.Jd_Dc_omega = apply_operator(self.Jd, self.Dc_omega)
-
-        self.L_D_omega = clifford_left(self.D_omega, "L_{D omega}")
-        self.L_Dc_omega = clifford_left(self.Dc_omega, "L_{D^c omega}")
-        self.L_Jd_D_omega = clifford_left(self.Jd_D_omega, "L_{J_d D omega}")
-        self.L_Jd_Dc_omega = clifford_left(self.Jd_Dc_omega, "L_{J_d D^c omega}")
-        self.L_Dsig_omega = clifford_left(self.Dsig_omega, "L_{D_sigma omega}")
-        self.L_Dsigc_omega = clifford_left(self.Dsigc_omega, "L_{D_sigma^c omega}")
-        self.L_jlee = clifford_left(geom.jstar_lee, "L_{(J* lee)#}")
-
-    def sigma_vector_sum(self) -> Multivector:
-        """sum_A sigma_{e_A}(e_A)."""
-        n = self.geom.n
-        out = Multivector.zero(n)
-        for a in range(1, 2 * n + 1):
-            out = out + apply_operator(self.sigmas[a - 1], frame(n, a))
-        return out
+        vector_sum = Multivector.zero(n)  # sum_A sigma_{e_A}(e_A)
+        for a, op in enumerate(sigmas, 1):
+            vector_sum = vector_sum + apply_operator(op, frame(n, a))
+        elements = {"unit": Multivector.unit(n), "omega_cl": om,
+                    "jstar_lee_cl": geom.jstar_lee, "sigma_vector_sum": vector_sum}
+        # P omega for P = D, D^c, D_sigma, D_sigma^c, then J_d D omega and
+        # J_d D^c omega, each with its left Clifford multiplication
+        for p in ("D", "Dc", "Dsig", "Dsigc"):
+            key = f"{p}_omega"
+            elements[key] = apply_operator(ops[p], om)
+            ops[f"L_{key}"] = clifford_left(elements[key], f"L_{{{ops[p].name} omega}}")
+        for p in ("D", "Dc"):
+            key = f"Jd_{p}_omega"
+            elements[key] = apply_operator(ops["Jd_cl"], elements[f"{p}_omega"])
+            ops[f"L_{key}"] = clifford_left(elements[key], f"L_{{J_d {ops[p].name} omega}}")
+        ops["L_jlee"] = clifford_left(geom.jstar_lee, "L_{(J* lee)#}")
+        self.ops = ops
+        self.elements = {key: (mv, "cl") for key, mv in elements.items()}

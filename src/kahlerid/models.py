@@ -32,7 +32,7 @@ from .operators import (
     blade_structure,
     contract,
     derivation,
-    three_form_split,
+    three_form_parts,
 )
 from .scalars import GaussianRational, ZERO
 
@@ -279,24 +279,22 @@ def levi_civita(m: LieModel) -> ConnectionTable:
     return ConnectionTable(m.n, tuple(rows))
 
 
-def nabla(m: LieModel, a: int, connection: ConnectionTable | None = None) -> LinearOperator:
+def nabla(conn: ConnectionTable, a: int) -> LinearOperator:
     """nabla_{e_a} on polyvectors/Clifford elements (derivation extension)."""
-    conn = connection or levi_civita(m)
-    action = {b: conn.derivative(a, b) for b in range(1, m.dim + 1)}
+    action = {b: conn.derivative(a, b) for b in range(1, 2 * conn.n + 1)}
     return derivation(action, f"nabla_{a}", "cl")
 
 
-def nabla_forms(m: LieModel, a: int, connection: ConnectionTable | None = None) -> LinearOperator:
+def nabla_forms(conn: ConnectionTable, a: int) -> LinearOperator:
     """nabla_{e_a} on forms: (nabla alpha)(Y) = -alpha(nabla Y) on invariants."""
-    conn = connection or levi_civita(m)
     action = {}
-    for c in range(1, m.dim + 1):
+    for c in range(1, 2 * conn.n + 1):
         acc = {}
-        for b in range(1, m.dim + 1):
+        for b in range(1, 2 * conn.n + 1):
             v = conn.coeff(a, b, c)
             if v:
                 acc[1 << (b - 1)] = GaussianRational(-v)
-        action[c] = Multivector(m.n, acc)
+        action[c] = Multivector(conn.n, acc)
     return derivation(action, f"nabla_forms_{a}", "ext")
 
 
@@ -332,6 +330,7 @@ class ModelGeometry:
     omega_form: Multivector
     omega_clifford: Multivector
     d_omega: Multivector
+    d_omega_parts: dict  # (p, q) -> the (p, q) part of d omega, p + q = 3
     d_omega_plus: Multivector
     d_omega_minus: Multivector
     lee_form: Multivector
@@ -377,7 +376,9 @@ def geometry(m: LieModel) -> ModelGeometry:
 
     omega = st.omega()
     d_omega = apply_operator(d, omega)
-    plus, minus = three_form_split(d_omega)
+    parts = three_form_parts(d_omega)
+    plus = parts[(2, 1)] + parts[(1, 2)]
+    minus = parts[(3, 0)] + parts[(0, 3)]
 
     lee = contract(omega, plus)
     lee_full = contract(omega, d_omega)
@@ -409,6 +410,7 @@ def geometry(m: LieModel) -> ModelGeometry:
         omega_form=omega,
         omega_clifford=omega,
         d_omega=d_omega,
+        d_omega_parts=parts,
         d_omega_plus=plus,
         d_omega_minus=minus,
         lee_form=lee,

@@ -1,10 +1,11 @@
 """Linear operators on the blade coefficient space, and the exterior zoo.
 
 Operators are dense exact (or float) matrices indexed by blade masks,
-tagged with a picture ("ext" for forms, "cl" for Clifford/polyvectors),
-a parity (measured from the matrix, or carried over from definite-parity
-operands), and an optional declared bidegree.  Contraction and the (p, q)
-projection of a form apply these matrices to a single column.
+tagged with a picture ("ext" for forms, "cl" for Clifford/polyvectors)
+and a parity (measured from the matrix, or carried over from definite-parity
+operands).  Bidegree is never declared: it is measured in the complex frame.
+Contraction and the (p, q) projection of a form apply these matrices to a
+single column.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ class LinearOperator:
     matrix: ExactMatrix | FloatMatrix
     picture: str
     parity: str  # "even" | "odd" | "mixed"
-    bidegree: tuple[int, int] | None = None
 
     @property
     def dim(self) -> int:
@@ -255,7 +255,7 @@ def compute_parity(matrix, bs: BladeStructure) -> str:
     return "even"
 
 
-def make_operator(name, matrix, picture, bidegree=None, parity=None) -> LinearOperator:
+def make_operator(name, matrix, picture, parity=None) -> LinearOperator:
     """An operator on matrix.  parity is the one its operands determine, when
     they do, and a zero matrix is even; None or "mixed" measures it."""
     if picture not in PICTURES:
@@ -264,7 +264,7 @@ def make_operator(name, matrix, picture, bidegree=None, parity=None) -> LinearOp
         parity = compute_parity(matrix, blade_structure(_n_from_dim(matrix.shape[0])))
     elif matrix.is_zero():
         parity = "even"
-    return LinearOperator(name, matrix, picture, parity, bidegree)
+    return LinearOperator(name, matrix, picture, parity)
 
 
 def apply_operator(op: LinearOperator, a: Multivector) -> Multivector:
@@ -304,26 +304,19 @@ def supercommutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     ab = a.matrix @ b.matrix
     ba = b.matrix @ a.matrix
     mat = ab - ba if sign == 1 else ab + ba
-    bid = None
-    if a.bidegree is not None and b.bidegree is not None:
-        bid = (a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1])
-    return make_operator(f"[{a.name},{b.name}]", mat, a.picture, bid,
+    return make_operator(f"[{a.name},{b.name}]", mat, a.picture,
                          _product_parity(a.parity, b.parity))
 
 
 def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     if a.picture != b.picture:
         raise StructuralError("cannot compose operators from different pictures")
-    bid = None
-    if a.bidegree is not None and b.bidegree is not None:
-        bid = (a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1])
-    return make_operator(f"({a.name}.{b.name})", a.matrix @ b.matrix, a.picture, bid,
+    return make_operator(f"({a.name}.{b.name})", a.matrix @ b.matrix, a.picture,
                          _product_parity(a.parity, b.parity))
 
 
 def adjoint(op: LinearOperator) -> LinearOperator:
-    bid = None if op.bidegree is None else (-op.bidegree[0], -op.bidegree[1])
-    return make_operator(f"{op.name}*", op.matrix.adjoint(), op.picture, bid, op.parity)
+    return make_operator(f"{op.name}*", op.matrix.adjoint(), op.picture, op.parity)
 
 
 def conjugate(op: LinearOperator) -> LinearOperator:
@@ -331,25 +324,22 @@ def conjugate(op: LinearOperator) -> LinearOperator:
     J_a keeps the degree, so P^c has the parity of P."""
     bs = blade_structure(_n_from_dim(op.dim))
     j, jinv = bs.ja(op.picture, isinstance(op.matrix, FloatMatrix))
-    return make_operator(f"{op.name}^c", jinv @ (op.matrix @ j), op.picture, op.bidegree,
-                         op.parity)
+    return make_operator(f"{op.name}^c", jinv @ (op.matrix @ j), op.picture, op.parity)
 
 
 def bar(op: LinearOperator) -> LinearOperator:
-    """Entrywise conjugation (conj . P . conj); swaps declared bidegree."""
-    bid = None if op.bidegree is None else (op.bidegree[1], op.bidegree[0])
-    return make_operator(f"bar({op.name})", op.matrix.bar(), op.picture, bid, op.parity)
+    """Entrywise conjugation (conj . P . conj); swaps bidegree."""
+    return make_operator(f"bar({op.name})", op.matrix.bar(), op.picture, op.parity)
 
 
 def transport(op: LinearOperator) -> LinearOperator:
     """Musical transport: same coefficient matrix, other picture."""
     other = "cl" if op.picture == "ext" else "ext"
-    return LinearOperator(f"{op.name}~", op.matrix, other, op.parity, op.bidegree)
+    return LinearOperator(f"{op.name}~", op.matrix, other, op.parity)
 
 
 def scale_op(op: LinearOperator, c) -> LinearOperator:
-    return make_operator(f"({c})*{op.name}", op.matrix.scale(c), op.picture, op.bidegree,
-                         op.parity)
+    return make_operator(f"({c})*{op.name}", op.matrix.scale(c), op.picture, op.parity)
 
 
 def add_ops(*ops: LinearOperator) -> LinearOperator:
@@ -409,7 +399,7 @@ def measured_bidegree(op: LinearOperator) -> set[tuple[int, int]]:
 
 def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperator]:
     return {
-        shift: make_operator(f"{op.name}[{shift[0]},{shift[1]}]", mat, op.picture, shift)
+        shift: make_operator(f"{op.name}[{shift[0]},{shift[1]}]", mat, op.picture)
         for shift, mat in operator_bidegree_components(op).items()
     }
 
@@ -430,16 +420,14 @@ def bidegree_project(a: Multivector, p: int, q: int) -> Multivector:
     return bs.to_multivector(cf.u @ part)
 
 
-def three_form_split(psi: Multivector) -> tuple[Multivector, Multivector]:
-    """Split a 3-form into its (2,1)+(1,2) and (3,0)+(0,3) parts."""
+def three_form_parts(psi: Multivector) -> dict[tuple[int, int], Multivector]:
+    """The (3,0), (2,1), (1,2) and (0,3) parts of a 3-form, keyed by bidegree
+    (zero where p or q exceeds n)."""
     if psi.degrees() not in ({3}, set()):
-        raise ValueError("three_form_split expects a homogeneous 3-form")
+        raise ValueError("three_form_parts expects a homogeneous 3-form")
     n = psi.n
-
-    def part(p, q):
-        return bidegree_project(psi, p, q) if max(p, q) <= n else Multivector.zero(n)
-
-    return part(2, 1) + part(1, 2), part(3, 0) + part(0, 3)
+    return {(p, 3 - p): bidegree_project(psi, p, 3 - p) if max(p, 3 - p) <= n
+            else Multivector.zero(n) for p in (3, 2, 1, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +466,7 @@ def contract(phi: Multivector, psi: Multivector) -> Multivector:
     return bs.to_multivector(multiplication(phi, "C", bs.to_column(psi)))
 
 
-def derivation(images: dict[int, Multivector], name: str, picture: str,
-               bidegree=None) -> LinearOperator:
+def derivation(images: dict[int, Multivector], name: str, picture: str) -> LinearOperator:
     """The graded derivation t^i -> images[i] that kills scalars: sum_i E_{images[i]} C_i.
 
     C_i carries the Koszul sign of passing t^i over the factors before it;
@@ -496,7 +483,7 @@ def derivation(images: dict[int, Multivector], name: str, picture: str,
             # row r of E_S C_i is word_S[r] * c_sign[r ^ S] times row r ^ S ^ bit_i of 1
             sign = bs.word("E", mask) * c_sign[bs.rows ^ mask]
             terms.append((c, None, (sign, bs.rows ^ mask ^ (1 << (i - 1)))))
-    return make_operator(name, linear_combination(terms, (bs.dim, bs.dim)), picture, bidegree)
+    return make_operator(name, linear_combination(terms, (bs.dim, bs.dim)), picture)
 
 
 def tensor_slices(n: int, entries: dict) -> list[ExactMatrix]:
@@ -529,22 +516,22 @@ def vector_operator(block: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(re, im, block.den, _normalized=True)
 
 
-def ext_mult(phi: Multivector, name: str, bidegree=None) -> LinearOperator:
+def ext_mult(phi: Multivector, name: str) -> LinearOperator:
     """Left exterior multiplication E_phi."""
-    return make_operator(name, multiplication(phi, "E"), "ext", bidegree)
+    return make_operator(name, multiplication(phi, "E"), "ext")
 
 
-def int_mult(phi: Multivector, name: str, bidegree=None) -> LinearOperator:
+def int_mult(phi: Multivector, name: str) -> LinearOperator:
     """Interior multiplication, defined as the adjoint of E_phi."""
-    return make_operator(name, multiplication(phi, "E").adjoint(), "ext", bidegree)
+    return make_operator(name, multiplication(phi, "E").adjoint(), "ext")
 
 
-def contract_op(phi: Multivector, name: str, bidegree=None) -> LinearOperator:
+def contract_op(phi: Multivector, name: str) -> LinearOperator:
     """Bilinear contraction by phi (no conjugation of phi's coefficients)."""
-    return make_operator(name, multiplication(phi, "C"), "ext", bidegree)
+    return make_operator(name, multiplication(phi, "C"), "ext")
 
 
-def r_xi(xi: Multivector, name: str, bidegree=None) -> LinearOperator:
+def r_xi(xi: Multivector, name: str) -> LinearOperator:
     """r_xi(phi) = -sum_A (e_A _| xi) ^ (e_A _| phi).
 
     For xi of pure bidegree (r, s) this has bidegree (r-1, s-1); it is the
@@ -552,7 +539,7 @@ def r_xi(xi: Multivector, name: str, bidegree=None) -> LinearOperator:
     """
     n = xi.n
     images = {a: -contract(frame(n, a), xi) for a in range(1, 2 * n + 1)}
-    return derivation(images, name, "ext", bidegree)
+    return derivation(images, name, "ext")
 
 
 def k_xi(xi: Multivector, name: str) -> LinearOperator:

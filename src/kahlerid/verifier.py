@@ -858,7 +858,7 @@ class Workspace:
         if not float_mode:
             return op
         return LinearOperator(op.name, FloatMatrix.from_exact(op.matrix), op.picture,
-                              op.parity, op.bidegree)
+                              op.parity)
 
     def _leaf_el(self, name: str, float_mode: bool) -> ElementValue:
         col, picture = self.element_column(name)
@@ -907,7 +907,7 @@ class Workspace:
             mat = ExactMatrix.zeros(self.dim)
             if float_mode:
                 mat = FloatMatrix.from_exact(mat)
-            return LinearOperator("0", mat, expr.picture, "even", None)
+            return LinearOperator("0", mat, expr.picture, "even")
         if isinstance(expr, ZeroEl):
             mat = ExactMatrix.zeros(self.dim, 1)
             if float_mode:
@@ -956,9 +956,8 @@ class Workspace:
             # rebuilds need exact columns (see _children); convert afterwards in float mode
             rebuilt = derivation_rebuild(ops[0])
             if float_mode:
-                rebuilt = LinearOperator(
-                    rebuilt.name, FloatMatrix.from_exact(rebuilt.matrix),
-                    rebuilt.picture, rebuilt.parity, rebuilt.bidegree)
+                rebuilt = LinearOperator(rebuilt.name, FloatMatrix.from_exact(rebuilt.matrix),
+                                         rebuilt.picture, rebuilt.parity)
             return rebuilt
         raise StructuralError(f"unknown expression node {type(expr).__name__}")
 

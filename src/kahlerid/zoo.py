@@ -13,11 +13,12 @@ from .dirac import CliffordZoo, clifford_left, sigma_from_torsion_form, torsion_
 from .matrices import ExactMatrix
 from .models import GeometryError, ModelGeometry, nabla_forms
 from .operators import (
+    PICTURES,
     LinearOperator,
-    adjoint,
     add_ops,
+    adjoint,
+    apply_operator,
     bidegree_decompose,
-    bidegree_project,
     blade_structure,
     conjugate,
     contract_op,
@@ -34,102 +35,78 @@ from .operators import (
 )
 from .scalars import gq
 
-_D_SHIFTS = {(2, -1): "mu", (1, 0): "del", (0, 1): "delbar", (-1, 2): "mubar"}
+# the (p, q) parts of d omega, each named after the part of d of bidegree
+# (p - 1, q - 1)
+_PARTS = {(3, 0): "mu", (2, 1): "del", (1, 2): "delbar", (0, 3): "mubar"}
 
 _HALF = gq("1/2")
 
 
 class ExteriorZoo:
-    """Exterior-picture operators for one model geometry."""
+    """The exterior-picture operators of one model, under their catalog
+    names in `ops`."""
 
     def __init__(self, geom: ModelGeometry):
-        self.geom = geom
         n = geom.n
         bs = blade_structure(n)
-        om = geom.omega_form
+        d = geom.d
+        ops = {"d": d, "d_star": adjoint(d).renamed("d*"), "dc": conjugate(d).renamed("d^c")}
+        ops["dc_star"] = adjoint(ops["dc"]).renamed("(d^c)*")
+        ops["Ja_ext"] = make_operator("J_a", bs.Ja_ext, "ext")
+        ops["Jd_ext"] = make_operator("J_d", bs.Jd_ext, "ext")
 
-        self.d = geom.d
-        self.d_star = adjoint(self.d).renamed("d*")
-        self.dc = conjugate(self.d).renamed("d^c")
-
-        parts = bidegree_decompose(self.d)
-        bad = set(parts) - set(_D_SHIFTS)
+        d_parts = bidegree_decompose(d)
+        shifts = {(p - 1, q - 1): nm for (p, q), nm in _PARTS.items()}
+        bad = set(d_parts) - set(shifts)
         if bad:
             raise GeometryError(f"d has unexpected bidegree shifts {sorted(bad)}")
         zero = ExactMatrix.zeros(bs.dim)
+        for shift, nm in shifts.items():
+            ops[nm] = (d_parts[shift].renamed(nm) if shift in d_parts
+                       else LinearOperator(nm, zero, "ext", "odd"))
 
-        def part(shift) -> LinearOperator:
-            if shift in parts:
-                return parts[shift].renamed(_D_SHIFTS[shift])
-            return LinearOperator(_D_SHIFTS[shift], zero, "ext", "odd", shift)
-
-        self.mu = part((2, -1))
-        self.del_ = part((1, 0))
-        self.delbar = part((0, 1))
-        self.mubar = part((-1, 2))
-
-        # pure-bidegree pieces of the torsion 3-form d omega
-        def om_part(p, q):
-            if p > n or q > n:
-                return Multivector.zero(n)
-            return bidegree_project(geom.d_omega, p, q)
-
-        self.muomega = om_part(3, 0)
-        self.delomega = om_part(2, 1)
-        self.delbaromega = om_part(1, 2)
-        self.mubaromega = om_part(0, 3)
-        if self.delomega + self.delbaromega != geom.d_omega_plus:
-            raise GeometryError("(2,1)+(1,2) parts disagree with the 3-form split")
-        if self.muomega + self.mubaromega != geom.d_omega_minus:
-            raise GeometryError("(3,0)+(0,3) parts disagree with the 3-form split")
-        if self.mubaromega != self.muomega.conj():
+        # the pure-bidegree pieces of the torsion 3-form d omega: J_d acts on
+        # the (p, q) part as i(p - q)
+        parts = geom.d_omega_parts
+        for (p, q), xi in parts.items():
+            col = bs.to_column(xi)
+            if bs.Jd_ext @ col != col.scale(gq(0, p - q)):
+                raise GeometryError(f"the ({p},{q}) part of d omega is not of bidegree ({p},{q})")
+        if parts[(0, 3)] != parts[(3, 0)].conj():
             raise GeometryError("conjugation does not swap the pure parts of d omega")
 
-        self.L = ext_mult(om, "L", (1, 1))
-        self.Lam = adjoint(self.L).renamed("Lam")
-
-        self.lam_mu = ext_mult(self.muomega, "lam_mu", (3, 0))
-        self.lam_del = ext_mult(self.delomega, "lam_del", (2, 1))
-        self.lam_delbar = ext_mult(self.delbaromega, "lam_delbar", (1, 2))
-        self.lam_mubar = ext_mult(self.mubaromega, "lam_mubar", (0, 3))
-        self.lam = add_ops(self.lam_mu, self.lam_del, self.lam_delbar,
-                           self.lam_mubar).renamed("lam")
-        self.E_domega = ext_mult(geom.d_omega, "E_domega")
-        if self.lam.matrix != self.E_domega.matrix:
+        ops["L"] = ext_mult(geom.omega_form, "L")
+        ops["Lam"] = adjoint(ops["L"]).renamed("Lam")
+        for pq, nm in _PARTS.items():
+            ops[f"lam_{nm}"] = ext_mult(parts[pq], f"lam_{nm}")
+            ops[f"tau_{nm}"] = supercommutator(ops["Lam"], ops[f"lam_{nm}"]).renamed(f"tau_{nm}")
+            ops[f"rho_{nm}"] = r_xi(parts[pq], f"rho_{nm}")
+        for fam in ("tau", "rho"):
+            for half, (a, b) in (("plus", ("del", "delbar")), ("minus", ("mu", "mubar"))):
+                ops[f"{fam}_{half}"] = add_ops(
+                    ops[f"{fam}_{a}"], ops[f"{fam}_{b}"]).renamed(f"{fam}_{half}")
+        ops["lam"] = add_ops(*(ops[f"lam_{nm}"] for nm in _PARTS.values())).renamed("lam")
+        ops["E_domega"] = ext_mult(geom.d_omega, "E_domega")
+        if ops["lam"].matrix != ops["E_domega"].matrix:
             raise GeometryError("lambda parts do not sum to E_{d omega}")
+        ops["tau"] = supercommutator(ops["Lam"], ops["lam"]).renamed("tau")
+        ops["rho"] = r_xi(geom.d_omega, "rho")
+        for fam, whole in (("tau", "[Lam, lam]"), ("rho", "r_{d omega}")):
+            if ops[fam].matrix != add_ops(ops[f"{fam}_plus"], ops[f"{fam}_minus"]).matrix:
+                raise GeometryError(f"{fam} parts do not sum to {whole}")
 
-        self.tau_mu = supercommutator(self.Lam, self.lam_mu).renamed("tau_mu")
-        self.tau_del = supercommutator(self.Lam, self.lam_del).renamed("tau_del")
-        self.tau_delbar = supercommutator(self.Lam, self.lam_delbar).renamed("tau_delbar")
-        self.tau_mubar = supercommutator(self.Lam, self.lam_mubar).renamed("tau_mubar")
-        self.tau_plus = add_ops(self.tau_del, self.tau_delbar).renamed("tau_plus")
-        self.tau_minus = add_ops(self.tau_mu, self.tau_mubar).renamed("tau_minus")
-        self.tau = supercommutator(self.Lam, self.lam).renamed("tau")
-        if self.tau.matrix != add_ops(self.tau_plus, self.tau_minus).matrix:
-            raise GeometryError("tau parts do not sum to [Lam, lam]")
-
-        self.rho_mu = r_xi(self.muomega, "rho_mu", (2, -1))
-        self.rho_del = r_xi(self.delomega, "rho_del", (1, 0))
-        self.rho_delbar = r_xi(self.delbaromega, "rho_delbar", (0, 1))
-        self.rho_mubar = r_xi(self.mubaromega, "rho_mubar", (-1, 2))
-        self.rho_plus = add_ops(self.rho_del, self.rho_delbar).renamed("rho_plus")
-        self.rho_minus = add_ops(self.rho_mu, self.rho_mubar).renamed("rho_minus")
-        self.rho = r_xi(geom.d_omega, "rho")
-        if self.rho.matrix != add_ops(self.rho_plus, self.rho_minus).matrix:
-            raise GeometryError("rho parts do not sum to r_{d omega}")
-
-        self.E_lee = ext_mult(geom.lee_form, "E_lee")
-        self.I_lee = int_mult(geom.lee_form, "I_lee")
-        self.E_jlee = ext_mult(geom.jstar_lee, "E_jlee")
-        self.I_jlee = int_mult(geom.jstar_lee, "I_jlee")
-        self.K_domega_plus = k_xi(geom.d_omega_plus, "K_domega_plus")
+        ops["E_domega_plus"] = ext_mult(geom.d_omega_plus, "E_domega_plus")
+        for nm, form in (("lee", geom.lee_form), ("jlee", geom.jstar_lee)):
+            ops[f"E_{nm}"] = ext_mult(form, f"E_{nm}")
+            ops[f"I_{nm}"] = int_mult(form, f"I_{nm}")
+        ops["C_lee"] = contract_op(geom.lee_form, "C_lee")
+        for a in range(1, 2 * n + 1):
+            ops[f"nablaf_{a}"] = nabla_forms(geom.connection, a)
 
         # hard gate: tau(1) must reproduce the Lee form
-        tau_unit = bs.to_multivector(
-            self.tau.matrix @ bs.to_column(Multivector.unit(n))
-        )
-        if tau_unit != geom.lee_form:
+        if apply_operator(ops["tau"], Multivector.unit(n)) != geom.lee_form:
             raise GeometryError("tau(1) does not equal the Lee form")
+        self.ops = ops
 
 
 # ---------------------------------------------------------------------------
@@ -217,123 +194,31 @@ def assemble(geom: ModelGeometry):
     n = geom.n
     bs = blade_structure(n)
     cz = CliffordZoo(geom)
-    ez = ExteriorZoo(geom)
-
-    ops: dict[str, LinearOperator] = {
-        "d": ez.d,
-        "d_star": ez.d_star,
-        "dc": ez.dc,
-        "dc_star": adjoint(ez.dc).renamed("(d^c)*"),
-        "mu": ez.mu,
-        "del": ez.del_,
-        "delbar": ez.delbar,
-        "mubar": ez.mubar,
-        "L": ez.L,
-        "Lam": ez.Lam,
-        "lam_mu": ez.lam_mu,
-        "lam_del": ez.lam_del,
-        "lam_delbar": ez.lam_delbar,
-        "lam_mubar": ez.lam_mubar,
-        "lam": ez.lam,
-        "tau_mu": ez.tau_mu,
-        "tau_del": ez.tau_del,
-        "tau_delbar": ez.tau_delbar,
-        "tau_mubar": ez.tau_mubar,
-        "tau_plus": ez.tau_plus,
-        "tau_minus": ez.tau_minus,
-        "tau": ez.tau,
-        "rho_mu": ez.rho_mu,
-        "rho_del": ez.rho_del,
-        "rho_delbar": ez.rho_delbar,
-        "rho_mubar": ez.rho_mubar,
-        "rho_plus": ez.rho_plus,
-        "rho_minus": ez.rho_minus,
-        "rho": ez.rho,
-        "E_domega": ez.E_domega,
-        "E_domega_plus": ext_mult(geom.d_omega_plus, "E_domega_plus"),
-        "E_lee": ez.E_lee,
-        "I_lee": ez.I_lee,
-        "E_jlee": ez.E_jlee,
-        "I_jlee": ez.I_jlee,
-        "C_lee": contract_op(geom.lee_form, "C_lee"),
-        "K_domega_plus": ez.K_domega_plus,
-        "Ja_ext": make_operator("J_a", bs.Ja_ext, "ext", (0, 0)),
-        "Jd_ext": make_operator("J_d", bs.Jd_ext, "ext", (0, 0)),
-        "Ja_ext_inv": make_operator("J_a^-1", bs.Ja_ext_inv, "ext", (0, 0)),
-        "par_ext": make_operator("par", bs.parity_sign, "ext", (0, 0)),
-        "id_ext": make_operator("id", bs.identity, "ext", (0, 0)),
-        "proj1_ext": make_operator("proj1", bs.proj1, "ext", (0, 0)),
-        "star_ext": make_operator("star", bs.hodge, "ext"),
-        # Clifford side
-        "D": cz.D,
-        "Dc": cz.Dc,
-        "Hc": cz.Hc,
-        "L_omega": cz.L_omega,
-        "R_omega": cz.R_omega,
-        "Jd_cl": cz.Jd,
-        "Ja_cl": cz.Ja,
-        "Ja_cl_inv": make_operator("J_a^-1", bs.Ja_cl_inv, "cl", (0, 0)),
-        "Dsig": cz.Dsig,
-        "Dsigc": cz.Dsigc,
-        "Dsig_ext": cz.Dsig_ext,
-        "Dsig_int": cz.Dsig_int,
-        "L_D_omega": cz.L_D_omega,
-        "L_Dc_omega": cz.L_Dc_omega,
-        "L_Jd_D_omega": cz.L_Jd_D_omega,
-        "L_Jd_Dc_omega": cz.L_Jd_Dc_omega,
-        "L_Dsig_omega": cz.L_Dsig_omega,
-        "L_Dsigc_omega": cz.L_Dsigc_omega,
-        "L_jlee": cz.L_jlee,
-        "par_cl": make_operator("par", bs.parity_sign, "cl", (0, 0)),
-        "id_cl": make_operator("id", bs.identity, "cl", (0, 0)),
-        "proj1_cl": make_operator("proj1", bs.proj1, "cl", (0, 0)),
-    }
+    ops = {**ExteriorZoo(geom).ops, **cz.ops}
+    for picture in PICTURES:
+        ops[f"Ja_{picture}_inv"] = make_operator("J_a^-1", bs.ja(picture, False)[1], picture)
+        ops[f"par_{picture}"] = make_operator("par", bs.parity_sign, picture)
+        ops[f"id_{picture}"] = make_operator("id", bs.identity, picture)
+        ops[f"proj1_{picture}"] = make_operator("proj1", bs.proj1, picture)
+    ops["star_ext"] = make_operator("star", bs.hodge, "ext")
 
     # multiplication operators attached to the named 3-form pieces
-    xis = [
-        ("muomega", ez.muomega),
-        ("delomega", ez.delomega),
-        ("delbaromega", ez.delbaromega),
-        ("mubaromega", ez.mubaromega),
-        ("domega", geom.d_omega),
-    ]
-    lam_mat = ez.Lam.matrix
-    for nm, mv in xis + [("domega_plus", geom.d_omega_plus), ("lee", geom.lee_form)]:
+    xis = {f"{nm}omega": geom.d_omega_parts[pq] for pq, nm in _PARTS.items()}
+    xis["domega"] = geom.d_omega
+    for nm, mv in {**xis, "domega_plus": geom.d_omega_plus, "lee": geom.lee_form}.items():
         ops[f"K_{nm}"] = k_xi(mv, f"K_{nm}")
-        lam_mv = bs.to_multivector(lam_mat @ bs.to_column(mv))
-        ops[f"ELam_{nm}"] = ext_mult(lam_mv, f"ELam_{nm}")
-    for nm, mv in xis + [("lee", geom.lee_form)]:
+        ops[f"ELam_{nm}"] = ext_mult(apply_operator(ops["Lam"], mv), f"ELam_{nm}")
+    for nm, mv in {**xis, "lee": geom.lee_form}.items():
         ops[f"Lcl_{nm}"] = clifford_left(mv, f"Lcl_{nm}")
-    for nm, mv in xis:
+    for nm, mv in xis.items():
         ops[f"C_{nm}"] = contract_op(mv, f"C_{nm}")
-
     for a in range(1, 2 * n + 1):
-        ops[f"nabla_{a}"] = cz.nablas[a - 1]
-        ops[f"nablaf_{a}"] = nabla_forms(geom.model, a, geom.connection)
-        ops[f"sigma_{a}"] = cz.sigmas[a - 1]
         ops[f"Lcl_e_{a}"] = clifford_left(frame(n, a), f"Lcl_e_{a}")
 
-    elements: dict[str, tuple[Multivector, str]] = {
-        "omega": (geom.omega_form, "ext"),
-        "domega": (geom.d_omega, "ext"),
-        "domega_plus": (geom.d_omega_plus, "ext"),
-        "muomega": (ez.muomega, "ext"),
-        "delomega": (ez.delomega, "ext"),
-        "delbaromega": (ez.delbaromega, "ext"),
-        "mubaromega": (ez.mubaromega, "ext"),
-        "lee": (geom.lee_form, "ext"),
-        "jstar_lee": (geom.jstar_lee, "ext"),
-        "unit": (cz.unit, "cl"),
-        "omega_cl": (geom.omega_clifford, "cl"),
-        "D_omega": (cz.D_omega, "cl"),
-        "Dc_omega": (cz.Dc_omega, "cl"),
-        "Dsig_omega": (cz.Dsig_omega, "cl"),
-        "Dsigc_omega": (cz.Dsigc_omega, "cl"),
-        "Jd_D_omega": (cz.Jd_D_omega, "cl"),
-        "Jd_Dc_omega": (cz.Jd_Dc_omega, "cl"),
-        "sigma_vector_sum": (cz.sigma_vector_sum(), "cl"),
-        "jstar_lee_cl": (geom.jstar_lee, "cl"),
-    }
+    forms = {**xis, "omega": geom.omega_form, "domega_plus": geom.d_omega_plus,
+             "lee": geom.lee_form, "jstar_lee": geom.jstar_lee}
+    elements = {nm: (mv, "ext") for nm, mv in forms.items()}
+    elements.update(cz.elements)
     witness_ops, witness_elements = _torsion_witnesses(geom)
     ops.update(witness_ops)
     elements.update(witness_elements)

@@ -20,8 +20,9 @@ from kahlerid.algebra import (
     frame,
     mask_of,
 )
-from kahlerid.dirac import covariant_derivatives, dirac
+from kahlerid.dirac import dirac
 from kahlerid.matrices import ExactMatrix
+from kahlerid.models import nabla
 from kahlerid.operators import make_operator, multiplication_sum
 from kahlerid.scalars import GaussianRational, ONE, ZERO, gq
 
@@ -240,7 +241,7 @@ def hodge_star(a: Multivector) -> Multivector:
 # operators, column by column
 # ---------------------------------------------------------------------------
 
-def operator_from_blade_action(n, fn, name, picture, bidegree=None):
+def operator_from_blade_action(n, fn, name, picture):
     """Build an operator column by column, calling fn once per basis blade
     (a None result is the zero column)."""
     dim = 4**n
@@ -248,7 +249,7 @@ def operator_from_blade_action(n, fn, name, picture, bidegree=None):
     for mask in range(dim):
         out = fn(Multivector(n, {mask: ONE}))
         cols.append(out.coeffs if out is not None else {})
-    return make_operator(name, ExactMatrix.from_columns(dim, cols), picture, bidegree)
+    return make_operator(name, ExactMatrix.from_columns(dim, cols), picture)
 
 
 def frame_rotation_check(geom, seed: int = 0) -> bool:
@@ -259,8 +260,8 @@ def frame_rotation_check(geom, seed: int = 0) -> bool:
     perm = list(range(1, 2 * n + 1))
     rng.shuffle(perm)
     signs = [rng.choice((1, -1)) for _ in perm]
-    nablas = covariant_derivatives(geom)
+    nablas = [nabla(geom.connection, a) for a in range(1, 2 * n + 1)]
     # nabla is linear in the direction slot: nabla_{s e_a} = s nabla_{e_a}
     pairs = [(frame(n, a).scale(s), nablas[a - 1].matrix.scale(GaussianRational(Fraction(s))))
              for a, s in zip(perm, signs)]
-    return multiplication_sum("L", pairs) == dirac(geom, nablas).matrix
+    return multiplication_sum("L", pairs) == dirac(nablas).matrix

@@ -17,11 +17,7 @@ from kahlerid.algebra import (
     frame,
     j_vector,
 )
-from kahlerid.dirac import (
-    clifford_left,
-    sigma,
-    sigma_from_torsion_form,
-)
+from kahlerid.dirac import clifford_left, sigma_from_torsion_form
 from kahlerid.matrices import ExactMatrix
 from kahlerid.operators import (
     add_ops,
@@ -31,6 +27,7 @@ from kahlerid.operators import (
     conjugate,
     ext_mult,
     make_operator,
+    measured_bidegree,
     scale_op,
     supercommutator,
     transport,
@@ -120,9 +117,9 @@ def test_criterion_3_master_identity_and_degeneration(ws, capsys):
 def test_criterion_4_sigma_and_transports(ws, capsys):
     problems = []
     for name in BUILTINS:
-        g = ws(name).geom
+        g, o = ws(name).geom, ws(name).ops
         for a in range(1, 2 * g.n + 1):
-            if sigma(g, a).matrix != sigma_from_torsion_form(g, a).matrix:
+            if o[f"sigma_{a}"].matrix != sigma_from_torsion_form(g, a).matrix:
                 problems.append(f"{name}: sigma_{a} dual construction differs")
         if not frame_rotation_check(g, seed=5):
             problems.append(f"{name}: Dirac operator depends on the frame")
@@ -206,7 +203,7 @@ def test_criterion_7_structural_core(ws, capsys):
     # Lefschetz weights in both bracket orders, for every catalogued rank
     for n in (1, 2, 3):
         bs = blade_structure(n)
-        L = ext_mult(AdaptedStructure(n).omega(), "L", (1, 1))
+        L = ext_mult(AdaptedStructure(n).omega(), "L")
         Lam = adjoint(L)
         H = supercommutator(L, Lam)
         H_op = supercommutator(Lam, L)
@@ -279,13 +276,14 @@ def test_criterion_8_construction_gates(ws, capsys):
             problems.append(f"{name}: tau(1) != lee")
     if ws("hopf4").geom.lee_form.is_zero():
         problems.append("hopf4 should carry a nonzero Lee form")
-    # conjugation scalar on every operator with a declared bidegree
+    # conjugation scalar on every operator of one measured bidegree shift
     for name in ("nil6", "hopf4"):
         w = ws(name)
         for opname, op in w.ops.items():
-            if op.bidegree is None:
+            shifts = measured_bidegree(op)
+            if len(shifts) != 1:
                 continue
-            p, q = op.bidegree
+            ((p, q),) = shifts
             if conjugate(op).matrix != scale_op(op, i_power(q - p)).matrix:
                 problems.append(f"{name}: {opname} violates P^c = i^(q-p) P")
     ok = not problems

@@ -14,7 +14,8 @@ from kahlerid.algebra import (
     frame,
     j_vector,
 )
-from kahlerid.operators import bidegree_project, three_form_split
+from kahlerid.operators import bidegree_project, three_form_parts
+import reference
 from reference import (
     basis,
     bidegree_components,
@@ -151,15 +152,17 @@ def test_degree_spectrum():
     assert sorted(degree_spectrum(2, 2)) == [-2, 0, 2]  # i(p-q) multipliers p+q=2
 
 
-def test_three_form_split_nil6(geom):
+def test_three_form_parts_nil6(geom):
     g = geom("nil6")
-    plus, minus = three_form_split(g.d_omega)
-    assert plus + minus == g.d_omega
-    comp = bidegree_components(plus)
-    assert set(comp) <= {(2, 1), (1, 2)}
-    comp_m = bidegree_components(minus)
-    assert set(comp_m) <= {(3, 0), (0, 3)}
-    assert not plus.is_zero() and not minus.is_zero()
+    parts = three_form_parts(g.d_omega)
+    assert list(parts) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    total = Multivector.zero(3)
+    for (p, q), part in parts.items():
+        assert part == reference.bidegree_project(g.d_omega, p, q)
+        assert not part.is_zero()
+        total = total + part
+    assert total == g.d_omega
+    assert g.d_omega_parts == parts
 
 
 # -- Hodge star ----------------------------------------------------------------

@@ -3,14 +3,7 @@ import pytest
 
 from kahlerid import gq
 from kahlerid.algebra import Multivector, coframe, frame
-from kahlerid.dirac import (
-    d_sigma,
-    d_sigma_split,
-    dirac,
-    hc_operator,
-    sigma,
-    sigma_from_torsion_form,
-)
+from kahlerid.dirac import CliffordZoo, sigma_from_torsion_form
 from kahlerid.operators import (
     add_ops,
     apply_operator,
@@ -23,29 +16,42 @@ from reference import clifford_mul, frame_rotation_check, wedge
 BUILTINS = ["t2", "t4", "t6", "kt4", "hopf4", "iwa6", "nil6"]
 
 
-def test_flat_dirac_vanishes(geom):
-    assert dirac(geom("t4")).is_zero()
-    assert dirac(geom("t2")).is_zero()
+@pytest.fixture(scope="module")
+def cz(geom):
+    """The Clifford zoo of a built-in model, built once per module."""
+    cache = {}
+
+    def get(name: str) -> CliffordZoo:
+        if name not in cache:
+            cache[name] = CliffordZoo(geom(name))
+        return cache[name]
+
+    return get
 
 
-def test_dirac_value_kt4(geom):
+def test_flat_dirac_vanishes(cz):
+    assert cz("t4").ops["D"].is_zero()
+    assert cz("t2").ops["D"].is_zero()
+
+
+def test_dirac_value_kt4(cz):
     # D(e3) = sum_A e_A . nabla_{e_A} e3 = -e1 e2 (Koszul halves combine)
-    D = dirac(geom("kt4"))
+    D = cz("kt4").ops["D"]
     got = apply_operator(D, frame(2, 3))
     assert got == clifford_mul(frame(2, 1), frame(2, 2)).scale(gq(-1))
     assert D.parity == "odd"
 
 
-def test_dirac_transport_value_kt4(geom):
+def test_dirac_transport_value_kt4(cz):
     # flat . D . sharp applied to theta^3 gives (d + d*) theta^3 = -theta^1^theta^2
-    t = transport(dirac(geom("kt4")))
+    t = transport(cz("kt4").ops["D"])
     assert apply_operator(t, coframe(2, 3)) == -wedge(coframe(2, 1), coframe(2, 2))
 
 
 @pytest.mark.parametrize("name", ["t2", "kt4", "nil6"])
-def test_hc_on_unit(geom, name):
+def test_hc_on_unit(geom, cz, name):
     g = geom(name)
-    hc = hc_operator(g)
+    hc = cz(name).ops["Hc"]
     got = apply_operator(hc, Multivector.unit(g.n))
     assert got == g.omega_clifford.scale(gq(0, -1))
 
@@ -63,31 +69,29 @@ def test_frame_independence(geom, name):
     assert frame_rotation_check(geom(name), seed=11)
 
 
-def test_sigma_vanishes_almost_kahler(geom):
-    g = geom("kt4")
+def test_sigma_vanishes_almost_kahler(cz):
+    ops = cz("kt4").ops
     for a in range(1, 5):
-        assert sigma(g, a).is_zero()
-    assert d_sigma(g).is_zero()
+        assert ops[f"sigma_{a}"].is_zero()
+    assert ops["Dsig"].is_zero()
 
 
 @pytest.mark.parametrize("name", ["hopf4", "nil6", "iwa6"])
-def test_sigma_dual_path(geom, name):
+def test_sigma_dual_path(geom, cz, name):
     # covariant-derivative route == torsion-three-form route
     g = geom(name)
     for a in range(1, 2 * g.n + 1):
-        assert sigma(g, a).matrix == sigma_from_torsion_form(g, a).matrix
+        assert cz(name).ops[f"sigma_{a}"].matrix == sigma_from_torsion_form(g, a).matrix
 
 
-def test_sigma_nonzero_somewhere(geom):
-    g = geom("nil6")
-    assert any(not sigma(g, a).is_zero() for a in range(1, 7))
+def test_sigma_nonzero_somewhere(cz):
+    ops = cz("nil6").ops
+    assert any(not ops[f"sigma_{a}"].is_zero() for a in range(1, 7))
 
 
-def test_d_sigma_split(geom):
-    g = geom("nil6")
-    full = d_sigma(g)
-    ext_part, int_part = d_sigma_split(g)
-    assert full.matrix == (ext_part.matrix - int_part.matrix)
+def test_d_sigma_split(cz):
+    ops = cz("nil6").ops
+    assert ops["Dsig"].matrix == (ops["Dsig_ext"].matrix - ops["Dsig_int"].matrix)
 
 
 def test_hc_commutes_with_jd(ws):

@@ -121,14 +121,14 @@ def test_connection_is_levi_civita(name):
 def test_nabla_is_derivation_and_transports():
     m = get_model("hopf4")
     for a in (1, 2, 3, 4):
-        op = nabla(m, a)
+        op = nabla(levi_civita(m), a)
         assert derivation_rebuild(op).matrix == op.matrix
         assert op.parity == "even"
 
 
 def test_nabla_forms_value_kt4():
     # (nabla_{e1} theta^3)(e_b) = -theta^3(nabla_{e1} e_b) gives -theta^2/2
-    op = nabla_forms(get_model("kt4"), 1)
+    op = nabla_forms(levi_civita(get_model("kt4")), 1)
     assert apply_operator(op, coframe(2, 3)) == coframe(2, 2).scale(gq(Fraction(-1, 2)))
 
 

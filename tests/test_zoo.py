@@ -4,8 +4,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from kahlerid import geometry, get_model
-from kahlerid.zoo import assemble
+from kahlerid import GeometryError, geometry, get_model, operators
+from kahlerid.zoo import ExteriorZoo, assemble
 
 
 def _array_bytes(a: np.ndarray) -> bytes:
@@ -48,3 +48,17 @@ ZOO_SHA256 = {
 def test_assembled_zoo_is_pinned(name):
     ops, elements = assemble(geometry(get_model(name)))
     assert zoo_digest(ops, elements) == ZOO_SHA256[name]
+
+
+def test_swapped_d_omega_parts_are_rejected(monkeypatch):
+    # J_d acts on the (p, q) part of d omega as i(p - q), so parts filed under
+    # each other's bidegree must stop the zoo; their sum alone cannot tell
+    project = operators.bidegree_project
+
+    def swapped(a, p, q):
+        return project(a, q, p) if (p, q) in ((2, 1), (1, 2)) else project(a, p, q)
+
+    monkeypatch.setattr(operators, "bidegree_project", swapped)
+    g = geometry(get_model("nil6"))
+    with pytest.raises(GeometryError, match=r"part of d omega is not of bidegree"):
+        ExteriorZoo(g)
