@@ -25,6 +25,8 @@ from .verifier import (
     commutator_table_markdown,
     emit_bidegree_table,
     emit_commutator_table,
+    suite_requests,
+    table_requests,
     verify,
 )
 
@@ -126,7 +128,7 @@ def _cmd_validate(args) -> int:
 def _cmd_verify(args) -> int:
     model = resolve_model(args.model)
     mode = "float" if args.float_mode else "exact"
-    ws = Workspace(model, mode=mode)
+    ws = Workspace(model, mode=mode, reads=suite_requests(model.n, args.suite, mode))
     report = verify(ws, suite=args.suite, tolerance=args.tolerance)
     text = report.to_json() if args.format == "json" else report.to_markdown()
     _emit(text, args.out)
@@ -135,7 +137,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     model = resolve_model(args.model)
-    ws = Workspace(model)  # tables are structural: exact arithmetic only
+    # tables are structural: exact arithmetic only.  Both tables are planned
+    # together, so a value they share is evaluated once
+    requests = table_requests(args.which)
+    ws = Workspace(model, reads=requests)
+    ws.plan(requests)
     parts = {}
     ok = True
     if args.which in ("commutator", "both"):

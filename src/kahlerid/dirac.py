@@ -10,6 +10,7 @@ structure to be parallel.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .algebra import (
     Multivector,
@@ -17,6 +18,7 @@ from .algebra import (
 )
 from .matrices import ExactMatrix
 from .operators import (
+    LazyMap,
     LinearOperator,
     apply_operator,
     blade_structure,
@@ -88,49 +90,73 @@ def sigma_from_torsion_form(geom: ModelGeometry, a: int) -> LinearOperator:
 
 class CliffordZoo:
     """The Clifford-picture operators and elements of one model, under their
-    catalog names: `ops` maps names to operators, `elements` to
-    (multivector, "cl") pairs."""
+    catalog names, each built on its first read: `ops` maps names to
+    operators, `elements` to (multivector, "cl") pairs."""
 
     def __init__(self, geom: ModelGeometry):
         n = geom.n
         bs = blade_structure(n)
         om = geom.omega_clifford
-        nablas = [nabla(geom.connection, a) for a in range(1, 2 * n + 1)]
-        sigmas = [sigma(nablas, a) for a in range(1, 2 * n + 1)]
-        ops = {f"nabla_{a}": op for a, op in enumerate(nablas, 1)}
-        ops.update((f"sigma_{a}", op) for a, op in enumerate(sigmas, 1))
-        ops["L_omega"] = clifford_left(om, "L_omega")
-        ops["R_omega"] = clifford_right(om, "R_omega")
+        idx = range(1, 2 * n + 1)
+        ops = self.ops = LazyMap()
+        elements = self.elements = LazyMap()
+
+        def family(name: str) -> list[LinearOperator]:
+            return [ops[f"{name}_{a}"] for a in idx]
+
+        def sigma_at(a: int) -> LinearOperator:
+            return sigma(family("nabla"), a)
+
+        def sigma_sum(name: str, kind: str) -> LinearOperator:
+            return make_operator(name, _frame_sum(kind, family("sigma")), "cl")
+
+        for a in idx:
+            ops.add(f"nabla_{a}", partial(nabla, geom.connection, a))
+            ops.add(f"sigma_{a}", partial(sigma_at, a))
+        ops.add("L_omega", partial(clifford_left, om, "L_omega"))
+        ops.add("R_omega", partial(clifford_right, om, "R_omega"))
         # H_c = (1/2i)(L_omega + R_omega), the Clifford-side counterpart of
         # the degree-counting commutator on forms
-        hc = (ops["L_omega"].matrix + ops["R_omega"].matrix).scale(gq(0, Fraction(-1, 2)))
-        ops["Hc"] = make_operator("H_c", hc, "cl")
-        ops["D"] = dirac(nablas)
-        ops["Dc"] = conjugate(ops["D"]).renamed("D^c")
-        ops["Jd_cl"] = make_operator("J_d", bs.Jd_cl, "cl")
-        ops["Ja_cl"] = make_operator("J_a", bs.Ja_cl, "cl")
+        ops.add("Hc", lambda: make_operator(
+            "H_c", (ops["L_omega"].matrix + ops["R_omega"].matrix).scale(gq(0, Fraction(-1, 2))),
+            "cl"))
+        ops.add("D", lambda: dirac(family("nabla")))
+        ops.add("Dc", lambda: conjugate(ops["D"]).renamed("D^c"))
+        ops.add("Jd_cl", lambda: make_operator("J_d", bs.Jd_cl, "cl"))
+        ops.add("Ja_cl", partial(make_operator, "J_a", bs.Ja_cl, "cl"))
         # D_sigma = sum_A L_{e_A} sigma_{e_A}, and its wedge and contraction
         # halves under e.x = e^x - e_|x, so D_sigma = ext - int
-        ops["Dsig"] = make_operator("D_sigma", _frame_sum("L", sigmas), "cl")
-        ops["Dsigc"] = conjugate(ops["Dsig"]).renamed("D_sigma^c")
-        ops["Dsig_ext"] = make_operator("D_sigma_ext", _frame_sum("E", sigmas), "cl")
-        ops["Dsig_int"] = make_operator("D_sigma_int", _frame_sum("C", sigmas), "cl")
+        for key, name, kind in (("Dsig", "D_sigma", "L"), ("Dsig_ext", "D_sigma_ext", "E"),
+                                ("Dsig_int", "D_sigma_int", "C")):
+            ops.add(key, partial(sigma_sum, name, kind))
+        ops.add("Dsigc", lambda: conjugate(ops["Dsig"]).renamed("D_sigma^c"))
 
-        vector_sum = Multivector.zero(n)  # sum_A sigma_{e_A}(e_A)
-        for a, op in enumerate(sigmas, 1):
-            vector_sum = vector_sum + apply_operator(op, frame(n, a))
-        elements = {"unit": Multivector.unit(n), "omega_cl": om,
-                    "jstar_lee_cl": geom.jstar_lee, "sigma_vector_sum": vector_sum}
+        def vector_sum():  # sum_A sigma_{e_A}(e_A)
+            total = Multivector.zero(n)
+            for a, op in enumerate(family("sigma"), 1):
+                total = total + apply_operator(op, frame(n, a))
+            return total, "cl"
+
+        def applied(p: str, key: str):
+            """(P x, "cl") for the operator P = ops[p] and the element x = elements[key]."""
+            return apply_operator(ops[p], elements[key][0]), "cl"
+
+        def left(key: str, prefix: str, p: str):
+            """L_x for the element x = elements[key], named after ops[p]."""
+            return clifford_left(elements[key][0], f"L_{{{prefix}{ops[p].name} omega}}")
+
+        elements["unit"] = (Multivector.unit(n), "cl")
+        elements["omega_cl"] = (om, "cl")
+        elements["jstar_lee_cl"] = (geom.jstar_lee, "cl")
+        elements.add("sigma_vector_sum", vector_sum)
         # P omega for P = D, D^c, D_sigma, D_sigma^c, then J_d D omega and
         # J_d D^c omega, each with its left Clifford multiplication
         for p in ("D", "Dc", "Dsig", "Dsigc"):
             key = f"{p}_omega"
-            elements[key] = apply_operator(ops[p], om)
-            ops[f"L_{key}"] = clifford_left(elements[key], f"L_{{{ops[p].name} omega}}")
+            elements.add(key, partial(applied, p, "omega_cl"))
+            ops.add(f"L_{key}", partial(left, key, "", p))
         for p in ("D", "Dc"):
             key = f"Jd_{p}_omega"
-            elements[key] = apply_operator(ops["Jd_cl"], elements[f"{p}_omega"])
-            ops[f"L_{key}"] = clifford_left(elements[key], f"L_{{J_d {ops[p].name} omega}}")
-        ops["L_jlee"] = clifford_left(geom.jstar_lee, "L_{(J* lee)#}")
-        self.ops = ops
-        self.elements = {key: (mv, "cl") for key, mv in elements.items()}
+            elements.add(key, partial(applied, "Jd_cl", f"{p}_omega"))
+            ops.add(f"L_{key}", partial(left, key, "J_d ", p))
+        ops.add("L_jlee", partial(clifford_left, geom.jstar_lee, "L_{(J* lee)#}"))

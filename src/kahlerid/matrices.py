@@ -9,7 +9,9 @@ when their parts are, and `==` compares them directly:
 - den > 0 and gcd(re, im, den) = 1, so a zero matrix has den = 1;
 - re and im are int64 while every entry is below 2**62 in magnitude and
   Python integers (object dtype) above that;
-- re and im are read-only from construction.
+- re and im are read-only from construction, and an int64 imaginary part
+  that is known to be zero is one zero array per shape, shared by every
+  real matrix of that shape (`im` None at construction says it is zero).
 
 Each matrix also carries its entry bound max(|re|, |im|), computed at most
 once (per part, so a real matrix is known to be real) and passed on
@@ -68,28 +70,30 @@ def _gcd_reduce(arr: np.ndarray) -> int:
     return int(np.gcd.reduce(np.abs(arr).ravel()))
 
 
-def _normal_form(re: np.ndarray, im: np.ndarray, den: int):
-    """(re, im, den, bounds) in normal form; bounds is None unless it came for free."""
+def _normal_form(re: np.ndarray, im: np.ndarray | None, den: int):
+    """(re, im, den, bounds) in normal form, im None for a zero imaginary
+    part; bounds is None unless it came for free."""
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     if den < 0:
-        re, im, den = -re, -im, -den
+        re, im, den = -re, _part(np.negative, im), -den
     # g = gcd(den, re, im), no further reduction once it is 1
     g = den
     for arr in (re, im):
         if g == 1:
             break
-        g = math.gcd(g, _gcd_reduce(arr))
+        if arr is not None:
+            g = math.gcd(g, _gcd_reduce(arr))
     if g > 1:
         if re.dtype != object and g > _I64_MAX:
             # an int64 array divisible by g >= 2**63 is zero; g = den then
-            re, im = re.astype(object), im.astype(object)
-        re, im, den = re // g, im // g, den // g
+            re, im = re.astype(object), _part(lambda x: x.astype(object), im)
+        re, im, den = re // g, _part(lambda x: x // g, im), den // g
     bounds = None
     if re.dtype == object:
-        bounds = (_max_abs(re), _max_abs(im))
+        bounds = (_max_abs(re), 0 if im is None else _max_abs(im))
         if max(bounds) < _I64_BOUND:
-            re, im = re.astype(np.int64), im.astype(np.int64)
+            re, im = re.astype(np.int64), _part(lambda x: x.astype(np.int64), im)
     return re, im, int(den), bounds
 
 
@@ -117,10 +121,15 @@ def _fma(acc: np.ndarray, k, x: np.ndarray) -> None:
 class ExactMatrix:
     __slots__ = ("re", "im", "den", "_bounds")
 
-    def __init__(self, re: np.ndarray, im: np.ndarray, den: int, *,
+    def __init__(self, re: np.ndarray, im: np.ndarray | None, den: int, *,
                  _normalized=False, _bounds=None):
+        """im None is a zero imaginary part."""
         if not _normalized:
             re, im, den, _bounds = _normal_form(re, im, den)
+        if re.dtype == np.int64 and (im is None or (_bounds is not None and not _bounds[1])):
+            im = _zero_part(*re.shape)
+        elif im is None:
+            im = np.zeros(re.shape, dtype=re.dtype)
         re.flags.writeable = False
         im.flags.writeable = False
         self.re, self.im, self.den, self._bounds = re, im, den, _bounds
@@ -133,10 +142,8 @@ class ExactMatrix:
 
     @staticmethod
     def identity(dim: int) -> "ExactMatrix":
-        return ExactMatrix(
-            np.eye(dim, dtype=np.int64), np.zeros((dim, dim), dtype=np.int64), 1,
-            _normalized=True, _bounds=(1 if dim else 0, 0),
-        )
+        return ExactMatrix(np.eye(dim, dtype=np.int64), None, 1, _normalized=True,
+                           _bounds=(1 if dim else 0, 0))
 
     @staticmethod
     def from_columns(rows: int, cols: list[dict[int, GaussianRational]]) -> "ExactMatrix":
@@ -155,11 +162,12 @@ class ExactMatrix:
         big = any(abs(x) >= _I64_BOUND for x in res + ims)
         dtype = object if big else np.int64
         re = np.zeros((rows, len(cols)), dtype=dtype)
-        im = np.zeros((rows, len(cols)), dtype=dtype)
+        im = np.zeros((rows, len(cols)), dtype=dtype) if any(ims) else None
         if idx:
             at = tuple(np.array(idx).T)
             re[at] = np.array(res, dtype=dtype)
-            im[at] = np.array(ims, dtype=dtype)
+            if im is not None:
+                im[at] = np.array(ims, dtype=dtype)
         return ExactMatrix(re, im, den)
 
     @staticmethod
@@ -213,7 +221,7 @@ class ExactMatrix:
         return linear_combination([(1, self, None), (-1, other, None)], self.shape)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(-self.re, -self.im, self.den, _normalized=True,
+        return ExactMatrix(-self.re, self._map_im(np.negative), self.den, _normalized=True,
                            _bounds=self._bounds)
 
     def scale(self, c) -> "ExactMatrix":
@@ -236,24 +244,30 @@ class ExactMatrix:
         out = (self.shape[0], other.shape[1])
         # float64 products hold exact integers below 2**53 and go back to int64
         dtype_out = np.int64 if dtype is np.float64 else dtype
-        re, im = (np.zeros(out, dtype=dtype_out) if x is None
-                  else x.astype(dtype_out, copy=False)
+        re, im = (_part(lambda x: x.astype(dtype_out, copy=False), x)
                   for x in _part_product(_live_parts(self, dtype), _live_parts(other, dtype)))
+        if re is None:
+            re = np.zeros(out, dtype=dtype_out)
         return ExactMatrix(re, im, self.den * other.den)
 
     # -- involutions -----------------------------------------------------
     def adjoint(self) -> "ExactMatrix":
-        return ExactMatrix(self.re.T.copy(), np.negative(self.im.T, order="C"), self.den,
+        return ExactMatrix(self.re.T.copy(),
+                           self._map_im(lambda x: np.negative(x.T, order="C")), self.den,
                            _normalized=True, _bounds=self._bounds)
 
     def bar(self) -> "ExactMatrix":
         """Entrywise complex conjugation."""
-        return ExactMatrix(self.re, -self.im, self.den, _normalized=True,
+        return ExactMatrix(self.re, self._map_im(np.negative), self.den, _normalized=True,
                            _bounds=self._bounds)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.re.T.copy(), self.im.T.copy(), self.den, _normalized=True,
-                           _bounds=self._bounds)
+        return ExactMatrix(self.re.T.copy(), self._map_im(lambda x: x.T.copy()), self.den,
+                           _normalized=True, _bounds=self._bounds)
+
+    def _map_im(self, fn):
+        """fn(im), or None when im is the shared zero part."""
+        return None if self.im is _zero_part(*self.shape) else fn(self.im)
 
     # -- comparison ------------------------------------------------------
     def __eq__(self, other):
@@ -320,8 +334,17 @@ def _dot_sum(terms):
 
 
 @functools.cache
-def _zero(rows: int, cols: int) -> ExactMatrix:
+def _zero_part(rows: int, cols: int) -> np.ndarray:
+    """The read-only int64 zero array of this shape, the imaginary part of
+    every real int64 matrix of that shape."""
     z = np.zeros((rows, cols), dtype=np.int64)
+    z.flags.writeable = False
+    return z
+
+
+@functools.cache
+def _zero(rows: int, cols: int) -> ExactMatrix:
+    z = _zero_part(rows, cols)
     return ExactMatrix(z, z, 1, _normalized=True, _bounds=(0, 0))
 
 
@@ -455,7 +478,8 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
         scaled.append((a, b, m, gather, b_im))
     dtype = np.int64 if int64 and max(re_bound, im_bound) < _I64_BOUND else object
     re = np.zeros(shape, dtype=dtype)
-    im = np.zeros(shape, dtype=dtype)
+    # a sum whose imaginary bound is 0 is real: no term reaches im
+    im = np.zeros(shape, dtype=dtype) if im_bound else None
     diagonal = np.arange(shape[0])
     for a, b, m, gather, b_im in scaled:
         if m is None:
@@ -474,10 +498,12 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
             mr = sign * mr[rows]
             mi = sign * mi[rows] if b_im else None
         _fma(re, a, mr)
-        _fma(im, b, mr)
         if b_im:
             _fma(re, -b, mi)
-            _fma(im, a, mi)
+        if im is not None:
+            _fma(im, b, mr)
+            if b_im:
+                _fma(im, a, mi)
     return ExactMatrix(re, im, den)
 
 

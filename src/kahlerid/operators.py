@@ -10,6 +10,7 @@ single column.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +52,49 @@ class LinearOperator:
         return replace(self, name=name)
 
 
+class LazyMap(Mapping):
+    """Names mapped to values that are built on their first read and kept.
+
+    The names are declared up front, so `in`, `len` and iteration build
+    nothing, and reading an undeclared name raises KeyError.  A map made
+    over parent maps serves their names by reading the parents, so each
+    value is built once, in the map that declared it, where its builder's
+    own reads resolve.  Assigning to a name replaces its value.
+    """
+
+    def __init__(self, *parents: "LazyMap"):
+        self._parents = parents
+        self._builders = {name: functools.partial(parent.__getitem__, name)
+                          for parent in parents for name in parent}
+        self._values: dict = {}
+
+    def add(self, name: str, build) -> None:
+        """Declare name, its value to be build() on the first read."""
+        self._builders[name] = build
+
+    def __setitem__(self, name: str, value) -> None:
+        self._builders.setdefault(name, None)
+        self._values[name] = value
+
+    def __getitem__(self, name: str):
+        if name not in self._values:
+            self._values[name] = self._builders[name]()
+        return self._values[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._builders
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+    def built(self) -> set[str]:
+        """The names whose values exist so far, here or in a parent."""
+        return set(self._values).union(*(parent.built() for parent in self._parents))
+
+
 # ---------------------------------------------------------------------------
 # per-dimension structure cache
 # ---------------------------------------------------------------------------
@@ -90,10 +134,9 @@ class BladeStructure:
         }
         self.identity = ExactMatrix.identity(self.dim)
         parity = 1 - 2 * (degs % 2)
-        zero = np.zeros((self.dim, self.dim), dtype=np.int64)
-        self.parity_sign = ExactMatrix(np.diag(parity), zero, 1)
+        self.parity_sign = ExactMatrix(np.diag(parity), None, 1)
         # the projector onto degree 1, the only degree projector read
-        self.proj1 = ExactMatrix(np.diag((degs == 1).astype(np.int64)), zero, 1)
+        self.proj1 = ExactMatrix(np.diag((degs == 1).astype(np.int64)), None, 1)
         self.rows = np.arange(self.dim)
         # J_a sends each factor t^i to +-t^{i+n} (i <= n) or +-t^{i-n} (i > n),
         # so blade m to +-blade swap[m].  With p and q the factors of m at
@@ -510,8 +553,11 @@ def vector_operator(block: ExactMatrix) -> ExactMatrix:
     bs = blade_structure(block.shape[0] // 2)
     vectors = np.ix_(bs.degree_indices[1], bs.degree_indices[1])
     re = np.zeros((bs.dim, bs.dim), dtype=block.re.dtype)
-    im = np.zeros_like(re)
-    re[vectors], im[vectors] = block.re, block.im
+    re[vectors] = block.re
+    im = None
+    if block.has_im():
+        im = np.zeros_like(re)
+        im[vectors] = block.im
     # zero padding keeps block's normal form
     return ExactMatrix(re, im, block.den, _normalized=True)
 

@@ -730,12 +730,18 @@ def _ctab_rows() -> list[tuple]:
                    for p, _, row, lam, l in rows]
 
 
+def _ctab_cells() -> list[tuple]:
+    """(row label, base, column, [row, column], expected) for every cell."""
+    return [(label, base, col, SCom(row, Op(col)), expected)
+            for label, base, row, lam, l in _ctab_rows()
+            for col, expected in (("Lam", lam), ("L", l))]
+
+
 def _group_ctab(n: int) -> list[IdentityEntry]:
     return [IdentityEntry(f"ctab.{label}.{col}", "commutator-table",
                           f"[{label}, {col}] = {_format_expr(rhs)}", "operator",
-                          SCom(row, Op(col)), rhs, guards=(base,))
-            for label, base, row, lam, l in _ctab_rows()
-            for col, rhs in (("Lam", lam), ("L", l))]
+                          cell, rhs, guards=(base,))
+            for label, base, col, cell, rhs in _ctab_cells()]
 
 
 # -- group 7: the bidegree table ----------------------------------------------
@@ -812,10 +818,17 @@ COVERAGE = {
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """All zoo operators and elements for one model, with an expression
-    evaluator that is exact by default and float (`FloatMatrix`) in float mode."""
+    """The zoo operators and elements of one model, each built on its first
+    read, with an expression evaluator that is exact by default and float
+    (`FloatMatrix`) in float mode.
 
-    def __init__(self, model: LieModel, mode: str = "exact"):
+    `reads` lists the (expr, float_mode) evaluations the caller is about to
+    make (`suite_requests`, `table_requests`): the zoo operators and elements
+    they read are built with the workspace, so its construction holds all of
+    the zoo work and nothing else is built.
+    """
+
+    def __init__(self, model: LieModel, mode: str = "exact", reads=()):
         if mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {mode!r}")
         self.model = model
@@ -829,19 +842,22 @@ class Workspace:
         self._memo: dict[tuple, object] = {}
         # planned requests left per (expr, float_mode) key; see `plan`
         self._uses: dict[tuple, int] = {}
+        for expr, _ in _count_uses(reads):
+            if isinstance(expr, Op):
+                self.op(expr.name)
+            elif isinstance(expr, El):
+                self.element_column(expr.name)
 
     # -- leaves ------------------------------------------------------------
     def op(self, name: str) -> LinearOperator:
-        try:
-            return self.ops[name]
-        except KeyError:
-            raise StructuralError(f"unknown operator {name!r}") from None
+        if name not in self.ops:
+            raise StructuralError(f"unknown operator {name!r}")
+        return self.ops[name]
 
     def element_column(self, name: str) -> tuple[ExactMatrix, str]:
-        try:
-            mv, picture = self.elements[name]
-        except KeyError:
-            raise StructuralError(f"unknown element {name!r}") from None
+        if name not in self.elements:
+            raise StructuralError(f"unknown element {name!r}")
+        mv, picture = self.elements[name]
         if name not in self._cols:
             self._cols[name] = self._bs.to_column(mv)
         return self._cols[name], picture
@@ -876,14 +892,7 @@ class Workspace:
         since later requests hit the memo.  Unplanned values stay memoized.
         A plan replaces the previous one.
         """
-        uses: dict[tuple, int] = {}
-        todo = list(requests)
-        while todo:
-            key = todo.pop()
-            uses[key] = uses.get(key, 0) + 1
-            if uses[key] == 1:
-                todo.extend(_children(*key))
-        self._uses = uses
+        self._uses = _count_uses(requests)
 
     def _eval(self, expr: Expr, float_mode: bool):
         key = (expr, float_mode)
@@ -960,6 +969,19 @@ class Workspace:
                                          rebuilt.picture, rebuilt.parity)
             return rebuilt
         raise StructuralError(f"unknown expression node {type(expr).__name__}")
+
+
+def _count_uses(requests) -> dict[tuple, int]:
+    """The number of times each (expr, float_mode) key is requested when the
+    requests are evaluated through the memo (see `Workspace.plan`)."""
+    uses: dict[tuple, int] = {}
+    todo = list(requests)
+    while todo:
+        key = todo.pop()
+        uses[key] = uses.get(key, 0) + 1
+        if uses[key] == 1:
+            todo.extend(_children(*key))
+    return uses
 
 
 def _children(expr: Expr, float_mode: bool) -> tuple:
@@ -1104,14 +1126,24 @@ def _requests(e: IdentityEntry, is_float: bool) -> tuple:
     return ((e.lhs, is_float), (e.rhs, is_float))
 
 
-def verify(ws: Workspace, suite: str = "all", tolerance: float = 1e-10) -> Report:
-    """Evaluate the catalog on a workspace and report per-entry residuals."""
+def _suite_entries(n: int, suite: str) -> list[IdentityEntry]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    return [e for e in catalog(n) if suite == "all" or GROUP_SUITE[e.group] == suite]
+
+
+def suite_requests(n: int, suite: str = "all", mode: str = "exact") -> list[tuple]:
+    """The (expr, float_mode) evaluations of every entry of a suite at
+    dimension 2n in mode, the `reads` of a workspace that `verify` runs on.
+    The entries `verify` skips read no zoo leaf that the others do not."""
+    return [req for e in _suite_entries(n, suite) for req in _requests(e, mode == "float")]
+
+
+def verify(ws: Workspace, suite: str = "all", tolerance: float = 1e-10) -> Report:
+    """Evaluate the catalog on a workspace and report per-entry residuals."""
+    entries = _suite_entries(ws.n, suite)
     if not 0 <= tolerance < math.inf:  # also false for nan
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    entries = [e for e in catalog(ws.n)
-               if suite == "all" or GROUP_SUITE[e.group] == suite]
     geom = ws.geom
     report = Report(
         model=ws.model.name,
@@ -1174,15 +1206,33 @@ _SPAN_FAMILIES = (
 _SPAN_LEE = ("E_lee", "I_lee", "E_jlee", "I_jlee")
 
 
+def _span_exprs() -> list[tuple[str, Expr]]:
+    """(label, expr) of every atom of the commutator table's span."""
+    return ([(nm, Op(nm)) for nm in _SPAN_FAMILIES]
+            + [(nm + "*", Adj(Op(nm))) for nm in _SPAN_FAMILIES]
+            + [(nm, Op(nm)) for nm in _SPAN_LEE])
+
+
 def _span_atoms(ws: Workspace) -> list[tuple[str, LinearOperator]]:
-    atoms = []
-    for nm in _SPAN_FAMILIES:
-        atoms.append((nm, ws.op(nm)))
-    for nm in _SPAN_FAMILIES:
-        atoms.append((nm + "*", adjoint(ws.op(nm))))
-    for nm in _SPAN_LEE:
-        atoms.append((nm, ws.op(nm)))
-    return atoms
+    return [(label, ws.eval(x)) for label, x in _span_exprs()]
+
+
+def table_requests(which: str = "both") -> list[tuple]:
+    """The (expr, float_mode) evaluations that `emit_commutator_table`
+    ("commutator"), `emit_bidegree_table` ("bidegree") or both make.
+
+    Planned in one `Workspace.plan` call, they evaluate every value once
+    and drop it after its last use, in either table.
+    """
+    if which not in ("commutator", "bidegree", "both"):
+        raise ValueError(f"unknown table {which!r}")
+    exprs = []
+    if which != "bidegree":
+        exprs += [x for _, x in _span_exprs()]
+        exprs += [x for *_, target, expected in _ctab_cells() for x in (target, expected)]
+    if which != "commutator":
+        exprs += [x for _, items in _btab_cells() for _, x in items]
+    return [(x, False) for x in exprs]
 
 
 def _format_coeff(c: GaussianRational) -> str:
@@ -1225,12 +1275,11 @@ def emit_commutator_table(ws: Workspace) -> dict:
     # column j of the normal equations is <m_j, m_i> over i
     gram_cols = span.inner(mats)
     pending = []
-    for label, _, row, lam, l in _ctab_rows():
-        for col, expected in (("Lam", lam), ("L", l)):
-            target = ws.eval(SCom(row, Op(col))).matrix
-            matches = target == ws.eval(expected).matrix
-            rhs = span.inner([target])[0]
-            pending.append((label, col, _format_expr(expected), target, matches, rhs))
+    for label, _, col, target, expected in _ctab_cells():
+        target = ws.eval(target).matrix
+        matches = target == ws.eval(expected).matrix
+        rhs = span.inner([target])[0]
+        pending.append((label, col, _format_expr(expected), target, matches, rhs))
     solutions = solve_exact(gram_cols, [rhs for *_, rhs in pending])
     cells = []
     ok = True

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -274,3 +275,46 @@ def test_table_command_never_imports_numpy_ma(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert run.stdout.split() == ["0", "False"]
+
+
+def test_table_evaluates_each_planned_value_once(tmp_path, monkeypatch):
+    # both tables are planned in one call: a value they share is kept until
+    # its last use and never recomputed, and nothing is left in the memo
+    from kahlerid import verifier
+
+    seen = {"evals": 0, "workspaces": []}
+    plan, eval_inner = verifier.Workspace.plan, verifier.Workspace._eval_inner
+
+    def counting_plan(self, requests):
+        plan(self, requests)
+        seen["workspaces"].append((self, len(self._uses)))
+
+    def counting_eval(self, expr, float_mode):
+        seen["evals"] += 1
+        return eval_inner(self, expr, float_mode)
+
+    monkeypatch.setattr(verifier.Workspace, "plan", counting_plan)
+    monkeypatch.setattr(verifier.Workspace, "_eval_inner", counting_eval)
+    dest = tmp_path / "table.json"
+    assert main(["table", "--model", "nil6", "--which", "both", "--out", str(dest)]) == 0
+    [(ws, planned)] = seen["workspaces"]
+    assert seen["evals"] == planned
+    assert ws._memo == {} and ws._uses == {}
+
+
+# traced peak of `table --which both` on nil6 after a warm-up run: 7.1 MB
+# measured (21.8 MB when every zoo operator was built up front, each real one
+# with its own zero imaginary part, and no table value was ever dropped)
+TABLE_PEAK_BUDGET = 1.25 * 7.1e6
+
+
+def test_table_memory_stays_within_its_budget(tmp_path):
+    argv = ["table", "--model", "nil6", "--which", "both", "--out", str(tmp_path / "t.json")]
+    assert main(argv) == 0  # warm the per-dimension caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= TABLE_PEAK_BUDGET, f"traced peak {peak / 1e6:.2f} MB"

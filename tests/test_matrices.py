@@ -574,3 +574,42 @@ def test_float_matrix_operations_equal_the_complex128_reference(case):
         assert (fa + fa2).im is None and (fa - fa2).im is None
     if not a.has_im():
         assert fa.im is None and fa.adjoint().im is None and fa.bar().im is None
+
+
+def _real_matrices(shape):
+    """Real int64 matrices of one shape from every constructor that makes them."""
+    rows, cols = shape
+    a = _from_rows([[(3 * i + j) % 5 - 2 for j in range(cols)] for i in range(rows)], den=3)
+    b = _from_rows([[(i + 2 * j) % 3 for j in range(cols)] for i in range(cols)])
+    return [a, a @ b, ExactMatrix.identity(rows) @ a, a.scale(gq(2)), a + a, -a, a.bar(),
+            linear_combination([(gq(0, 1), a.scale(gq(0, 1)), None)], shape),
+            _from_rows([[j - i for i in range(rows)] for j in range(cols)]).transpose(),
+            a.adjoint().adjoint()]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (1, 4)])
+def test_real_int64_matrices_share_one_zero_imaginary_part(shape):
+    mats = _real_matrices(shape)
+    if shape[0] == shape[1]:
+        mats += [ExactMatrix.identity(shape[0]), ExactMatrix.zeros(*shape)]
+    for m in mats:
+        assert m.re.dtype == np.int64 and not m.has_im()
+        assert m.im is mats[0].im
+    zero = mats[0].im
+    assert zero.shape == shape and not zero.any()
+    with pytest.raises(ValueError, match="read-only"):
+        zero[0, 0] = 1
+    # complex matrices, and real ones of another shape, keep parts of their own
+    assert _from_rows([[1, 2, 3]]).im is not zero
+    assert mats[0].scale(gq(0, 1)).im is not zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs)
+def test_a_real_result_holds_the_shared_zero_part_when_its_operands_are_real(pair):
+    # the real parts, built with no imaginary part
+    a, b = (ExactMatrix(m.re, None, m.den) for m in pair)
+    for m in (a, b, a @ b, a + b, a.transpose(), a.adjoint(), -a):
+        assert not m.has_im()
+        if m.re.dtype == np.int64:
+            assert m.im is ExactMatrix.zeros(*m.shape).im

@@ -1,10 +1,18 @@
-"""The assembled operator zoo, pinned value by value."""
+"""The assembled operator zoo, pinned value by value and built on first read."""
 import hashlib
 
 import numpy as np
 import pytest
 
-from kahlerid import GeometryError, geometry, get_model, operators
+from kahlerid import GeometryError, StructuralError, Workspace, geometry, get_model, operators
+from kahlerid import zoo
+from kahlerid.verifier import (
+    emit_bidegree_table,
+    emit_commutator_table,
+    suite_requests,
+    table_requests,
+    verify,
+)
 from kahlerid.zoo import ExteriorZoo, assemble
 
 
@@ -62,3 +70,70 @@ def test_swapped_d_omega_parts_are_rejected(monkeypatch):
     g = geometry(get_model("nil6"))
     with pytest.raises(GeometryError, match=r"part of d omega is not of bidegree"):
         ExteriorZoo(g)
+
+
+# built with the zoo: d and its four bidegree parts, which the gate on d's
+# shifts computes
+EAGER = {"d", "mu", "del", "delbar", "mubar"}
+
+
+def test_a_workspace_builds_only_the_operators_it_reads():
+    w = Workspace(get_model("nil6"))
+    assert len(w.ops) == 163 and w.ops.built() == EAGER
+    emit_commutator_table(w)
+    emit_bidegree_table(w)
+    # the 26 operators the tables read, plus E_domega, tau_plus and
+    # tau_minus for the gates of lam and tau
+    assert EAGER < w.ops.built() and len(w.ops.built()) <= 32
+    assert {"E_domega", "tau_plus", "tau_minus"} <= w.ops.built()
+    assert not {"D", "nabla_1", "sigmat_1", "K_domega"} & w.ops.built()
+
+
+def test_verify_all_builds_every_operator():
+    w = Workspace(get_model("kt4"))
+    verify(w)
+    # I_lee is read by the commutator table's span alone
+    assert set(w.ops) - w.ops.built() == {"I_lee"}
+    assert w.elements.built() == set(w.elements)
+    emit_commutator_table(w)
+    assert w.ops.built() == set(w.ops)
+
+
+def test_a_workspace_builds_what_its_reads_read_when_it_is_made():
+    m = get_model("kt4")
+    w = Workspace(m, reads=suite_requests(m.n))
+    built = w.ops.built(), w.elements.built()
+    assert set(w.ops) - built[0] == {"I_lee"}
+    verify(w)
+    assert (w.ops.built(), w.elements.built()) == built
+    w = Workspace(m, reads=table_requests("commutator"))
+    built = w.ops.built()
+    assert len(built) <= 32
+    emit_commutator_table(w)
+    assert w.ops.built() == built
+
+
+def test_unknown_names_raise_and_build_nothing():
+    w = Workspace(get_model("nil6"))
+    for read in (w.op, w.nonzero, w.element_column):
+        with pytest.raises(StructuralError, match="unknown"):
+            read("nonsense")
+    assert "nonsense" not in w.ops and w.ops.built() == EAGER
+    assert w.elements.built() == {"unit", "omega_cl", "jstar_lee_cl", "muomega", "delomega",
+                                  "delbaromega", "mubaromega", "domega", "omega",
+                                  "domega_plus", "lee", "jstar_lee"}
+
+
+def test_a_gate_runs_when_its_operator_is_read(monkeypatch):
+    # a wrong E_{d omega} does not stop the zoo; reading lam, which is
+    # certified against it, does
+    ext_mult = zoo.ext_mult
+
+    def wrong(phi, name):
+        return ext_mult(phi + phi if name == "E_domega" else phi, name)
+
+    monkeypatch.setattr(zoo, "ext_mult", wrong)
+    w = Workspace(get_model("nil6"))
+    assert not w.ops["lam_mu"].is_zero()
+    with pytest.raises(GeometryError, match=r"lambda parts do not sum"):
+        w.op("lam")
