@@ -16,7 +16,7 @@ from .algebra import (
     Multivector,
     frame,
 )
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, linear_combination
 from .operators import (
     LazyMap,
     LinearOperator,
@@ -24,14 +24,13 @@ from .operators import (
     blade_structure,
     conjugate,
     derivation_rebuild,
-    form_slices,
     make_operator,
     multiplication,
     multiplication_sum,
     vector_operator,
 )
 from .models import ModelGeometry, nabla
-from .scalars import GaussianRational, gq
+from .scalars import gq
 
 
 def clifford_left(phi: Multivector, name: str) -> LinearOperator:
@@ -63,20 +62,19 @@ def sigma(nablas, a: int) -> LinearOperator:
     """
     bs = blade_structure(len(nablas) // 2)
     j, s = bs.structure.pair(a)
-    na = nablas[a - 1].matrix
-    nja = nablas[j - 1].matrix.scale(GaussianRational(Fraction(s)))
+    na, nj = nablas[a - 1].matrix, nablas[j - 1].matrix
     jd = bs.Jd_cl
-    ja = bs.Ja_cl
-    part1 = (na @ jd) - (jd @ na)
-    part2 = bs.Ja_cl_inv @ ((nja @ ja) - (ja @ nja))
-    return make_operator(f"sigma_{a}", part1 + part2, "cl")
+    # nabla_{J e_a} = s nabla_{e_j}, and J_a^{-1} (N J_a - J_a N) = J_a^{-1} N J_a - N
+    mat = linear_combination([(1, (na, jd), None), (-1, (jd, na), None),
+                              (s, (bs.Ja_cl_inv, nj, bs.Ja_cl), None), (-s, nj, None)], na.shape)
+    return make_operator(f"sigma_{a}", mat, "cl")
 
 
 def torsion_block(geom: ModelGeometry, a: int) -> ExactMatrix:
     """B[b-1, c-1] = (d omega)^+(X, e_b, e_c) - (d omega)^+(X, J e_b, J e_c) at X = e_a."""
-    p = form_slices(geom.d_omega_plus)[a - 1]
+    p = geom.d_omega_plus_slices[a - 1]
     j = blade_structure(geom.n).J_vec
-    return p - j.transpose() @ p @ j
+    return linear_combination([(1, p, None), (-1, (j.transpose(), p, j), None)], p.shape)
 
 
 def sigma_from_torsion_form(geom: ModelGeometry, a: int) -> LinearOperator:

@@ -9,27 +9,32 @@ when their parts are, and `==` compares them directly:
 - den > 0 and gcd(re, im, den) = 1, so a zero matrix has den = 1;
 - re and im are int64 while every entry is below 2**62 in magnitude and
   Python integers (object dtype) above that;
-- re and im are read-only from construction, and an int64 imaginary part
-  that is known to be zero is one zero array per shape, shared by every
-  real matrix of that shape (`im` None at construction says it is zero).
+- re and im are read-only from construction, and a zero int64 imaginary
+  part is one zero array per shape, shared by every real matrix of that
+  shape, a real sum whose imaginary parts cancel included (`im` None at
+  construction says it is zero).
 
-Each matrix also carries its entry bound max(|re|, |im|), computed at most
-once (per part, so a real matrix is known to be real) and passed on
-unchanged by negation, adjoint, conjugation and transpose.  Every operation
-chooses its tier from the cached bounds of its operands: a matmul whose
-partial sums stay below 2**53 runs on float64 BLAS, which holds those
-integers exactly; below 2**62 it runs on int64; above that on Python big
-integers.  No float ever enters the object path.  A product with a zero
-operand (cached bound (0, 0)) is the shared zero of its shape and costs no
-arithmetic, and a real or imaginary part with bound 0 is neither converted
-nor multiplied.  Sums and scalings go through `linear_combination`, which adds
-every term into one integer array over one common denominator and normalizes
-once; normalization stops taking gcds as soon as the running gcd reaches 1.
+Each matrix carries its part bounds (max |re|, max |im|), taken by the
+normal form from the same read of each part that gives the gcd, so a real
+matrix is known to be real and no bound is ever scanned for again; negation,
+adjoint, conjugation and transpose pass them on unchanged.
+
+Every sum, scaling and product is one call of one kernel,
+`linear_combination`, which computes sum_k c_k (m_k1 @ ... @ m_kj): it
+chooses the tier once from the coefficients and the carried bounds, which
+bound every partial sum -- float64 BLAS below 2**53 (every such integer is a
+float64), int64 below 2**62, Python big integers above, and no float ever
+enters the object tier -- casts each distinct operand once, and normalizes
+once.  A part with bound 0 is neither cast nor multiplied, and a term with
+a zero factor is dropped, so a product with a zero operand is the shared
+zero of its shape at no cost.
 
 `FrobeniusColumns` gathers a list of matrices y_c once on the union of their
 supports; its `inner` returns every <x_r, y_c> = sum x_r * conj(y_c) for a
 list of matrices x_r from one stacked real product, on the tier its bounds
-allow.  `ExactMatrix.frobenius_inner` is its 1 x 1 case.
+allow, summed over chunks of the support small enough (m n k <= 64**3) for
+OpenBLAS to run each on the calling thread.  `ExactMatrix.frobenius_inner`
+is its 1 x 1 case.
 
 FloatMatrix is the float view that `verify --float` evaluates: the same
 operation surface over float64 real and imaginary parts, a part known to be
@@ -51,7 +56,9 @@ from .scalars import GaussianRational, ZERO
 _I64_BOUND = 1 << 62
 # float64 guard: every integer of magnitude below 2**53 is a float64
 _F64_BOUND = 1 << 53
-_I64_MAX = (1 << 63) - 1
+# OpenBLAS runs an m x k by k x n product with m n k at most this on the
+# calling thread, and may wake its other threads above it
+_SERIAL_MNK = 64 ** 3
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -64,37 +71,31 @@ def _max_abs(arr: np.ndarray) -> int:
     return max(-lo, hi, 0)
 
 
-def _gcd_reduce(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    return int(np.gcd.reduce(np.abs(arr).ravel()))
-
-
 def _normal_form(re: np.ndarray, im: np.ndarray | None, den: int):
     """(re, im, den, bounds) in normal form, im None for a zero imaginary
-    part; bounds is None unless it came for free."""
+    part.  Each part is read once: while gcd(den, re, im) may still exceed
+    1, its nonzero entries give both the gcd and the part bound (max |re|,
+    max |im|); after that its bound alone."""
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     if den < 0:
         re, im, den = -re, _part(np.negative, im), -den
-    # g = gcd(den, re, im), no further reduction once it is 1
-    g = den
+    g, bounds = den, []
     for arr in (re, im):
-        if g == 1:
-            break
-        if arr is not None:
-            g = math.gcd(g, _gcd_reduce(arr))
+        if arr is not None and g > 1:
+            arr = arr[arr != 0]
+            if arr.size:
+                g = math.gcd(g, int(np.gcd.reduce(arr)))
+        bounds.append(0 if arr is None else _max_abs(arr))
+    if not any(bounds):
+        # zero, whatever the denominator: the shared zero over 1
+        return _zero_part(*re.shape), None, 1, (0, 0)
     if g > 1:
-        if re.dtype != object and g > _I64_MAX:
-            # an int64 array divisible by g >= 2**63 is zero; g = den then
-            re, im = re.astype(object), _part(lambda x: x.astype(object), im)
         re, im, den = re // g, _part(lambda x: x // g, im), den // g
-    bounds = None
-    if re.dtype == object:
-        bounds = (_max_abs(re), 0 if im is None else _max_abs(im))
-        if max(bounds) < _I64_BOUND:
-            re, im = re.astype(np.int64), _part(lambda x: x.astype(np.int64), im)
-    return re, im, int(den), bounds
+        bounds = [b // g for b in bounds]
+    if re.dtype == object and max(bounds) < _I64_BOUND:
+        re, im = re.astype(np.int64), _part(lambda x: x.astype(np.int64), im)
+    return re, im if bounds[1] else None, int(den), tuple(bounds)
 
 
 def _parts(c) -> tuple[int, int, int]:
@@ -108,14 +109,16 @@ def _parts(c) -> tuple[int, int, int]:
     return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
 
-def _fma(acc: np.ndarray, k, x: np.ndarray) -> None:
-    """acc += k * x in place."""
+def _fma(acc, k, x, at=...) -> None:
+    """acc[at] += k * x in place; nothing when acc or x is None or k is 0."""
+    if acc is None or x is None or not k:
+        return
     if k == 1:
-        acc += x
+        acc[at] += x
     elif k == -1:
-        acc -= x
-    elif k:
-        acc += k * x
+        acc[at] -= x
+    else:
+        acc[at] += k * x
 
 
 class ExactMatrix:
@@ -123,10 +126,13 @@ class ExactMatrix:
 
     def __init__(self, re: np.ndarray, im: np.ndarray | None, den: int, *,
                  _normalized=False, _bounds=None):
-        """im None is a zero imaginary part."""
+        """im None is a zero imaginary part.  Parts given as normalized come
+        with their bounds, or have them read here."""
         if not _normalized:
             re, im, den, _bounds = _normal_form(re, im, den)
-        if re.dtype == np.int64 and (im is None or (_bounds is not None and not _bounds[1])):
+        elif _bounds is None:
+            _bounds = (_max_abs(re), 0 if im is None else _max_abs(im))
+        if re.dtype == np.int64 and not _bounds[1]:
             im = _zero_part(*re.shape)
         elif im is None:
             im = np.zeros(re.shape, dtype=re.dtype)
@@ -180,9 +186,7 @@ class ExactMatrix:
         return self.re.shape
 
     def _part_bounds(self) -> tuple[int, int]:
-        """(max |re|, max |im|), computed on first use and kept."""
-        if self._bounds is None:
-            self._bounds = (_max_abs(self.re), _max_abs(self.im))
+        """(max |re|, max |im|), taken when the matrix was made."""
         return self._bounds
 
     @property
@@ -228,27 +232,8 @@ class ExactMatrix:
         return linear_combination([(c, self, None)], self.shape)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Exact product on the cheapest safe tier: float64 BLAS while every
-        partial sum is an integer below 2**53, then int64 below 2**62, then
-        Python big integers.  A zero operand gives the shared zero at once."""
-        if self.shape[1] != other.shape[0]:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        if self.is_zero() or other.is_zero():
-            return _zero(self.shape[0], other.shape[1])
-        k = self.shape[1]
-        bound = 2 * k * self.bound * other.bound
-        if self.re.dtype == np.int64 and other.re.dtype == np.int64 and bound < _I64_BOUND:
-            dtype = np.float64 if bound < _F64_BOUND else np.int64
-        else:
-            dtype = object
-        out = (self.shape[0], other.shape[1])
-        # float64 products hold exact integers below 2**53 and go back to int64
-        dtype_out = np.int64 if dtype is np.float64 else dtype
-        re, im = (_part(lambda x: x.astype(dtype_out, copy=False), x)
-                  for x in _part_product(_live_parts(self, dtype), _live_parts(other, dtype)))
-        if re is None:
-            re = np.zeros(out, dtype=dtype_out)
-        return ExactMatrix(re, im, self.den * other.den)
+        """The exact product, one term of `linear_combination`."""
+        return linear_combination([(1, (self, other), None)], (self.shape[0], other.shape[1]))
 
     # -- involutions -----------------------------------------------------
     def adjoint(self) -> "ExactMatrix":
@@ -293,13 +278,6 @@ class ExactMatrix:
     def __repr__(self):
         r, c = self.shape
         return f"ExactMatrix({r}x{c}, den={self.den}, max={self.max_norm()})"
-
-
-def _live_parts(m: ExactMatrix, dtype) -> list:
-    """[re, im] of m as dtype, None for a part whose cached bound is zero, so
-    that a part never read is never converted."""
-    return [x.astype(dtype, copy=False) if b else None
-            for x, b in zip((m.re, m.im), m._part_bounds())]
 
 
 def _part_product(a, b) -> tuple:
@@ -401,8 +379,10 @@ class FrobeniusColumns:
     def inner(self, rows) -> list[list[GaussianRational]]:
         """[[<x_r, y_c> for each column c] for each row r], from one product
         of the stacked real and imaginary parts.  Its tier follows from the
-        bounds, as in `@`: float64 BLAS while 2 k max|x| max|y| < 2**53,
-        int64 below 2**62, Python integers otherwise."""
+        bounds: float64 BLAS while 2 k max|x| max|y| < 2**53, int64 below
+        2**62, Python integers otherwise.  The product is summed over
+        chunks of the support, each an m x k by k x n product with
+        m n k <= 64**3, which OpenBLAS runs on the calling thread."""
         rows = list(rows)
         if any(x.shape != self.shape for x in rows):
             raise ValueError("shape mismatch")
@@ -416,7 +396,9 @@ class FrobeniusColumns:
         else:
             dtype = object
         x_im = any(x.has_im() for x in rows)
-        p = _gather(rows, self.support, dtype, x_im) @ _cast(self.stack, dtype).T
+        xs, ys = _gather(rows, self.support, dtype, x_im), _cast(self.stack, dtype)
+        step = max(1, _SERIAL_MNK // (len(xs) * len(ys)))
+        p = _dot_sum((1, xs[:, i:i + step], ys[:, i:i + step].T) for i in range(0, k, step))
         if dtype is np.float64:
             p = p.astype(np.int64)
         # blocks of p: re x re, re x im, im x re, im x im
@@ -439,71 +421,97 @@ class FrobeniusColumns:
 
 
 def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
-    """sum_k c_k T_k, added into one integer array and normalized once.
+    """sum_k c_k T_k on one tier, normalized once: the exact kernel behind
+    every sum, scaling and product of ExactMatrix.
 
     Each term is (c, m, gather): a scalar c (int, Fraction or
-    GaussianRational), an ExactMatrix m of the given shape or None, and a
-    row gather.  With gather None the term T is m itself.  With gather
-    (sign, rows), sign[r] in {-1, 0, 1}, row r of T is sign[r] * m[rows[r]];
-    m None stands for the identity, and T is then the signed permutation
-    matrix with entry sign[r] at (r, rows[r]), added entry by entry.
+    GaussianRational); m an ExactMatrix, a tuple of ExactMatrix standing
+    for their product m_1 @ ... @ m_j (taken left to right), or None; and a
+    row gather.  With gather None the term T is the product.  With gather
+    (sign, rows), sign[r] in {-1, 0, 1}, row r of T is sign[r] times row
+    rows[r] of the product; m None stands for the identity, and T is then
+    the signed permutation matrix with entry sign[r] at (r, rows[r]), added
+    entry by entry.
 
     The sum runs over D, the least common multiple of the terms'
-    denominators.  Its tier is chosen before anything is added, from the
-    integer coefficients and the cached entry bounds: int64 when every
-    partial sum stays below 2**62, Python integers otherwise.
+    denominators.  Its tier is chosen once, before any arithmetic, from the
+    integer coefficients and the carried part bounds, which bound every
+    partial sum of every product and of the sum: float64 BLAS when a
+    product is made and they stay below 2**53, int64 below 2**62, Python
+    integers otherwise.  Each distinct operand is cast to that tier once, a
+    part with bound 0 is neither cast nor multiplied, and a term with a
+    zero factor is dropped.
     """
-    live = []
-    den = 1
+    live, den, int64, chain = [], 1, True, False
     for c, m, gather in terms:
-        if m is not None and m.shape != tuple(shape):
-            raise ValueError(f"shape mismatch {m.shape} vs {tuple(shape)}")
+        factors = () if m is None else (m,) if isinstance(m, ExactMatrix) else tuple(m)
         a, b, d = _parts(c)
-        b_re, b_im = (1, 0) if m is None else m._part_bounds()
-        if not (a or b) or not (b_re or b_im):
-            continue
-        if m is not None:
-            d *= m.den
-        den = math.lcm(den, d)
-        live.append((a, b, d, m, gather, b_re, b_im))
+        dim, b_re, b_im = shape[0], 1, 0
+        for i, f in enumerate(factors):
+            (k, cols), (f_re, f_im) = f.re.shape, f._bounds
+            if k != dim:
+                raise ValueError(f"shape mismatch {[f.shape for f in factors]} vs {tuple(shape)}")
+            # part bounds of the product so far, and so of every partial sum in it
+            b_re, b_im = ((k * (b_re * f_re + b_im * f_im), k * (b_re * f_im + b_im * f_re))
+                          if i else (f_re, f_im))
+            dim, d = cols, d * f.den
+        if dim != shape[1]:
+            raise ValueError(f"shape mismatch {[f.shape for f in factors]} vs {tuple(shape)}")
+        if (a or b) and (b_re or b_im):
+            den = math.lcm(den, d)
+            live.append((a, b, d, factors, gather, b_re, b_im))
+            int64 = int64 and all(f.re.dtype == np.int64 for f in factors)
+            chain = chain or len(factors) > 1
+    if not live:
+        return _zero(*shape)
     scaled = []
     re_bound = im_bound = 0
-    int64 = True
-    for a, b, d, m, gather, b_re, b_im in live:
+    for a, b, d, factors, gather, b_re, b_im in live:
         f = den // d
         a, b = a * f, b * f
         re_bound += abs(a) * b_re + abs(b) * b_im
         im_bound += abs(b) * b_re + abs(a) * b_im
-        int64 = int64 and (m is None or m.re.dtype == np.int64)
-        scaled.append((a, b, m, gather, b_im))
-    dtype = np.int64 if int64 and max(re_bound, im_bound) < _I64_BOUND else object
+        scaled.append((a, b, factors, gather))
+    peak = max(re_bound, im_bound)
+    if not (int64 and peak < _I64_BOUND):
+        dtype = object
+    elif peak < _F64_BOUND and chain:
+        dtype = np.float64
+    else:
+        dtype = np.int64
+    cast = {}
     re = np.zeros(shape, dtype=dtype)
     # a sum whose imaginary bound is 0 is real: no term reaches im
     im = np.zeros(shape, dtype=dtype) if im_bound else None
     diagonal = np.arange(shape[0])
-    for a, b, m, gather, b_im in scaled:
-        if m is None:
-            sign, rows = gather
-            at = (diagonal, rows)
-            sign = sign.astype(dtype, copy=False)
-            if a:
-                re[at] += a * sign
-            if b:
-                im[at] += b * sign
-            continue
-        mr, mi = m.re.astype(dtype, copy=False), m.im.astype(dtype, copy=False)
+    for a, b, factors, gather in scaled:
         if gather is not None:
             sign, rows = gather
-            sign = sign.astype(dtype, copy=False)[:, None]
-            mr = sign * mr[rows]
-            mi = sign * mi[rows] if b_im else None
-        _fma(re, a, mr)
-        if b_im:
-            _fma(re, -b, mi)
-        if im is not None:
-            _fma(im, b, mr)
-            if b_im:
-                _fma(im, a, mi)
+            sign = sign.astype(dtype, copy=False)
+        if not factors:
+            _fma(re, a, sign, (diagonal, rows))
+            _fma(im, b, sign, (diagonal, rows))
+            continue
+        parts = None
+        for f in factors:
+            if id(f) not in cast:
+                # each distinct operand is cast once; a part of bound 0 not at all
+                cast[id(f)] = [x.astype(dtype, copy=False) if bound else None
+                               for x, bound in zip((f.re, f.im), f._bounds)]
+            if parts is None:
+                parts = cast[id(f)]
+                if gather is not None:
+                    parts = [_part(lambda x: sign[:, None] * x[rows], x) for x in parts]
+            else:
+                parts = _part_product(parts, cast[id(f)])
+        pr, pi = parts
+        _fma(re, a, pr)
+        _fma(re, -b, pi)
+        _fma(im, b, pr)
+        _fma(im, a, pi)
+    if dtype is np.float64:
+        # float64 sums hold exact integers below 2**53
+        re, im = re.astype(np.int64), _part(lambda x: x.astype(np.int64), im)
     return ExactMatrix(re, im, den)
 
 
@@ -619,44 +627,49 @@ def solve_exact(columns: list[list[GaussianRational]], targets: list[list[Gaussi
     """Solve sum_j x_j * columns[j] = t exactly for each right-hand side t in `targets`.
 
     Gauss-Jordan elimination over the Gaussian rationals, every right-hand
-    side reduced in the same pass.  Returns one answer per right-hand side:
-    a coefficient list (free variables set to 0), or None if inconsistent.
-    Pivots are chosen from `columns` only, so each answer is exactly the one
-    a call with that right-hand side alone would return.
+    side reduced in the same pass, on sparse rows: row i is held as
+    {column: nonzero value}, the right-hand sides being columns after the
+    system's.  Returns one answer per right-hand side: a coefficient list
+    (free variables set to 0), or None if inconsistent.  Pivots are chosen
+    from `columns` only, so each answer is exactly the one a call with that
+    right-hand side alone would return.
     """
     ncols = len(columns)
     nrows = len(targets[0]) if targets else 0
-    aug = [[columns[j][i] for j in range(ncols)] + [t[i] for t in targets]
-           for i in range(nrows)]
+    # the zeros of `FrobeniusColumns.inner` are ZERO itself: no test needed
+    aug = [{k: v for k, v in enumerate([c[i] for c in columns] + [t[i] for t in targets])
+            if v is not ZERO and v} for i in range(nrows)]
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        sel = next((r for r in range(row, nrows) if aug[r][col]), None)
+        sel = next((r for r in range(row, nrows) if col in aug[r]), None)
         if sel is None:
             continue
         aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [v / pv if v else v for v in aug[row]]
-        # only the pivot row's nonzero entries change the other rows
-        nz = [(k, v) for k, v in enumerate(aug[row]) if v]
-        for r in range(nrows):
-            f = aug[r][col]
-            if r != row and f:
-                arow = aug[r]
-                for k, v in nz:
-                    arow[k] = arow[k] - f * v
+        inv = 1 / aug[row][col]
+        prow = aug[row] = {k: v * inv for k, v in aug[row].items()}
+        for r, arow in enumerate(aug):
+            f = arow.get(col)
+            if r == row or f is None:
+                continue
+            for k, v in prow.items():
+                x = arow[k] - f * v if k in arow else -(f * v)
+                if x:
+                    arow[k] = x
+                else:
+                    del arow[k]
         pivots.append((row, col))
         row += 1
     answers = []
     for k in range(ncols, ncols + len(targets)):
         # inconsistency: zero row with nonzero rhs
-        if any(aug[r][k] for r in range(row, nrows)):
+        if any(k in aug[r] for r in range(row, nrows)):
             answers.append(None)
             continue
         x = [ZERO] * ncols
         for r, c in pivots:
-            x[c] = aug[r][k]
+            x[c] = aug[r].get(k, ZERO)
         answers.append(x)
     return answers

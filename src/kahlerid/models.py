@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     AdaptedStructure,
@@ -32,6 +33,7 @@ from .operators import (
     blade_structure,
     contract,
     derivation,
+    form_slices,
     three_form_parts,
 )
 from .scalars import GaussianRational, ZERO
@@ -340,6 +342,11 @@ class ModelGeometry:
     integrable: bool
     almost_kahler: bool
     lee_zero: bool
+
+    @cached_property
+    def d_omega_plus_slices(self) -> list:
+        """The slices P_a[b-1, c-1] = (d omega)^+(e_a, e_b, e_c), taken once."""
+        return form_slices(self.d_omega_plus)
 
     @property
     def n(self) -> int:

@@ -344,9 +344,11 @@ def supercommutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
             f" {a.name}:{a.parity}, {b.name}:{b.parity}"
         )
     sign = _parity_sign(a.parity, b.parity)
-    ab = a.matrix @ b.matrix
-    ba = b.matrix @ a.matrix
-    mat = ab - ba if sign == 1 else ab + ba
+    x, y = a.matrix, b.matrix
+    if isinstance(x, ExactMatrix):
+        mat = linear_combination([(1, (x, y), None), (-sign, (y, x), None)], x.shape)
+    else:
+        mat = x @ y - y @ x if sign == 1 else x @ y + y @ x
     return make_operator(f"[{a.name},{b.name}]", mat, a.picture,
                          _product_parity(a.parity, b.parity))
 
@@ -366,8 +368,13 @@ def conjugate(op: LinearOperator) -> LinearOperator:
     """J-conjugation P^c: J_a^{-1} P J_a in the operator's own picture.
     J_a keeps the degree, so P^c has the parity of P."""
     bs = blade_structure(_n_from_dim(op.dim))
-    j, jinv = bs.ja(op.picture, isinstance(op.matrix, FloatMatrix))
-    return make_operator(f"{op.name}^c", jinv @ (op.matrix @ j), op.picture, op.parity)
+    m = op.matrix
+    j, jinv = bs.ja(op.picture, isinstance(m, FloatMatrix))
+    if isinstance(m, ExactMatrix):
+        mat = linear_combination([(1, (jinv, m, j), None)], m.shape)
+    else:
+        mat = jinv @ (m @ j)
+    return make_operator(f"{op.name}^c", mat, op.picture, op.parity)
 
 
 def bar(op: LinearOperator) -> LinearOperator:
@@ -408,7 +415,7 @@ def _in_complex_frame(op: LinearOperator) -> tuple[ComplexFrame, ExactMatrix]:
     if not isinstance(op.matrix, ExactMatrix):
         raise StructuralError("bidegree measurement requires an exact matrix")
     cf = blade_structure(_n_from_dim(op.dim)).complex_frame(op.picture)
-    return cf, cf.u_inv @ op.matrix @ cf.u
+    return cf, linear_combination([(1, (cf.u_inv, op.matrix, cf.u), None)], op.matrix.shape)
 
 
 def _shift_codes(cf: ComplexFrame, m: ExactMatrix) -> np.ndarray:
@@ -430,7 +437,7 @@ def operator_bidegree_components(op: LinearOperator) -> dict[tuple[int, int], Ex
     for code in _shift_codes(cf, m):
         keep = cf.shift_code == code
         part = ExactMatrix(np.where(keep, m.re, 0), np.where(keep, m.im, 0), m.den)
-        out[cf.shift(code)] = cf.u @ part @ cf.u_inv
+        out[cf.shift(code)] = linear_combination([(1, (cf.u, part, cf.u_inv), None)], m.shape)
     return out
 
 
@@ -558,8 +565,8 @@ def vector_operator(block: ExactMatrix) -> ExactMatrix:
     if block.has_im():
         im = np.zeros_like(re)
         im[vectors] = block.im
-    # zero padding keeps block's normal form
-    return ExactMatrix(re, im, block.den, _normalized=True)
+    # zero padding keeps block's normal form and bounds
+    return ExactMatrix(re, im, block.den, _normalized=True, _bounds=block._part_bounds())
 
 
 def ext_mult(phi: Multivector, name: str) -> LinearOperator:

@@ -39,7 +39,7 @@ from .operators import (
     supercommutator,
     transport,
 )
-from .scalars import GaussianRational, I, ONE, gq, i_power
+from .scalars import ZERO, GaussianRational, I, ONE, gq, i_power
 from .zoo import assemble
 
 # ---------------------------------------------------------------------------
@@ -1264,8 +1264,8 @@ def emit_commutator_table(ws: Workspace) -> dict:
 
     The Gram system of the span is shared by every cell, so all cells are
     solved by one elimination; each cell only adds its right-hand side.  The
-    span's matrices are stacked once, and the Gram matrix and each
-    right-hand side are stacked inner products against them."""
+    span's matrices are stacked once, and the Gram matrix and all
+    right-hand sides are two stacked inner products against them."""
     if ws.mode != "exact":
         raise StructuralError("the commutator table requires exact mode")
     atoms = _span_atoms(ws)
@@ -1278,14 +1278,14 @@ def emit_commutator_table(ws: Workspace) -> dict:
     for label, _, col, target, expected in _ctab_cells():
         target = ws.eval(target).matrix
         matches = target == ws.eval(expected).matrix
-        rhs = span.inner([target])[0]
-        pending.append((label, col, _format_expr(expected), target, matches, rhs))
-    solutions = solve_exact(gram_cols, [rhs for *_, rhs in pending])
+        pending.append((label, col, _format_expr(expected), target, matches))
+    rhss = span.inner([target for *_, target, _ in pending])
+    solutions = solve_exact(gram_cols, rhss)
     cells = []
     ok = True
     # +-<atom, atom> for the alias scan
     signed_norms = [(g[i], -g[i]) for i, g in enumerate(gram_cols)]
-    for (label, col, expected_str, target, matches, rhs), x in zip(pending, solutions):
+    for (label, col, expected_str, target, matches), rhs, x in zip(pending, rhss, solutions):
         solved = None
         support: set[str] = set()
         if x is not None:
@@ -1305,12 +1305,13 @@ def emit_commutator_table(ws: Workspace) -> dict:
         if status != "ok":
             ok = False
         # coincidences: other single atoms that equal the cell on this model;
-        # target = +-atom needs <target, atom> = +-<atom, atom>, so only
-        # those atoms are compared entrywise
+        # target = +-atom needs <target, atom> = +-<atom, atom>, nonzero for
+        # a nonzero target, so only those atoms are compared entrywise (the
+        # zeros of the stacked inner products are ZERO itself)
         aliases = []
         if not target.is_zero():
             for (alabel, aop), t_a, norm in zip(atoms, rhs, signed_norms):
-                if alabel in support or t_a not in norm:
+                if alabel in support or t_a is ZERO or t_a not in norm:
                     continue
                 if target == aop.matrix:
                     aliases.append(alabel)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cache, partial
 
 from .algebra import Multivector, coframe, frame
-from .dirac import CliffordZoo, clifford_left, sigma_from_torsion_form
+from .dirac import CliffordZoo, clifford_left, sigma_from_torsion_form, torsion_block
 from .matrices import ExactMatrix
 from .models import GeometryError, ModelGeometry, nabla_forms
 from .operators import (
@@ -171,8 +171,8 @@ def _torsion_witnesses(geom: ModelGeometry, ops: LazyMap, elements: LazyMap) -> 
         """The slices of d omega and of its two halves, and of <e_k, N(e_b, e_c)>."""
         nij = tensor_slices(n, {(k, b, c): geom.nijenhuis(b, c).coeff(k)
                                 for k in idx for b in idx for c in idx})
-        forms = (geom.d_omega, geom.d_omega_plus, geom.d_omega_minus)
-        return [form_slices(f) for f in forms] + [nij]
+        return [form_slices(geom.d_omega), geom.d_omega_plus_slices,
+                form_slices(geom.d_omega_minus), nij]
 
     @cache
     def slices(a: int):
@@ -193,7 +193,7 @@ def _torsion_witnesses(geom: ModelGeometry, ops: LazyMap, elements: LazyMap) -> 
             # 2<J^-1(nabla_JX J)Y,Z> = dw(JX,Y,JZ) + dw(JX,JY,Z) - 4<JX,N(Y,Z)>
             f"kn_twist_{a}": ((q @ j + jt @ q - n4).scale(_HALF), "cl"),
             # sigma_flat on 1-forms: dw+(X,Y,Z) - dw+(X,JY,JZ)
-            f"sigflat1f_{a}": (pp - jt @ pp @ j, "ext"),
+            f"sigflat1f_{a}": (torsion_block(geom, a), "ext"),
             # psi(X,Y,Z) - psi(JX,JY,Z) - psi(JX,Y,JZ) - psi(X,JY,JZ) for psi = dw+:
             # zero iff the mixed identity holds at X = e_a
             f"tf_mixed_{a}": (pp - jt @ qp - qp @ j - jt @ pp @ j, "cl"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kahlerid import gq
+from kahlerid import gq, matrices
 from kahlerid.matrices import (
     ExactMatrix,
     FloatMatrix,
@@ -16,6 +16,7 @@ from kahlerid.matrices import (
     linear_combination,
     solve_exact,
 )
+from kahlerid.operators import vector_operator
 
 
 def _from_rows(rows, den=1):
@@ -613,3 +614,155 @@ def test_a_real_result_holds_the_shared_zero_part_when_its_operands_are_real(pai
         assert not m.has_im()
         if m.re.dtype == np.int64:
             assert m.im is ExactMatrix.zeros(*m.shape).im
+
+
+# -- the exact kernel: sums of products and product chains -------------------------
+
+
+def _chain_ref(factors):
+    """(re, im, den) of m_1 @ ... @ m_j in Python integers, without any shortcut."""
+    re, im, den = factors[0].re.astype(object), factors[0].im.astype(object), factors[0].den
+    for m in factors[1:]:
+        mr, mi = m.re.astype(object), m.im.astype(object)
+        re, im, den = re @ mr - im @ mi, re @ mi + im @ mr, den * m.den
+    return re, im, den
+
+
+def _combo_ref(terms):
+    """sum c * (m_1 @ ... @ m_j) over the terms (c, factors), in Python
+    integers over the least common denominator."""
+    parts = []
+    for c, factors in terms:
+        re, im, den = _chain_ref(factors)
+        d = math.lcm(c.re.denominator, c.im.denominator)
+        a, b = int(c.re * d), int(c.im * d)
+        parts.append((a * re - b * im, b * re + a * im, d * den))
+    total = math.lcm(*(d for *_, d in parts))
+    return ExactMatrix(sum(re * (total // d) for re, _, d in parts),
+                       sum(im * (total // d) for _, im, d in parts), total)
+
+
+_COEFFS = st.sampled_from([gq(1), gq(-1), gq(0, 1), gq(Fraction(-3, 7), Fraction(5, 2)), gq(_BIG)])
+
+
+@st.composite
+def _combo_case(draw):
+    """1-3 terms over dim x dim matrices, each a chain of 1-3 factors on the
+    float64, int64 or object tier, with mixed denominators; with `cancel`
+    every term comes again negated, so the sum is zero."""
+    dim = draw(st.integers(1, 3))
+    terms = [(draw(_COEFFS), tuple(draw(st.lists(_square(dim), min_size=1, max_size=3))))
+             for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        terms += [(-c, factors) for c, factors in terms]
+    return dim, terms
+
+
+def _fold(c, factors):
+    # the same term from separate products and a scaling
+    out = factors[0]
+    for m in factors[1:]:
+        out = out @ m
+    return out.scale(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_combo_case())
+def test_the_kernel_equals_separate_products_and_sums_on_every_tier(case):
+    dim, terms = case
+    got = linear_combination([(c, factors, None) for c, factors in terms], (dim, dim))
+    want = _combo_ref(terms)
+    separate = ExactMatrix.zeros(dim)
+    for c, factors in terms:
+        separate = separate + _fold(c, factors)
+    assert got == want == separate
+    _assert_normal(got)
+    if want.is_zero():
+        assert got.den == 1 and got.im is ExactMatrix.zeros(dim).im
+
+
+@pytest.mark.parametrize("bits, tier", [(3, np.float64), (16, np.int64), (22, object)])
+def test_the_kernel_takes_the_tier_its_bounds_allow(bits, tier, monkeypatch):
+    # a chain of three complex 4 x 4 matrices: its bound is below
+    # (2 * 4)**2 * 2**(3 bits), and near it
+    rng = np.random.default_rng(bits)
+    mats = [ExactMatrix(rng.integers(-(1 << bits), 1 << bits, (4, 4)),
+                        rng.integers(-(1 << bits), 1 << bits, (4, 4)), 6) for _ in range(3)]
+    seen = []
+    part_product = matrices._part_product
+
+    def recorded(a, b):
+        seen.extend(x.dtype for x in (*a, *b) if x is not None)
+        return part_product(a, b)
+
+    monkeypatch.setattr(matrices, "_part_product", recorded)
+    got = linear_combination([(gq(0, 1), tuple(mats), None), (2, mats[0], None)], (4, 4))
+    assert set(seen) == {np.dtype(tier)}
+    assert got == _combo_ref([(gq(0, 1), mats), (gq(2), mats[:1])])
+
+
+def test_a_chain_that_repeats_a_factor_bounds_every_product_in_it():
+    # x @ x @ x: 64 * 2 * 2**52 is past 2**53 after the first product, so
+    # float64 would round; a bound read from x alone would not see that
+    rng = np.random.default_rng(7)
+    x = ExactMatrix(rng.integers(-(1 << 26), 1 << 26, (64, 64)),
+                    rng.integers(-(1 << 26), 1 << 26, (64, 64)), 1)
+    for factors in ((x, x), (x, x, x)):
+        got = linear_combination([(1, factors, None)], (64, 64))
+        assert got == _combo_ref([(gq(1), factors)])
+    assert x @ x == _product_ref(x, x)
+
+
+def test_every_constructor_carries_the_bounds_of_its_parts():
+    a = _from_rows([[1, -2], [3, 4]], den=6)
+    c = _from_cols([[gq(1, 2), gq(0, 1)], [gq(3), gq(-1, -1)]])
+    big = ExactMatrix(np.array([[_BIG, 0], [0, -1]], dtype=object), None, 5)
+    made = [a, c, big, ExactMatrix.identity(2), ExactMatrix.zeros(2), ExactMatrix.zeros(2, 3),
+            ExactMatrix.column(2, {1: gq(0, 3)}), ExactMatrix(np.eye(2, dtype=np.int64) * 4, None, 6),
+            ExactMatrix(c.re, c.im, c.den, _normalized=True), _as_object(c),
+            -c, c.adjoint(), c.bar(), c.transpose(), a + c, a - a, c.scale(gq(0, 1)), a @ c,
+            big @ big, big.scale(Fraction(1, _BIG)), c + c.bar(), vector_operator(c),
+            linear_combination([(1, (a, c, a), None), (-1, c, None)], (2, 2))]
+    for m in made:
+        assert m._bounds == (_max_abs(m.re), _max_abs(m.im))
+    # a real sum whose imaginary parts cancel holds the shared zero part
+    assert (c + c.bar()).im is ExactMatrix.zeros(2).im
+
+
+def _inner_ints(x, y):
+    # <x, y> from the integer parts, without the stacked product
+    xr, xi, yr, yi = (p.astype(object) for p in (x.re, x.im, y.re, y.im))
+    d = x.den * y.den
+    return gq(Fraction(int((xr * yr + xi * yi).sum()), d),
+              Fraction(int((xi * yr - xr * yi).sum()), d))
+
+
+@pytest.mark.parametrize("bits, tier", [(3, np.float64), (22, np.int64), (34, object)])
+def test_chunked_inner_products_stay_serial_and_equal_the_pairwise_ones(bits, tier, monkeypatch):
+    # 12 complex rows and columns on a 30 x 30 support: m = n = 24, so the
+    # chunks hold 455 of the k <= 900 support entries
+    rng = np.random.default_rng(bits)
+
+    def mat():
+        part = lambda: np.where(rng.random((30, 30)) < 0.5,
+                                rng.integers(-(1 << bits), 1 << bits, (30, 30)), 0)
+        return ExactMatrix(part(), part(), int(rng.integers(1, 7)))
+
+    rows, cols = [mat() for _ in range(12)], [mat() for _ in range(12)]
+    span = FrobeniusColumns(cols)
+    products = []
+    dot_sum = matrices._dot_sum
+
+    def serial(terms):
+        terms = list(terms)
+        for _, x, y in terms:
+            assert x.shape[0] * x.shape[1] * y.shape[1] <= 64 ** 3
+            products.append((x.shape[1], x.dtype))
+        return dot_sum(terms)
+
+    monkeypatch.setattr(matrices, "_dot_sum", serial)
+    got = span.inner(rows)
+    k = len(span.support)
+    assert len(products) > 1 and k % products[0][0] and sum(n for n, _ in products) == k
+    assert {dtype for _, dtype in products} == {np.dtype(tier)}
+    assert got == [[_inner_ints(x, y) for y in cols] for x in rows]

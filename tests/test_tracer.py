@@ -21,7 +21,9 @@ LAUNCH = ROOT / "perfbench" / "launch.py"
     ["verify", "--model", "t2", "--suite", "all", "--exact"],
     ["verify", "--model", "t2", "--suite", "all", "--float"],
     ["table", "--model", "t2", "--which", "both"],
-], ids=["verify-exact", "verify-float", "table"])
+    # n = 3: the stacked table products reach sizes where BLAS may use threads
+    ["table", "--model", "nil6", "--which", "both"],
+], ids=["verify-exact", "verify-float", "table", "table-nil6"])
 def test_traced_cli_invocation(argv, tmp_path):
     timing = tmp_path / "timing.json"
     proc = subprocess.run(

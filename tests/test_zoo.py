@@ -6,6 +6,7 @@ import pytest
 
 from kahlerid import GeometryError, StructuralError, Workspace, geometry, get_model, operators
 from kahlerid import zoo
+from kahlerid.matrices import ExactMatrix
 from kahlerid.verifier import (
     emit_bidegree_table,
     emit_commutator_table,
@@ -137,3 +138,15 @@ def test_a_gate_runs_when_its_operator_is_read(monkeypatch):
     assert not w.ops["lam_mu"].is_zero()
     with pytest.raises(GeometryError, match=r"lambda parts do not sum"):
         w.op("lam")
+
+
+def test_every_real_int64_nil6_operator_holds_the_shared_zero_part(ws):
+    # real sums of complex operators included: their imaginary parts cancel,
+    # and the normal form sees it
+    ops = ws("nil6").ops
+    real = {k: ops[k].matrix for k in ops
+            if ops[k].matrix.re.dtype == np.int64 and not ops[k].matrix.has_im()}
+    assert len(real) == 134
+    assert {"tau_plus", "tau_minus", "rho_plus", "rho_minus", "lam"} <= set(real)
+    zero = ExactMatrix.zeros(64).im
+    assert all(m.im is zero for m in real.values())
