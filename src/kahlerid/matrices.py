@@ -7,12 +7,16 @@ Every matrix is built in one normal form, so two matrices are equal exactly
 when their parts are, and `==` compares them directly:
 
 - den > 0 and gcd(re, im, den) = 1, so a zero matrix has den = 1;
-- re and im are int64 while every entry is below 2**62 in magnitude and
-  Python integers (object dtype) above that;
-- re and im are read-only from construction, and a zero int64 imaginary
-  part is one zero array per shape, shared by every real matrix of that
-  shape, a real sum whose imaginary parts cancel included (`im` None at
-  construction says it is zero).
+- re and im are stored in one dtype, the narrowest that holds +-bound for
+  the larger part bound: int8, int16 or int32 up to 2**7 - 1, 2**15 - 1 or
+  2**31 - 1, int64 below 2**62, and Python integers (object dtype) from
+  there.  Storage is only storage: every site that computes with the parts
+  casts them to its tier's dtype first, so no product or sum is ever formed
+  in a narrow dtype, where it would wrap;
+- re and im are read-only from construction, and a zero imaginary part is
+  one zero array per shape and dtype, shared by every real matrix of that
+  shape and dtype, a real sum whose imaginary parts cancel included (`im`
+  None at construction says it is zero).
 
 Each matrix carries its part bounds (max |re|, max |im|), taken by the
 normal form from the same read of each part that gives the gcd, so a real
@@ -56,9 +60,20 @@ from .scalars import GaussianRational, ZERO
 _I64_BOUND = 1 << 62
 # float64 guard: every integer of magnitude below 2**53 is a float64
 _F64_BOUND = 1 << 53
+# storage dtypes below int64, each for entries up to its largest value
+_NARROW = tuple((int(np.iinfo(t).max), np.dtype(t)) for t in (np.int8, np.int16, np.int32))
 # OpenBLAS runs an m x k by k x n product with m n k at most this on the
 # calling thread, and may wake its other threads above it
 _SERIAL_MNK = 64 ** 3
+
+
+def _storage_dtype(bound: int) -> np.dtype:
+    """The narrowest dtype of parts with entries at most bound in magnitude;
+    signed ranges are symmetric up to one value, so negation never wraps."""
+    for top, dtype in _NARROW:
+        if bound <= top:
+            return dtype
+    return np.dtype(np.int64 if bound < _I64_BOUND else object)
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -73,9 +88,10 @@ def _max_abs(arr: np.ndarray) -> int:
 
 def _normal_form(re: np.ndarray, im: np.ndarray | None, den: int):
     """(re, im, den, bounds) in normal form, im None for a zero imaginary
-    part.  Each part is read once: while gcd(den, re, im) may still exceed
-    1, its nonzero entries give both the gcd and the part bound (max |re|,
-    max |im|); after that its bound alone."""
+    part, both parts in the storage dtype of their bounds.  Each part is
+    read once: while gcd(den, re, im) may still exceed 1, its nonzero
+    entries give both the gcd and the part bound (max |re|, max |im|);
+    after that its bound alone."""
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     if den < 0:
@@ -89,13 +105,17 @@ def _normal_form(re: np.ndarray, im: np.ndarray | None, den: int):
         bounds.append(0 if arr is None else _max_abs(arr))
     if not any(bounds):
         # zero, whatever the denominator: the shared zero over 1
-        return _zero_part(*re.shape), None, 1, (0, 0)
+        return _zero_part(*re.shape, _storage_dtype(0)), None, 1, (0, 0)
+    im = im if bounds[1] else None
     if g > 1:
-        re, im, den = re // g, _part(lambda x: x // g, im), den // g
+        # g divides every nonzero entry, so it fits the dtype of a part that
+        # has one; a zero part is not divided
+        re = re // g if bounds[0] else re
+        im, den = _part(lambda x: x // g, im), den // g
         bounds = [b // g for b in bounds]
-    if re.dtype == object and max(bounds) < _I64_BOUND:
-        re, im = re.astype(np.int64), _part(lambda x: x.astype(np.int64), im)
-    return re, im if bounds[1] else None, int(den), tuple(bounds)
+    dtype = _storage_dtype(max(bounds))
+    return (re.astype(dtype, copy=False), _part(lambda x: x.astype(dtype, copy=False), im),
+            int(den), tuple(bounds))
 
 
 def _parts(c) -> tuple[int, int, int]:
@@ -126,16 +146,15 @@ class ExactMatrix:
 
     def __init__(self, re: np.ndarray, im: np.ndarray | None, den: int, *,
                  _normalized=False, _bounds=None):
-        """im None is a zero imaginary part.  Parts given as normalized come
-        with their bounds, or have them read here."""
+        """im None is a zero imaginary part.  Parts given as normalized are
+        in their storage dtype and come with their bounds, or have them read
+        here."""
         if not _normalized:
             re, im, den, _bounds = _normal_form(re, im, den)
         elif _bounds is None:
             _bounds = (_max_abs(re), 0 if im is None else _max_abs(im))
-        if re.dtype == np.int64 and not _bounds[1]:
-            im = _zero_part(*re.shape)
-        elif im is None:
-            im = np.zeros(re.shape, dtype=re.dtype)
+        if not _bounds[1]:
+            im = _zero_part(*re.shape, re.dtype)
         re.flags.writeable = False
         im.flags.writeable = False
         self.re, self.im, self.den, self._bounds = re, im, den, _bounds
@@ -148,13 +167,14 @@ class ExactMatrix:
 
     @staticmethod
     def identity(dim: int) -> "ExactMatrix":
-        return ExactMatrix(np.eye(dim, dtype=np.int64), None, 1, _normalized=True,
+        return ExactMatrix(np.eye(dim, dtype=_storage_dtype(1)), None, 1, _normalized=True,
                            _bounds=(1 if dim else 0, 0))
 
     @staticmethod
     def from_columns(rows: int, cols: list[dict[int, GaussianRational]]) -> "ExactMatrix":
-        """Columns given as sparse dicts row_index -> GaussianRational; int64
-        parts whenever every entry over the common denominator fits."""
+        """Columns given as sparse dicts row_index -> GaussianRational, filled
+        over their common denominator in the storage dtype of the largest
+        numerator (the normal form narrows it once a common factor is out)."""
         den = 1
         for col in cols:
             for v in col.values():
@@ -165,8 +185,7 @@ class ExactMatrix:
                 idx.append((i, j))
                 res.append(v.re.numerator * (den // v.re.denominator))
                 ims.append(v.im.numerator * (den // v.im.denominator))
-        big = any(abs(x) >= _I64_BOUND for x in res + ims)
-        dtype = object if big else np.int64
+        dtype = _storage_dtype(max(map(abs, res + ims), default=0))
         re = np.zeros((rows, len(cols)), dtype=dtype)
         im = np.zeros((rows, len(cols)), dtype=dtype) if any(ims) else None
         if idx:
@@ -252,7 +271,7 @@ class ExactMatrix:
 
     def _map_im(self, fn):
         """fn(im), or None when im is the shared zero part."""
-        return None if self.im is _zero_part(*self.shape) else fn(self.im)
+        return fn(self.im) if self._bounds[1] else None
 
     # -- comparison ------------------------------------------------------
     def __eq__(self, other):
@@ -312,30 +331,32 @@ def _dot_sum(terms):
 
 
 @functools.cache
-def _zero_part(rows: int, cols: int) -> np.ndarray:
-    """The read-only int64 zero array of this shape, the imaginary part of
-    every real int64 matrix of that shape."""
-    z = np.zeros((rows, cols), dtype=np.int64)
+def _zero_part(rows: int, cols: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only zero array of this shape and dtype (an np.dtype, the
+    cache key), the imaginary part of every real matrix of that shape whose
+    real part is stored in that dtype."""
+    z = np.zeros((rows, cols), dtype=dtype)
     z.flags.writeable = False
     return z
 
 
 @functools.cache
 def _zero(rows: int, cols: int) -> ExactMatrix:
-    z = _zero_part(rows, cols)
+    z = _zero_part(rows, cols, _storage_dtype(0))
     return ExactMatrix(z, z, 1, _normalized=True, _bounds=(0, 0))
 
 
 def _cast(arr: np.ndarray, dtype) -> np.ndarray:
-    """arr as dtype; a float64 array holds exact integers and goes through
-    int64, so no float reaches the object tier."""
+    """arr as the tier dtype; a float64 array holds exact integers and goes
+    through int64, so no float reaches the object tier."""
     if arr.dtype == np.float64 and dtype is not np.float64:
         arr = arr.astype(np.int64)
     return arr.astype(dtype, copy=False)
 
 
 def _gather(mats, support: np.ndarray, dtype, with_im: bool) -> np.ndarray:
-    """Rows re(m) on support for each m, then im(m) when with_im."""
+    """Rows re(m) on support for each m, then im(m) when with_im, each
+    widened from its storage dtype to the tier dtype as it is copied in."""
     out = np.empty(((1 + with_im) * len(mats), len(support)), dtype=dtype)
     for r, m in enumerate(mats):
         out[r] = m.re.ravel()[support]
@@ -351,11 +372,12 @@ class FrobeniusColumns:
 
     Entries of x off that support meet only zeros, so each inner product is
     a dot product of length k = |support|.  The stack of the y_c is held
-    once, as float64 when its entries are below 2**53 (exact there), else in
-    their own integer dtype.
+    once, as float64 when its entries are below 2**53 (exact there), else as
+    int64 while every y_c has fixed-width parts (`fixed_width`), else as
+    Python integers.
     """
 
-    __slots__ = ("shape", "support", "stack", "dens", "bound", "int64", "has_im")
+    __slots__ = ("shape", "support", "stack", "dens", "bound", "fixed_width", "has_im")
 
     def __init__(self, cols):
         cols = list(cols)
@@ -369,10 +391,10 @@ class FrobeniusColumns:
         self.support = np.flatnonzero(mask)
         self.dens = [y.den for y in cols]
         self.bound = max((y.bound for y in cols), default=0)
-        self.int64 = all(y.re.dtype == np.int64 for y in cols)
+        self.fixed_width = all(y.re.dtype != object for y in cols)
         self.has_im = any(y.has_im() for y in cols)
-        dtype = np.int64 if self.int64 else object
-        if self.int64 and self.bound < _F64_BOUND:
+        dtype = np.int64 if self.fixed_width else object
+        if self.fixed_width and self.bound < _F64_BOUND:
             dtype = np.float64
         self.stack = _gather(cols, self.support, dtype, self.has_im)
 
@@ -391,7 +413,8 @@ class FrobeniusColumns:
         if not (k and x_bound and self.bound):
             return [[ZERO] * ncols for _ in rows]
         bound = 2 * k * x_bound * self.bound
-        if self.int64 and all(x.re.dtype == np.int64 for x in rows) and bound < _I64_BOUND:
+        if (self.fixed_width and all(x.re.dtype != object for x in rows)
+                and bound < _I64_BOUND):
             dtype = np.float64 if bound < _F64_BOUND else np.int64
         else:
             dtype = object
@@ -442,7 +465,7 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
     part with bound 0 is neither cast nor multiplied, and a term with a
     zero factor is dropped.
     """
-    live, den, int64, chain = [], 1, True, False
+    live, den, fixed_width, chain = [], 1, True, False
     for c, m, gather in terms:
         factors = () if m is None else (m,) if isinstance(m, ExactMatrix) else tuple(m)
         a, b, d = _parts(c)
@@ -460,7 +483,7 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
         if (a or b) and (b_re or b_im):
             den = math.lcm(den, d)
             live.append((a, b, d, factors, gather, b_re, b_im))
-            int64 = int64 and all(f.re.dtype == np.int64 for f in factors)
+            fixed_width = fixed_width and all(f.re.dtype != object for f in factors)
             chain = chain or len(factors) > 1
     if not live:
         return _zero(*shape)
@@ -473,7 +496,7 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
         im_bound += abs(b) * b_re + abs(a) * b_im
         scaled.append((a, b, factors, gather))
     peak = max(re_bound, im_bound)
-    if not (int64 and peak < _I64_BOUND):
+    if not (fixed_width and peak < _I64_BOUND):
         dtype = object
     elif peak < _F64_BOUND and chain:
         dtype = np.float64
@@ -510,8 +533,10 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
         _fma(im, b, pr)
         _fma(im, a, pi)
     if dtype is np.float64:
-        # float64 sums hold exact integers below 2**53
-        re, im = re.astype(np.int64), _part(lambda x: x.astype(np.int64), im)
+        # float64 sums hold exact integers below 2**53, so the storage dtype
+        # of the peak holds them
+        narrow = _storage_dtype(peak)
+        re, im = re.astype(narrow), _part(lambda x: x.astype(narrow), im)
     return ExactMatrix(re, im, den)
 
 

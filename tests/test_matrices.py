@@ -19,6 +19,15 @@ from kahlerid.matrices import (
 from kahlerid.operators import vector_operator
 
 
+def _narrowest(bound):
+    """The storage dtype of parts with this bound: the narrowest signed
+    integer dtype holding +-bound, int64 below 2**62, object from there."""
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(t).max and bound < 1 << 62:
+            return np.dtype(t)
+    return np.dtype(object)
+
+
 def _from_rows(rows, den=1):
     nrows = len(rows)
     cols = [{i: gq(Fraction(rows[i][j], den)) for i in range(nrows)}
@@ -216,7 +225,7 @@ def test_frobenius_inner_int64_path_equals_object_path(rows, cols, data):
             {i: data.draw(entries) for i in range(rows)} for _ in range(cols)])
 
     a, b = mat(), mat()
-    assert a.re.dtype == b.re.dtype == np.int64
+    assert object not in (a.re.dtype, b.re.dtype)
     assert a.frobenius_inner(b) == _as_object(a).frobenius_inner(_as_object(b))
 
 
@@ -259,7 +268,8 @@ def test_matmul_float64_int64_and_object_tiers_agree(rows, k, bits, a_parts, b_p
     got = a @ b
     want = _as_object(a) @ _as_object(b)
     assert got == want == _product_ref(a, b)
-    assert got.re.dtype == got.im.dtype == want.re.dtype  # never float64
+    # never float64: the narrowest dtype for the bound
+    assert got.re.dtype == got.im.dtype == want.re.dtype == _narrowest(got.bound)
 
 
 # -- normal form, cached entry bound, read-only parts ------------------------------
@@ -286,12 +296,13 @@ _pairs = st.integers(1, 3).flatmap(lambda d: st.tuples(_square(d), _square(d)))
 
 
 def _assert_normal(m):
-    """den > 0, gcd(re, im, den) = 1, int64 exactly below 2**62, read-only
-    parts, and a cached bound equal to a fresh reduction."""
+    """den > 0, gcd(re, im, den) = 1, both parts in the narrowest dtype for
+    the bound, read-only parts, and a cached bound equal to a fresh
+    reduction."""
     assert m._part_bounds() == (_max_abs(m.re), _max_abs(m.im))
     assert m.den > 0
     assert math.gcd(m.den, *(int(x) for x in m.re.flat), *(int(x) for x in m.im.flat)) == 1
-    assert (m.re.dtype == m.im.dtype == np.int64) == (m.bound < 1 << 62)
+    assert m.re.dtype == m.im.dtype == _narrowest(m.bound)
     assert not (m.re.flags.writeable or m.im.flags.writeable)
 
 
@@ -344,23 +355,26 @@ def test_normalization_reduces_to_the_unique_normal_form():
     # gcd(3, re) is already 1: nothing is divided
     m3 = ExactMatrix(re.copy(), im.copy(), 3)
     assert (m3.den, m3.re.tolist(), m3.im.tolist()) == (3, re.tolist(), im.tolist())
-    # object parts drop to int64 once the common factor brings them below 2**62
+    # object parts drop to the narrowest dtype once the common factor brings
+    # them below 2**62
     obj = np.array([[2**70, 0], [0, -(2**71)]], dtype=object)
     m70 = ExactMatrix(obj, np.zeros((2, 2), dtype=object), 2**70)
-    assert (m70.den, m70.re.tolist(), m70.re.dtype) == (1, [[1, 0], [0, -2]], np.int64)
+    assert (m70.den, m70.re.tolist(), m70.re.dtype) == (1, [[1, 0], [0, -2]], np.int8)
     m_obj = ExactMatrix(np.array([[_BIG]], dtype=object), np.array([[0]], dtype=object), 3)
     assert (m_obj.den, m_obj.re[0, 0], m_obj.re.dtype) == (3, _BIG, object)
     # zero over a denominator past int64, in either dtype, is 0 over 1
     for dtype in (np.int64, object):
         z = np.zeros((2, 2), dtype=dtype)
         zm = ExactMatrix(z, z.copy(), -(2**64 + 13))
-        assert (zm.den, zm.re.dtype, zm.bound) == (1, np.int64, 0)
+        assert (zm.den, zm.re.dtype, zm.bound) == (1, np.int8, 0)
         assert zm == ExactMatrix.zeros(2)
 
 
 def test_from_columns_fills_int64_whenever_the_entries_fit():
     small = ExactMatrix.from_columns(2, [{0: gq(Fraction(1, 3))}, {1: gq(0, 2**59)}])
-    assert small.re.dtype == small.im.dtype == np.int64
+    assert small.re.dtype == small.im.dtype == _narrowest(small.bound) == np.int64
+    tiny = ExactMatrix.from_columns(2, [{0: gq(Fraction(1, 3))}, {1: gq(0, 2)}])
+    assert tiny.re.dtype == tiny.im.dtype == np.int8 and tiny.bound == 6
     assert small.entry(1, 1) == gq(0, 2**59) and small.den == 3
     big = ExactMatrix.from_columns(2, [{0: gq(Fraction(_BIG, 7))}, {}])
     assert big.re.dtype == object and big.entry(0, 0) == gq(Fraction(_BIG, 7))
@@ -472,7 +486,7 @@ def test_a_zero_operand_gives_the_zero_of_the_product_shape(case):
     assert got == want and want.is_zero()
     assert got.shape == (a.shape[0], b.shape[1])
     assert got.den == 1 and got._part_bounds() == (0, 0) == (_max_abs(got.re), _max_abs(got.im))
-    assert got.re.dtype == got.im.dtype == np.int64
+    assert got.re.dtype == got.im.dtype == _narrowest(0)
     assert not (got.re.flags.writeable or got.im.flags.writeable)
 
 
@@ -594,7 +608,7 @@ def test_real_int64_matrices_share_one_zero_imaginary_part(shape):
     if shape[0] == shape[1]:
         mats += [ExactMatrix.identity(shape[0]), ExactMatrix.zeros(*shape)]
     for m in mats:
-        assert m.re.dtype == np.int64 and not m.has_im()
+        assert m.re.dtype == _narrowest(m.bound) and not m.has_im()
         assert m.im is mats[0].im
     zero = mats[0].im
     assert zero.shape == shape and not zero.any()
@@ -612,8 +626,8 @@ def test_a_real_result_holds_the_shared_zero_part_when_its_operands_are_real(pai
     a, b = (ExactMatrix(m.re, None, m.den) for m in pair)
     for m in (a, b, a @ b, a + b, a.transpose(), a.adjoint(), -a):
         assert not m.has_im()
-        if m.re.dtype == np.int64:
-            assert m.im is ExactMatrix.zeros(*m.shape).im
+        assert m.re.dtype == _narrowest(m.bound)
+        assert m.im is matrices._zero_part(*m.shape, m.re.dtype)
 
 
 # -- the exact kernel: sums of products and product chains -------------------------
@@ -631,6 +645,11 @@ def _chain_ref(factors):
 def _combo_ref(terms):
     """sum c * (m_1 @ ... @ m_j) over the terms (c, factors), in Python
     integers over the least common denominator."""
+    return ExactMatrix(*_combo_ints(terms))
+
+
+def _combo_ints(terms):
+    """(re, im, den) of `_combo_ref`, before any normal form."""
     parts = []
     for c, factors in terms:
         re, im, den = _chain_ref(factors)
@@ -638,8 +657,8 @@ def _combo_ref(terms):
         a, b = int(c.re * d), int(c.im * d)
         parts.append((a * re - b * im, b * re + a * im, d * den))
     total = math.lcm(*(d for *_, d in parts))
-    return ExactMatrix(sum(re * (total // d) for re, _, d in parts),
-                       sum(im * (total // d) for _, im, d in parts), total)
+    return (sum(re * (total // d) for re, _, d in parts),
+            sum(im * (total // d) for _, im, d in parts), total)
 
 
 _COEFFS = st.sampled_from([gq(1), gq(-1), gq(0, 1), gq(Fraction(-3, 7), Fraction(5, 2)), gq(_BIG)])
@@ -766,3 +785,125 @@ def test_chunked_inner_products_stay_serial_and_equal_the_pairwise_ones(bits, ti
     assert len(products) > 1 and k % products[0][0] and sum(n for n, _ in products) == k
     assert {dtype for _, dtype in products} == {np.dtype(tier)}
     assert got == [[_inner_ints(x, y) for y in cols] for x in rows]
+
+
+# -- storage at the dtype edges ----------------------------------------------------
+
+# both sides of each storage edge: int8 | int16 | int32 | int64 | object
+_EDGES = [127, 128, 32767, 32768, 2**31 - 1, 2**31, 2**62 - 1, 2**62]
+
+
+def _ints(m):
+    """(den, re, im) of m in Python integers."""
+    return m.den, m.re.astype(object).tolist(), m.im.astype(object).tolist()
+
+
+def _reduced(re, im, den):
+    """(den, re, im) in normal form, from integer arrays in Python integers alone."""
+    g = math.gcd(den, *re.flat, *im.flat) * (1 if den > 0 else -1)
+    return den // g, (re // g).tolist(), (im // g).tolist()
+
+
+def _assert_stored(m, re, im, den):
+    """m is (re + i im) / den, stored in the narrowest dtype for its bound."""
+    want = _reduced(re, im, den)
+    assert _ints(m) == want
+    bounds = tuple(max((abs(v) for row in part for v in row), default=0) for part in want[1:])
+    assert m._bounds == bounds
+    assert m.re.dtype == m.im.dtype == _narrowest(max(bounds))
+    assert not (m.re.flags.writeable or m.im.flags.writeable)
+
+
+class _Ref:
+    """A matrix as Python-integer parts, read by the integer references."""
+
+    def __init__(self, re, im, den):
+        self.re, self.im, self.den = re, im, den
+
+
+@st.composite
+def _edge_pair(draw, dim):
+    """(matrix, reference) of a dim x dim matrix whose bound is one edge value:
+    that value at one cell, signed, in the real or imaginary part, and
+    entries up to it elsewhere, over 1 or 5 (no edge value is a multiple
+    of 5), given to the constructor as int64 (every edge value fits) or as
+    Python integers."""
+    edge = draw(st.sampled_from(_EDGES))
+    entry = st.sampled_from([0, 1, -2, edge, -edge, edge // 3, -(edge - 1)])
+    real, imag = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    re, im = (np.array([[draw(entry) if on else 0 for _ in range(dim)] for _ in range(dim)],
+                       dtype=object) for on in (real, imag))
+    at = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
+    (re if real else im)[at] = draw(st.sampled_from([edge, -edge]))
+    den = draw(st.sampled_from([1, 5]))
+    given = draw(st.sampled_from([np.int64, object]))
+    return ExactMatrix(re.astype(given), im.astype(given), den), _Ref(re, im, den)
+
+
+_EDGE_COEFFS = st.sampled_from([gq(1), gq(-1), gq(2), gq(0, 1), gq(Fraction(-3, 7), 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(_edge_pair(d), min_size=3, max_size=3)),
+       st.data())
+def test_parts_at_every_storage_edge_compute_like_python_integers(pairs, data):
+    (a, ra), (b, rb), (c, rc) = pairs
+    dim = a.shape[0]
+    for m, r in pairs:
+        _assert_stored(m, r.re, r.im, r.den)
+    # every constructor stores the narrowest dtype for its bound
+    cols = [{i: gq(Fraction(ra.re[i, j], ra.den), Fraction(ra.im[i, j], ra.den))
+             for i in range(dim)} for j in range(dim)]
+    _assert_stored(ExactMatrix.from_columns(dim, cols), ra.re, ra.im, ra.den)
+    _assert_stored(ExactMatrix.column(dim, cols[0]), ra.re[:, :1], ra.im[:, :1], ra.den)
+    one = np.eye(dim, dtype=object)
+    _assert_stored(ExactMatrix.identity(dim), one, 0 * one, 1)
+    _assert_stored(ExactMatrix.zeros(dim), 0 * one, 0 * one, 1)
+    if dim == 2:
+        wide = np.zeros((4, 4), dtype=object)
+        re4, im4 = wide.copy(), wide.copy()
+        re4[1:3, 1:3], im4[1:3, 1:3] = ra.re, ra.im
+        _assert_stored(vector_operator(a), re4, im4, ra.den)
+    # negation, the involutions
+    _assert_stored(-a, -ra.re, -ra.im, ra.den)
+    _assert_stored(a.adjoint(), ra.re.T, -ra.im.T, ra.den)
+    _assert_stored(a.bar(), ra.re, -ra.im, ra.den)
+    _assert_stored(a.transpose(), ra.re.T, ra.im.T, ra.den)
+    # a row gather and a signed permutation, each scaled and added to a matrix
+    rows = np.array(data.draw(st.lists(st.integers(0, dim - 1), min_size=dim, max_size=dim)))
+    sign = np.array(data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=dim,
+                                       max_size=dim)))
+    k, k2 = data.draw(_EDGE_COEFFS), data.draw(_EDGE_COEFFS)
+    perm = np.zeros((dim, dim), dtype=object)
+    perm[np.arange(dim), rows] = sign
+    col = sign.astype(object)[:, None]
+    gathered = _Ref(col * ra.re[rows], col * ra.im[rows], ra.den)
+    got = linear_combination([(k, a, (sign, rows)), (k2, b, None)], (dim, dim))
+    _assert_stored(got, *_combo_ints([(k, (gathered,)), (k2, (rb,))]))
+    got = linear_combination([(k, None, (sign, rows)), (k2, b, None)], (dim, dim))
+    _assert_stored(got, *_combo_ints([(k, (_Ref(perm, 0 * perm, 1),)), (k2, (rb,))]))
+    # kernel sums of chains of 1-3 factors
+    by_id = {id(a): ra, id(b): rb, id(c): rc}
+    chains = data.draw(st.lists(st.tuples(_EDGE_COEFFS, st.lists(
+        st.sampled_from([a, b, c]), min_size=1, max_size=3)), min_size=1, max_size=3))
+    got = linear_combination([(k, tuple(fs), None) for k, fs in chains], (dim, dim))
+    _assert_stored(got, *_combo_ints([(k, tuple(by_id[id(f)] for f in fs)) for k, fs in chains]))
+    _assert_stored(a @ b, *_chain_ref((ra, rb)))
+    # stacked inner products
+    assert FrobeniusColumns([b, c]).inner([a, b]) == [
+        [_inner_ints(x, y) for y in (rb, rc)] for x in (ra, rb)]
+    # equality, entries and columns
+    assert a == ExactMatrix(ra.re.copy(), ra.im.copy(), ra.den) == -(-a) == a.adjoint().adjoint()
+    assert (a == b) == (_ints(a) == _ints(b))
+    for j in range(dim):
+        want = {i: gq(Fraction(ra.re[i, j], ra.den), Fraction(ra.im[i, j], ra.den))
+                for i in range(dim)}
+        assert [a.entry(i, j) for i in range(dim)] == list(want.values())
+        assert a.column_dict(j) == {i: v for i, v in want.items() if v}
+    # the float view
+    f = FloatMatrix.from_exact(a)
+    for part, want in ((f.re, ra.re), (f.im, ra.im)):
+        if want.any():
+            assert np.array_equal(part, want.astype(np.float64) / ra.den)
+        else:
+            assert part is None

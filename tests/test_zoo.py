@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kahlerid import GeometryError, StructuralError, Workspace, geometry, get_model, operators
-from kahlerid import zoo
+from kahlerid import matrices, zoo
 from kahlerid.matrices import ExactMatrix
 from kahlerid.verifier import (
     emit_bidegree_table,
@@ -18,21 +18,24 @@ from kahlerid.zoo import ExteriorZoo, assemble
 
 
 def _array_bytes(a: np.ndarray) -> bytes:
-    # object arrays hold pointers: hash their integers instead
+    # object arrays hold pointers: hash their integers instead; fixed-width
+    # parts are hashed as int64, so the pins hold whatever width stores them
     if a.dtype == object:
         return repr(a.tolist()).encode()
-    return np.ascontiguousarray(a).tobytes()
+    return np.ascontiguousarray(a, dtype=np.int64).tobytes()
 
 
 def zoo_digest(ops, elements) -> str:
     """SHA-256 over every operator (key, name, picture, parity, den, dtype,
     shape, real and imaginary parts) and every element (key, picture, sorted
-    coefficients), in sorted key order."""
+    coefficients), in sorted key order; every fixed-width dtype is labelled
+    and hashed as int64."""
     h = hashlib.sha256()
     for key in sorted(ops):
         op = ops[key]
         m = op.matrix
-        h.update(repr((key, op.name, op.picture, op.parity, m.den, str(m.re.dtype),
+        dtype = "object" if m.re.dtype == object else "int64"
+        h.update(repr((key, op.name, op.picture, op.parity, m.den, dtype,
                        m.re.shape)).encode())
         h.update(_array_bytes(m.re))
         h.update(_array_bytes(m.im))
@@ -142,11 +145,11 @@ def test_a_gate_runs_when_its_operator_is_read(monkeypatch):
 
 def test_every_real_int64_nil6_operator_holds_the_shared_zero_part(ws):
     # real sums of complex operators included: their imaginary parts cancel,
-    # and the normal form sees it
+    # and the normal form sees it; one zero part per storage dtype
     ops = ws("nil6").ops
     real = {k: ops[k].matrix for k in ops
-            if ops[k].matrix.re.dtype == np.int64 and not ops[k].matrix.has_im()}
+            if ops[k].matrix.re.dtype != object and not ops[k].matrix.has_im()}
     assert len(real) == 134
     assert {"tau_plus", "tau_minus", "rho_plus", "rho_minus", "lam"} <= set(real)
-    zero = ExactMatrix.zeros(64).im
-    assert all(m.im is zero for m in real.values())
+    assert all(m.im is matrices._zero_part(64, 64, m.re.dtype) for m in real.values())
+    assert ExactMatrix.zeros(64).im is matrices._zero_part(64, 64, np.dtype(np.int8))
