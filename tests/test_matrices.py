@@ -211,7 +211,8 @@ def test_solve_exact_many_pins_free_variables_and_flags_inconsistent_columns():
 
 
 def _as_object(m):
-    # the same matrix held in Python integers, so every product takes the object path
+    # the same matrix held in Python integers, so every product takes the object path;
+    # `_normalized=True` keeps that dtype, outside the storage rule
     return ExactMatrix(m.re.astype(object), m.im.astype(object), m.den, _normalized=True)
 
 
