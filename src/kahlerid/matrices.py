@@ -38,7 +38,11 @@ supports; its `inner` returns every <x_r, y_c> = sum x_r * conj(y_c) for a
 list of matrices x_r from one stacked real product, on the tier its bounds
 allow, summed over chunks of the support small enough (m n k <= 64**3) for
 OpenBLAS to run each on the calling thread.  `ExactMatrix.frobenius_inner`
-is its 1 x 1 case.
+is its 1 x 1 case, and `frobenius_norms` gives <x, x> for each of a list of
+matrices, one dot product per part on the same tier rule.  Each inner
+product is an integer pair over den_x den_y, read into a GaussianRational,
+which has that form, with no Fraction in between; `entry`, `from_columns`
+and the kernel's coefficients read and build scalars the same way.
 
 FloatMatrix is the float view that `verify --float` evaluates: the same
 operation surface over float64 real and imaginary parts, a part known to be
@@ -54,7 +58,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ZERO, from_parts
 
 # int64 guard: |result| of any fused multiply-add stays below 2**62
 _I64_BOUND = 1 << 62
@@ -119,14 +123,12 @@ def _normal_form(re: np.ndarray, im: np.ndarray | None, den: int):
 
 
 def _parts(c) -> tuple[int, int, int]:
-    """(a, b, d) with c = (a + b i) / d and d the least common denominator."""
+    """(a, b, d) with c = (a + b i) / d, d > 0 and gcd(a, b, d) = 1."""
     if isinstance(c, int):
         return c, 0, 1
     if not isinstance(c, GaussianRational):
         c = GaussianRational(c)
-    re, im = c.re, c.im
-    d = math.lcm(re.denominator, im.denominator)
-    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+    return c.parts
 
 
 def _fma(acc, k, x, at=...) -> None:
@@ -175,16 +177,14 @@ class ExactMatrix:
         """Columns given as sparse dicts row_index -> GaussianRational, filled
         over their common denominator in the storage dtype of the largest
         numerator (the normal form narrows it once a common factor is out)."""
-        den = 1
-        for col in cols:
-            for v in col.values():
-                den = math.lcm(den, v.re.denominator, v.im.denominator)
+        den = math.lcm(*(v.parts[2] for col in cols for v in col.values()))
         idx, res, ims = [], [], []
         for j, col in enumerate(cols):
             for i, v in col.items():
+                a, b, d = v.parts
                 idx.append((i, j))
-                res.append(v.re.numerator * (den // v.re.denominator))
-                ims.append(v.im.numerator * (den // v.im.denominator))
+                res.append(a * (den // d))
+                ims.append(b * (den // d))
         dtype = _storage_dtype(max(map(abs, res + ims), default=0))
         re = np.zeros((rows, len(cols)), dtype=dtype)
         im = np.zeros((rows, len(cols)), dtype=dtype) if any(ims) else None
@@ -214,10 +214,7 @@ class ExactMatrix:
         return max(self._part_bounds())
 
     def entry(self, i: int, j: int) -> GaussianRational:
-        return GaussianRational(
-            Fraction(int(self.re[i, j]), self.den),
-            Fraction(int(self.im[i, j]), self.den),
-        )
+        return from_parts(int(self.re[i, j]), int(self.im[i, j]), self.den)
 
     def column_dict(self, j: int) -> dict[int, GaussianRational]:
         rows = np.flatnonzero((self.re[:, j] != 0) | (self.im[:, j] != 0))
@@ -354,6 +351,16 @@ def _cast(arr: np.ndarray, dtype) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
+def _inner_dtype(fixed_width: bool, bound: int):
+    """The dtype of a stacked real product of fixed-width parts, or of
+    Python integers when fixed_width is False, whose every partial sum is
+    at most bound in magnitude: float64 below 2**53, int64 below 2**62,
+    object from there."""
+    if not (fixed_width and bound < _I64_BOUND):
+        return object
+    return np.float64 if bound < _F64_BOUND else np.int64
+
+
 def _gather(mats, support: np.ndarray, dtype, with_im: bool) -> np.ndarray:
     """Rows re(m) on support for each m, then im(m) when with_im, each
     widened from its storage dtype to the tier dtype as it is copied in."""
@@ -393,10 +400,8 @@ class FrobeniusColumns:
         self.bound = max((y.bound for y in cols), default=0)
         self.fixed_width = all(y.re.dtype != object for y in cols)
         self.has_im = any(y.has_im() for y in cols)
-        dtype = np.int64 if self.fixed_width else object
-        if self.fixed_width and self.bound < _F64_BOUND:
-            dtype = np.float64
-        self.stack = _gather(cols, self.support, dtype, self.has_im)
+        self.stack = _gather(cols, self.support, _inner_dtype(self.fixed_width, self.bound),
+                             self.has_im)
 
     def inner(self, rows) -> list[list[GaussianRational]]:
         """[[<x_r, y_c> for each column c] for each row r], from one product
@@ -412,12 +417,8 @@ class FrobeniusColumns:
         x_bound = max((x.bound for x in rows), default=0)
         if not (k and x_bound and self.bound):
             return [[ZERO] * ncols for _ in rows]
-        bound = 2 * k * x_bound * self.bound
-        if (self.fixed_width and all(x.re.dtype != object for x in rows)
-                and bound < _I64_BOUND):
-            dtype = np.float64 if bound < _F64_BOUND else np.int64
-        else:
-            dtype = object
+        dtype = _inner_dtype(self.fixed_width and all(x.re.dtype != object for x in rows),
+                             2 * k * x_bound * self.bound)
         x_im = any(x.has_im() for x in rows)
         xs, ys = _gather(rows, self.support, dtype, x_im), _cast(self.stack, dtype)
         step = max(1, _SERIAL_MNK // (len(xs) * len(ys)))
@@ -434,13 +435,25 @@ class FrobeniusColumns:
             im += p[nrows:, :ncols]
             if self.has_im:
                 re = re + p[nrows:, ncols:]
-        out = []
-        for x, re_row, im_row in zip(rows, re.tolist(), im.tolist()):
-            out.append([
-                GaussianRational(Fraction(a, x.den * d), Fraction(b, x.den * d)) if a or b
-                else ZERO
-                for a, b, d in zip(re_row, im_row, self.dens)])
-        return out
+        return [[from_parts(a, b, x.den * d) if a or b else ZERO
+                 for a, b, d in zip(re_row, im_row, self.dens)]
+                for x, re_row, im_row in zip(rows, re.tolist(), im.tolist())]
+
+
+def frobenius_norms(mats) -> list[GaussianRational]:
+    """[<x, x> for each x]: the sum of re**2 + im**2 over the entries of x,
+    over den**2, each part one dot product on the tier `FrobeniusColumns.inner`
+    would choose for <x, x>."""
+    out = []
+    for x in mats:
+        dtype = _inner_dtype(x.re.dtype != object, 2 * x.re.size * x.bound ** 2)
+        s = 0
+        for part, bound in zip((x.re, x.im), x._bounds):
+            if bound:
+                v = part.astype(dtype).ravel()
+                s += int(v @ v)
+        out.append(from_parts(s, 0, x.den * x.den) if s else ZERO)
+    return out
 
 
 def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:

@@ -19,7 +19,7 @@ from .matrices import (
     ExactMatrix,
     FloatMatrix,
     FrobeniusColumns,
-    linear_combination,
+    frobenius_norms,
     solve_exact,
 )
 from .algebra import AdaptedStructure
@@ -670,7 +670,11 @@ def _terms(x: Expr, c: GaussianRational = ONE, star: bool = False) -> list:
 def _format_expr(x: Expr) -> str:
     """A relation tree as text, a shared non-unit coefficient factored out:
     `i(mubar* + tau_mubar*)`, `-i rho_delbar - tau_delbar`, `3 lam_mu*`."""
-    terms = _terms(x)
+    return _format_terms(_terms(x))
+
+
+def _format_terms(terms) -> str:
+    """`_format_expr` of the tree that `_terms` read as `terms`."""
     c = terms[0][0] if terms else ONE
     if c == ONE or any(k != c for k, _ in terms):
         return _format_combo(terms)
@@ -1217,9 +1221,23 @@ def _span_atoms(ws: Workspace) -> list[tuple[str, LinearOperator]]:
     return [(label, ws.eval(x)) for label, x in _span_exprs()]
 
 
+def _on_atoms(terms, index: dict[str, int]) -> dict[int, GaussianRational] | None:
+    """{j: e_j} with sum_j e_j m_j the combination `terms` of `_terms`, m_j
+    the span atom with index[label] = j, or None when a label is no atom."""
+    e: dict[int, GaussianRational] = {}
+    for c, label in terms:
+        j = index.get(label)
+        if j is None:
+            return None
+        e[j] = e.get(j, ZERO) + c
+    return e
+
+
 def table_requests(which: str = "both") -> list[tuple]:
     """The (expr, float_mode) evaluations that `emit_commutator_table`
-    ("commutator"), `emit_bidegree_table` ("bidegree") or both make.
+    ("commutator"), `emit_bidegree_table` ("bidegree") or both make.  An
+    expected form that is a combination of span atoms is decided from the
+    Gram data and never evaluated.
 
     Planned in one `Workspace.plan` call, they evaluate every value once
     and drop it after its last use, in either table.
@@ -1228,8 +1246,13 @@ def table_requests(which: str = "both") -> list[tuple]:
         raise ValueError(f"unknown table {which!r}")
     exprs = []
     if which != "bidegree":
-        exprs += [x for _, x in _span_exprs()]
-        exprs += [x for *_, target, expected in _ctab_cells() for x in (target, expected)]
+        span = _span_exprs()
+        index = {label: j for j, (label, _) in enumerate(span)}
+        exprs += [x for _, x in span]
+        for *_, target, expected in _ctab_cells():
+            exprs.append(target)
+            if _on_atoms(_terms(expected), index) is None:
+                exprs.append(expected)
     if which != "commutator":
         exprs += [x for _, items in _btab_cells() for _, x in items]
     return [(x, False) for x in exprs]
@@ -1262,40 +1285,59 @@ def emit_commutator_table(ws: Workspace) -> dict:
     """Compute [row, Lam] and [row, L] for every table row, solve each cell
     exactly over the operator span, and compare with the expected forms.
 
-    The Gram system of the span is shared by every cell, so all cells are
-    solved by one elimination; each cell only adds its right-hand side.  The
-    span's matrices are stacked once, and the Gram matrix and all
-    right-hand sides are two stacked inner products against them."""
+    Every cell is decided from the span's Gram data G_jk = <m_j, m_k>, the
+    right-hand sides <t, m_j> of its target t and one exact <t, t>, with
+    <x, y> = sum x * conj(y) over the entries; three identities stand in
+    for rebuilding and comparing matrices:
+
+    - span: the residual of any solution x of the normal equations is
+      orthogonal to the span, so t = sum_j x_j m_j exactly when
+      <t, t> = sum_j x_j conj<t, m_j>;
+    - aliases: t = +-a for an atom a exactly when <t, t> = <a, a> and
+      <t, a> = +-<a, a>;
+    - expected form: a form e = sum_j e_j m_j over span atoms equals t
+      exactly when <t, t> - 2 Re sum_j conj(e_j) <t, m_j> + <e, e> = 0,
+      with <e, e> = sum_jk e_j conj(e_k) G_jk.  An expected form with a
+      term outside the span (the d and d* rows hold (d^c)*, tau^c and
+      lam) is evaluated and compared entrywise.
+
+    The Gram system is shared by every cell, so all cells are solved by one
+    elimination; each cell only adds its right-hand side.  The span's
+    matrices are stacked once, and the Gram matrix and all right-hand sides
+    are two stacked inner products against them."""
     if ws.mode != "exact":
         raise StructuralError("the commutator table requires exact mode")
     atoms = _span_atoms(ws)
     labels = [a[0] for a in atoms]
+    index = {label: j for j, label in enumerate(labels)}
     mats = [a[1].matrix for a in atoms]
     span = FrobeniusColumns(mats)
-    # column j of the normal equations is <m_j, m_i> over i
-    gram_cols = span.inner(mats)
-    pending = []
-    for label, _, col, target, expected in _ctab_cells():
-        target = ws.eval(target).matrix
-        matches = target == ws.eval(expected).matrix
-        pending.append((label, col, _format_expr(expected), target, matches))
-    rhss = span.inner([target for *_, target, _ in pending])
-    solutions = solve_exact(gram_cols, rhss)
-    cells = []
+    # gram[j][k] = <m_j, m_k>: column j of the normal equations
+    gram = span.inner(mats)
+    cells = _ctab_cells()
+    targets = [ws.eval(target).matrix for *_, target, _ in cells]
+    rhss = span.inner(targets)
+    solutions = solve_exact(gram, rhss)
+    out = []
     ok = True
-    # +-<atom, atom> for the alias scan
-    signed_norms = [(g[i], -g[i]) for i, g in enumerate(gram_cols)]
-    for (label, col, expected_str, target, matches), rhs, x in zip(pending, rhss, solutions):
+    for (label, _, col, _, expected), target, norm, rhs, x in zip(
+            cells, targets, frobenius_norms(targets), rhss, solutions):
         solved = None
         support: set[str] = set()
         if x is not None:
-            # normal equations can have spurious solutions only if the
-            # target is outside the span; re-check by reconstruction
             live = [j for j, c in enumerate(x) if c]
-            recon = linear_combination([(x[j], mats[j], None) for j in live], target.shape)
-            if recon == target:
+            if norm == sum((x[j] * rhs[j].conjugate() for j in live), ZERO):
                 solved = _format_combo([(x[j], labels[j]) for j in live])
                 support = {labels[j] for j in live}
+        terms = _terms(expected)
+        e = _on_atoms(terms, index)
+        if e is None:
+            matches = target == ws.eval(expected).matrix
+        else:
+            s = sum((c.conjugate() * rhs[j] for j, c in e.items()), ZERO)
+            ee = sum((c * k.conjugate() * gram[j][i] for j, c in e.items()
+                      for i, k in e.items()), ZERO)
+            matches = norm + ee == s + s.conjugate()
         if solved is None:
             status = "unresolved"
         elif matches:
@@ -1304,28 +1346,27 @@ def emit_commutator_table(ws: Workspace) -> dict:
             status = "mismatch"
         if status != "ok":
             ok = False
-        # coincidences: other single atoms that equal the cell on this model;
-        # target = +-atom needs <target, atom> = +-<atom, atom>, nonzero for
-        # a nonzero target, so only those atoms are compared entrywise (the
-        # zeros of the stacked inner products are ZERO itself)
+        # coincidences: other single atoms that equal the cell on this model
+        # (the zeros of the stacked inner products are ZERO itself)
         aliases = []
-        if not target.is_zero():
-            for (alabel, aop), t_a, norm in zip(atoms, rhs, signed_norms):
-                if alabel in support or t_a is ZERO or t_a not in norm:
+        if norm:
+            for j, (alabel, t_a) in enumerate(zip(labels, rhs)):
+                a_a = gram[j][j]
+                if alabel in support or t_a is ZERO or norm != a_a:
                     continue
-                if target == aop.matrix:
+                if t_a == a_a:
                     aliases.append(alabel)
-                elif target == -aop.matrix:
+                elif t_a == -a_a:
                     aliases.append("-" + alabel)
-        cells.append({
+        out.append({
             "row": label,
             "column": col,
-            "expected": expected_str,
+            "expected": _format_terms(terms),
             "status": status,
             "solved": solved if solved is not None else "",
             "aliases": aliases,
         })
-    return {"model": ws.model.name, "ok": ok, "atoms": labels, "cells": cells}
+    return {"model": ws.model.name, "ok": ok, "atoms": labels, "cells": out}
 
 
 def commutator_table_markdown(table: dict) -> str:

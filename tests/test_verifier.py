@@ -2,16 +2,17 @@
 import copy
 import hashlib
 import pickle
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlerid import get_model, gq, verifier
 from kahlerid.algebra import Multivector
-from kahlerid.matrices import ExactMatrix
+from kahlerid.matrices import ExactMatrix, FrobeniusColumns, linear_combination, solve_exact
 from kahlerid.models import from_brackets
 from kahlerid.operators import LinearOperator, StructuralError, make_operator
 from kahlerid.scalars import GaussianRational
@@ -445,6 +446,113 @@ def test_commutator_cell_with_a_wrong_expected_form_is_a_mismatch(ws, monkeypatc
     bad = [c for c in table["cells"] if c["status"] != "ok"]
     assert [(c["row"], c["column"], c["status"], c["solved"]) for c in bad] == [
         ("mu", "L", "mismatch", "lam_mu")]
+
+
+def test_commutator_cell_with_a_wrong_expected_form_off_the_span_is_a_mismatch(
+        ws, monkeypatch):
+    # [d, L] = lam: lam is no span atom, so the cell is compared entrywise
+    solved = {(c["row"], c["column"]): c["solved"]
+              for c in emit_commutator_table(ws("nil6"))["cells"]}
+    rows = verifier._ctab_rows
+
+    def doubled():
+        out = []
+        for label, base, row, lam, l in rows():
+            if label == "d":
+                l = S(2, l)
+            out.append((label, base, row, lam, l))
+        return out
+
+    monkeypatch.setattr(verifier, "_ctab_rows", doubled)
+    table = emit_commutator_table(ws("nil6"))
+    assert not table["ok"]
+    bad = [c for c in table["cells"] if c["status"] != "ok"]
+    assert [(c["row"], c["column"], c["status"], c["solved"]) for c in bad] == [
+        ("d", "L", "mismatch", solved[("d", "L")])]
+    assert solved[("d", "L")]
+
+
+def test_commutator_cell_equal_to_other_atoms_lists_them_as_aliases(ws, monkeypatch):
+    # lam_mu_part, lam_mu on one of its entries, has <lam_mu, part> =
+    # <part, part> but is no alias of lam_mu
+    span = verifier._span_atoms
+
+    def with_copies(w):
+        atoms = span(w)
+        lam_mu = dict(atoms)["lam_mu"]
+        m = lam_mu.matrix
+        keep = np.zeros(m.shape, dtype=bool)
+        keep[np.unravel_index(np.flatnonzero(m.nonzero_mask())[0], m.shape)] = True
+        part = ExactMatrix(np.where(keep, m.re, 0), np.where(keep, m.im, 0), m.den)
+        return atoms + [("lam_mu_copy", lam_mu.renamed("lam_mu_copy")),
+                        ("lam_mu_neg", replace(lam_mu, name="lam_mu_neg", matrix=-m)),
+                        ("lam_mu_part", replace(lam_mu, name="lam_mu_part", matrix=part))]
+
+    monkeypatch.setattr(verifier, "_span_atoms", with_copies)
+    table = emit_commutator_table(ws("nil6"))
+    assert table["ok"]
+    cell = {(c["row"], c["column"]): c for c in table["cells"]}[("mu", "L")]
+    assert cell["status"] == "ok" and cell["solved"] == "lam_mu"
+    assert cell["aliases"] == ["lam_mu_copy", "-lam_mu_neg"]
+
+
+def _commutator_cells_entrywise(w):
+    """The table's cells decided by rebuilding and comparing matrices: each
+    solution is checked by reconstruction, each expected form and alias by
+    entrywise equality."""
+    atoms = verifier._span_atoms(w)
+    labels = [label for label, _ in atoms]
+    mats = [op.matrix for _, op in atoms]
+    span = FrobeniusColumns(mats)
+    gram = span.inner(mats)
+    cells = []
+    for label, _, col, target, expected in verifier._ctab_cells():
+        t = w.eval(target).matrix
+        [x] = solve_exact(gram, span.inner([t]))
+        live = [j for j, c in enumerate(x) if c]
+        solved = ""
+        if linear_combination([(x[j], mats[j], None) for j in live], t.shape) == t:
+            solved = verifier._format_combo([(x[j], labels[j]) for j in live])
+        support = {labels[j] for j in live} if solved else set()
+        aliases = []
+        for alabel, m in zip(labels, mats):
+            if t.is_zero() or alabel in support:
+                continue
+            if t == m:
+                aliases.append(alabel)
+            elif t == -m:
+                aliases.append("-" + alabel)
+        status = ("unresolved" if not solved
+                  else "ok" if t == w.eval(expected).matrix else "mismatch")
+        cells.append({"row": label, "column": col,
+                      "expected": verifier._format_expr(expected), "status": status,
+                      "solved": solved, "aliases": aliases})
+    return cells
+
+
+@pytest.mark.parametrize("name", ["nil6", "hopf4", "kt4"])
+def test_commutator_table_decides_every_cell_like_entrywise_comparison(ws, name):
+    assert emit_commutator_table(ws(name))["cells"] == _commutator_cells_entrywise(ws(name))
+
+
+@pytest.mark.parametrize("name", ["nil6", "hopf4"])
+def test_relation_terms_read_over_the_span_are_the_evaluated_form(ws, name):
+    # the table decides a cell whose expected form is a combination of span
+    # atoms from the coefficients `_terms` reads; they must give that form
+    w = ws(name)
+    atoms = verifier._span_atoms(w)
+    index = {label: j for j, (label, _) in enumerate(atoms)}
+    on_atoms = 0
+    for *_, expected in verifier._ctab_cells():
+        e = verifier._on_atoms(verifier._terms(expected), index)
+        if e is None:
+            continue
+        on_atoms += 1
+        want = w.eval(expected).matrix
+        got = linear_combination([(c, atoms[j][1].matrix, None) for j, c in e.items()],
+                                 want.shape)
+        assert got == want, verifier._format_expr(expected)
+    assert on_atoms == 56
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
