@@ -11,6 +11,7 @@ import json
 import math
 import sys
 
+from .jsontext import json_text
 from .models import (
     ModelFormatError,
     ModelValidationError,
@@ -152,7 +153,7 @@ def _cmd_table(args) -> int:
         ok = ok and parts["bidegree"]["ok"]
     if args.format == "json":
         payload = parts if args.which == "both" else parts[args.which]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json_text(payload)
     else:
         chunks = []
         if "commutator" in parts:

@@ -31,7 +31,11 @@ float64), int64 below 2**62, Python big integers above, and no float ever
 enters the object tier -- casts each distinct operand once, and normalizes
 once.  A part with bound 0 is neither cast nor multiplied, and a term with
 a zero factor is dropped, so a product with a zero operand is the shared
-zero of its shape at no cost.
+zero of its shape at no cost.  A float64 result is cast once, to the
+storage dtype of the bounds read from it.  `product_tier` and
+`parts_product` give the same tier rule and part-wise product to stacked
+products of raw parts, such as the blockwise conjugations of bidegree
+measurement.
 
 `FrobeniusColumns` gathers a list of matrices y_c once on the union of their
 supports; its `inner` returns every <x_r, y_c> = sum x_r * conj(y_c) for a
@@ -120,6 +124,25 @@ def _normal_form(re: np.ndarray, im: np.ndarray | None, den: int):
     dtype = _storage_dtype(max(bounds))
     return (re.astype(dtype, copy=False), _part(lambda x: x.astype(dtype, copy=False), im),
             int(den), tuple(bounds))
+
+
+def _product_bounds(bounds, inner) -> tuple[int, int]:
+    """Part bounds (re, im) of a product m_1 @ ... @ m_j, and so of every
+    partial sum in it, from each factor's part bounds and the inner
+    dimension k_i that factor i >= 2 is multiplied over."""
+    (b_re, b_im), *rest = bounds
+    for k, (f_re, f_im) in zip(inner, rest):
+        b_re, b_im = k * (b_re * f_re + b_im * f_im), k * (b_re * f_im + b_im * f_re)
+    return b_re, b_im
+
+
+def _tier(peak: int, fixed_width: bool, chain: bool):
+    """The dtype of exact arithmetic whose every partial sum is at most peak
+    in magnitude: float64 BLAS when a product is made (chain) below 2**53,
+    int64 below 2**62 on fixed-width parts, Python integers otherwise."""
+    if not (fixed_width and peak < _I64_BOUND):
+        return object
+    return np.float64 if peak < _F64_BOUND and chain else np.int64
 
 
 def _parts(c) -> tuple[int, int, int]:
@@ -351,6 +374,25 @@ def _cast(arr: np.ndarray, dtype) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
+def product_tier(bounds, inner, fixed_width: bool):
+    """The tier `linear_combination` would choose for one product
+    m_1 @ ... @ m_j of factors with part bounds `bounds`, factor i >= 2
+    multiplied over inner dimension inner[i - 2]; fixed_width says no
+    factor has Python-integer parts."""
+    return _tier(max(_product_bounds(bounds, inner)), fixed_width, len(bounds) > 1)
+
+
+def parts_product(factors, dtype) -> tuple:
+    """(re, im) of the product f_1 @ ... @ f_j of factors given by their
+    (re, im) numerator parts, a zero part None, each part cast to the tier
+    dtype first.  Stacked operands broadcast as in `np.matmul`."""
+    out = None
+    for f in factors:
+        f = [_part(lambda x: _cast(x, dtype), x) for x in f]
+        out = f if out is None else _part_product(out, f)
+    return tuple(out)
+
+
 def _inner_dtype(fixed_width: bool, bound: int):
     """The dtype of a stacked real product of fixed-width parts, or of
     Python integers when fixed_width is False, whose every partial sum is
@@ -482,17 +524,16 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
     for c, m, gather in terms:
         factors = () if m is None else (m,) if isinstance(m, ExactMatrix) else tuple(m)
         a, b, d = _parts(c)
-        dim, b_re, b_im = shape[0], 1, 0
-        for i, f in enumerate(factors):
-            (k, cols), (f_re, f_im) = f.re.shape, f._bounds
+        dim = shape[0]
+        for f in factors:
+            k, cols = f.re.shape
             if k != dim:
                 raise ValueError(f"shape mismatch {[f.shape for f in factors]} vs {tuple(shape)}")
-            # part bounds of the product so far, and so of every partial sum in it
-            b_re, b_im = ((k * (b_re * f_re + b_im * f_im), k * (b_re * f_im + b_im * f_re))
-                          if i else (f_re, f_im))
             dim, d = cols, d * f.den
         if dim != shape[1]:
             raise ValueError(f"shape mismatch {[f.shape for f in factors]} vs {tuple(shape)}")
+        b_re, b_im = _product_bounds([f._bounds for f in factors] or [(1, 0)],
+                                     [f.re.shape[0] for f in factors[1:]])
         if (a or b) and (b_re or b_im):
             den = math.lcm(den, d)
             live.append((a, b, d, factors, gather, b_re, b_im))
@@ -508,13 +549,7 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
         re_bound += abs(a) * b_re + abs(b) * b_im
         im_bound += abs(b) * b_re + abs(a) * b_im
         scaled.append((a, b, factors, gather))
-    peak = max(re_bound, im_bound)
-    if not (fixed_width and peak < _I64_BOUND):
-        dtype = object
-    elif peak < _F64_BOUND and chain:
-        dtype = np.float64
-    else:
-        dtype = np.int64
+    dtype = _tier(max(re_bound, im_bound), fixed_width, chain)
     cast = {}
     re = np.zeros(shape, dtype=dtype)
     # a sum whose imaginary bound is 0 is real: no term reaches im
@@ -546,10 +581,21 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
         _fma(im, b, pr)
         _fma(im, a, pi)
     if dtype is np.float64:
-        # float64 sums hold exact integers below 2**53, so the storage dtype
-        # of the peak holds them
-        narrow = _storage_dtype(peak)
-        re, im = re.astype(narrow), _part(lambda x: x.astype(narrow), im)
+        return _from_float(re, im, den)
+    return ExactMatrix(re, im, den)
+
+
+def _from_float(re: np.ndarray, im: np.ndarray | None, den: int) -> ExactMatrix:
+    """The matrix (re + im i) / den of float64 parts holding exact integers,
+    cast once to the storage dtype of the bounds read from them.  Over den 1
+    they are in normal form already: nothing is read again."""
+    bounds = (_max_abs(re), 0 if im is None else _max_abs(im))
+    if not any(bounds):
+        return _zero(*re.shape)
+    dtype = _storage_dtype(max(bounds))
+    re, im = re.astype(dtype), _part(lambda x: x.astype(dtype), im)
+    if den == 1:
+        return ExactMatrix(re, im, 1, _normalized=True, _bounds=bounds)
     return ExactMatrix(re, im, den)
 
 

@@ -4,13 +4,21 @@ Operators are dense exact (or float) matrices indexed by blade masks,
 tagged with a picture ("ext" for forms, "cl" for Clifford/polyvectors)
 and a parity (measured from the matrix, or carried over from definite-parity
 operands).  Bidegree is never declared: it is measured in the complex frame.
-Contraction and the (p, q) projection of a form apply these matrices to a
-single column.
+
+The frame U and U^-1 are block-diagonal under blade degree, and each
+`ComplexFrame` keeps its degree blocks and shift-code blocks, built with
+the frame.  So U^-1 M U is one blockwise conjugation, V_q M_qp U_p over the
+nonzero degree blocks (q, p) of M, on the tier the exact kernel's bound
+rule gives.  `measured_bidegree` takes a list of operators and measures
+them together: each block pair is one stacked product over the operators
+nonzero on it.  The components of `bidegree_decompose` and the (p, q)
+projection of a form run on the same blocks.  Contraction applies these
+matrices to a single column.
 """
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +32,7 @@ from .algebra import (
     frame,
     j_vector,
 )
-from .matrices import ExactMatrix, FloatMatrix, linear_combination
+from .matrices import ExactMatrix, FloatMatrix, linear_combination, parts_product, product_tier
 from .scalars import I
 
 PICTURES = ("ext", "cl")
@@ -105,12 +113,26 @@ class ComplexFrame:
 
     Entry (r, c) of U^-1 M U moves bidegree by the shift coded in
     shift_code[r, c]; `shift` decodes it.
+
+    A zeta-wedge of degree k is a combination of real k-blades, so U and
+    U^-1 are block-diagonal under blade degree.  `index[k]` lists the
+    blades of degree k and `degree_mask[:, k]` marks them, `u_blocks[k]` and
+    `v_blocks[k]` hold the (re, im) numerators of U and U^-1 on them
+    (float64, exact; a zero part None), and `code_blocks[q][p]` is
+    shift_code on the rows of degree q and the columns of degree p.  Block
+    (q, p) of U^-1 M U is then V_q M_qp U_p, over u_inv.den * M.den (U has
+    denominator 1).
     """
 
     u: ExactMatrix
     u_inv: ExactMatrix
     shift_code: np.ndarray
     n: int
+    degree_mask: np.ndarray
+    index: tuple
+    u_blocks: tuple
+    v_blocks: tuple
+    code_blocks: tuple
 
     def shift(self, code: int) -> tuple[int, int]:
         a, b = divmod(int(code), 2 * self.n + 1)
@@ -263,7 +285,22 @@ class BladeStructure:
             p, q = (n_zeta, n_bar) if jd @ z == z.scale(I) else (n_bar, n_zeta)
             width = 2 * n + 1
             code = (p[:, None] - p[None, :] + n) * width + (q[:, None] - q[None, :] + n)
-            self._frames[picture] = ComplexFrame(u, u_inv, code, n)
+            index = tuple(self.degree_indices[k] for k in range(width))
+            # in degree order every block is a slice
+            at = np.ix_(*[np.concatenate(index)] * 2)
+            ends = np.cumsum([len(i) for i in index])
+            cuts = [slice(end - len(i), end) for end, i in zip(ends, index)]
+
+            def blocks(m: ExactMatrix) -> tuple:
+                parts = [x[at].astype(np.float64) for x in (m.re, m.im)]
+                return tuple(tuple(x[c, c].copy() if x[c, c].any() else None for x in parts)
+                             for c in cuts)
+
+            by_degree = code[at]
+            codes = tuple(tuple(by_degree[r, c] for c in cuts) for r in cuts)
+            degree_mask = (self.degrees[:, None] == np.arange(width)).astype(np.float32)
+            self._frames[picture] = ComplexFrame(u, u_inv, code, n, degree_mask, index,
+                                                 blocks(u), blocks(u_inv), codes)
         return self._frames[picture]
 
 
@@ -410,41 +447,128 @@ def add_ops(*ops: LinearOperator) -> LinearOperator:
 # bidegree measurement
 # ---------------------------------------------------------------------------
 
-def _in_complex_frame(op: LinearOperator) -> tuple[ComplexFrame, ExactMatrix]:
-    """op's frame and its matrix U^-1 M U in that frame."""
+def _require_exact(op: LinearOperator) -> None:
     if not isinstance(op.matrix, ExactMatrix):
         raise StructuralError("bidegree measurement requires an exact matrix")
-    cf = blade_structure(_n_from_dim(op.dim)).complex_frame(op.picture)
-    return cf, linear_combination([(1, (cf.u_inv, op.matrix, cf.u), None)], op.matrix.shape)
 
 
-def _shift_codes(cf: ComplexFrame, m: ExactMatrix) -> np.ndarray:
-    """The sorted shift codes of m's nonzero entries (a presence mask over
-    the code range: np.unique would import numpy.ma on first use)."""
-    present = np.zeros((2 * cf.n + 1) ** 2, dtype=bool)
-    present[cf.shift_code[m.nonzero_mask()]] = True
-    return np.flatnonzero(present)
+def _nonzero(parts) -> np.ndarray:
+    """True where (re, im) has a nonzero entry; an integer is zero exactly
+    when no bit is set, so re | im tests both parts at once."""
+    re, im = parts if parts[0] is not None else parts[::-1]
+    if im is None:
+        return re != 0
+    if re.dtype == np.float64:
+        return (re != 0) | (im != 0)
+    return (re | im) != 0
+
+
+def _frame_blocks(cf: ComplexFrame, mats: list[ExactMatrix], back: bool = False):
+    """U^-1 M U for each M in mats, one degree block pair at a time.
+
+    Yields (rows, q, p, dtype, (re, im)) for every block pair (q, p) on
+    which some of mats is nonzero, per tier (a zero M has none): rows
+    indexes the mats of the tier that are nonzero there, and re, im are the
+    stacked numerators of V_q M_qp U_p for them in the tier dtype.
+
+    Each M's tier is the one `linear_combination` would choose for the
+    chain U^-1 M U, or with back for U^-1 M U U U^-1, with every inner
+    dimension taken as the largest block.  The parts are stacked in their
+    storage dtype, the nonzero blocks of all of them are found at once, and
+    only the blocks multiplied are cast.
+    """
+    v, u = cf.u_inv._part_bounds(), cf.u._part_bounds()
+    chain = [v, None, u, u, v] if back else [v, None, u]
+    inner = [max(map(len, cf.index))] * (len(chain) - 1)
+    tier_of: dict = {}
+    tiers: dict = {}
+    for i, m in enumerate(mats):
+        if m.is_zero():
+            continue
+        key = m._part_bounds(), m.re.dtype != object
+        if key not in tier_of:
+            chain[1] = key[0]
+            tier_of[key] = product_tier(chain, inner, key[1])
+        tiers.setdefault(tier_of[key], []).append(i)
+    for dtype, group in tiers.items():
+        group = np.array(group)
+        re = np.stack([mats[i].re for i in group])
+        im = np.stack([mats[i].im for i in group]) if any(
+            mats[i].has_im() for i in group) else None
+        for q, iq in enumerate(cf.index):
+            # the rows of degree q, and present[i, p]: M_i is nonzero on
+            # block (q, p), from the columns that hold a nonzero entry
+            row_re, row_im = re[:, iq], None if im is None else im[:, iq]
+            present = (_nonzero((row_re, row_im)).any(axis=1).astype(np.float32)
+                       @ cf.degree_mask) > 0
+            for p in np.flatnonzero(present.any(axis=0)):
+                rows = np.flatnonzero(present[:, p])
+                x = [None if part is None else part[rows][:, :, cf.index[p]]
+                     for part in (row_re, row_im)]
+                yield group[rows], q, p, dtype, parts_product(
+                    (cf.v_blocks[q], x, cf.u_blocks[p]), dtype)
+
+
+def measured_bidegree(ops: LinearOperator | Sequence[LinearOperator]):
+    """The set of bidegree shifts (a, b) on which an operator has a nonzero
+    component; for a sequence of operators, the list of their sets.
+
+    Operators given together are measured together: they are stacked per
+    complex frame, and each degree block pair is conjugated once, in one
+    stacked product over every operator nonzero on it (see `_frame_blocks`).
+    """
+    single = isinstance(ops, LinearOperator)
+    ops = [ops] if single else list(ops)
+    out = [set() for _ in ops]
+    frames: dict = {}
+    for i, op in enumerate(ops):
+        _require_exact(op)
+        frames.setdefault((op.dim, op.picture), []).append(i)
+    for (dim, picture), members in frames.items():
+        cf = blade_structure(_n_from_dim(dim)).complex_frame(picture)
+        present = np.zeros((len(members), (2 * cf.n + 1) ** 2), dtype=bool)
+        for rows, q, p, _, parts in _frame_blocks(cf, [ops[i].matrix for i in members]):
+            b, r, c = np.nonzero(_nonzero(parts))
+            present[rows[b], cf.code_blocks[q][p][r, c]] = True
+        for i, code in zip(*np.nonzero(present)):
+            out[members[i]].add(cf.shift(code))
+    return out[0] if single else out
+
+
+def _exact_zeros(shape, dtype) -> np.ndarray:
+    """Zeros to hold exact results computed on tier dtype: int64 for float64."""
+    return np.zeros(shape, dtype=np.int64 if dtype is np.float64 else dtype)
 
 
 def operator_bidegree_components(op: LinearOperator) -> dict[tuple[int, int], ExactMatrix]:
     """Decompose P = sum of components with pure bidegree shift (a, b).
 
     Keys are shifts; each value is U P_(a,b) U^-1, with P_(a,b) the entries
-    of P = U^-1 M U that move bidegree by (a, b).
+    of P = U^-1 M U that move bidegree by (a, b).  Both conjugations run
+    block by block: block (q, p) of a component is U_q (P_(a,b))_qp V_p,
+    one stacked product over the shifts present in the block.
     """
-    cf, m = _in_complex_frame(op)
-    out = {}
-    for code in _shift_codes(cf, m):
-        keep = cf.shift_code == code
-        part = ExactMatrix(np.where(keep, m.re, 0), np.where(keep, m.im, 0), m.den)
-        out[cf.shift(code)] = linear_combination([(1, (cf.u, part, cf.u_inv), None)], m.shape)
-    return out
-
-
-def measured_bidegree(op: LinearOperator) -> set[tuple[int, int]]:
-    """Set of bidegree shifts (a, b) on which P has a nonzero component."""
-    cf, m = _in_complex_frame(op)
-    return {cf.shift(code) for code in _shift_codes(cf, m)}
+    _require_exact(op)
+    cf = blade_structure(_n_from_dim(op.dim)).complex_frame(op.picture)
+    m = op.matrix
+    dense: dict[int, list] = {}
+    for _, q, p, dtype, (pr, pi) in _frame_blocks(cf, [m], back=True):
+        code = cf.code_blocks[q][p]
+        present = np.zeros((2 * cf.n + 1) ** 2, dtype=bool)
+        present[code[_nonzero((pr, pi))[0]]] = True
+        codes = np.flatnonzero(present)
+        keep = code == codes[:, None, None]
+        masked = [None if x is None else np.where(keep, x, 0) for x in (pr, pi)]
+        back = parts_product((cf.u_blocks[q], masked, cf.v_blocks[p]), dtype)
+        at = np.ix_(cf.index[q], cf.index[p])
+        for j, c in enumerate(map(int, codes)):
+            if c not in dense:
+                dense[c] = [_exact_zeros(m.shape, dtype) for _ in "ri"]
+            for part, x in zip(dense[c], back):
+                if x is not None:
+                    part[at] = x[j]
+    den = cf.u_inv.den ** 2 * m.den
+    return {cf.shift(c): ExactMatrix(re, im, den) for c, (re, im) in sorted(dense.items())}
 
 
 def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperator]:
@@ -456,18 +580,31 @@ def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperat
 
 def bidegree_project(a: Multivector, p: int, q: int) -> Multivector:
     """The (p, q) part of the form a: its coordinates on the columns of the
-    complex frame of bidegree (p, q), mapped back to the blade basis."""
+    complex frame of bidegree (p, q), mapped back to the blade basis.  Those
+    columns have degree k = p + q, so only the degree-k block of U^-1 and
+    of U is applied, to the degree-k coefficients of a."""
     n = a.n
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
     bs = blade_structure(n)
     cf = bs.complex_frame("ext")
-    # frame column 0 is the scalar 1, so row r of shift_code[:, 0] codes the
-    # bidegree of column r
-    keep = (cf.shift_code[:, 0] == (p + n) * (2 * n + 1) + q + n)[:, None]
-    x = cf.u_inv @ bs.to_column(a)
-    part = ExactMatrix(np.where(keep, x.re, 0), np.where(keep, x.im, 0), x.den)
-    return bs.to_multivector(cf.u @ part)
+    col = bs.to_column(a)
+    k, rows = p + q, cf.index[p + q]
+    dtype = product_tier([cf.u_inv._part_bounds(), col._part_bounds(), cf.u._part_bounds()],
+                         [len(rows)] * 2, col.re.dtype != object)
+    x = parts_product((cf.v_blocks[k], (col.re[rows], col.im[rows])), dtype)
+    # frame column 0 is the scalar 1, so row r of code block (k, 0) codes
+    # the bidegree of frame column r of degree k
+    keep = cf.code_blocks[k][0] == (p + n) * (2 * n + 1) + q + n
+    y = parts_product((cf.u_blocks[k], [None if v is None else np.where(keep, v, 0) for v in x]),
+                      dtype)
+    out = []
+    for v in y:
+        part = _exact_zeros(col.shape, dtype)
+        if v is not None:
+            part[rows] = v
+        out.append(part)
+    return bs.to_multivector(ExactMatrix(*out, cf.u_inv.den * col.den))
 
 
 def three_form_parts(psi: Multivector) -> dict[tuple[int, int], Multivector]:

@@ -10,7 +10,6 @@ solves over the operator span.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .matrices import (
     solve_exact,
 )
 from .algebra import AdaptedStructure
+from .jsontext import json_text
 from .models import LieModel, geometry
 from .operators import (
     LinearOperator,
@@ -734,11 +734,21 @@ def _ctab_rows() -> list[tuple]:
                    for p, _, row, lam, l in rows]
 
 
-def _ctab_cells() -> list[tuple]:
-    """(row label, base, column, [row, column], expected) for every cell."""
-    return [(label, base, col, SCom(row, Op(col)), expected)
-            for label, base, row, lam, l in _ctab_rows()
-            for col, expected in (("Lam", lam), ("L", l))]
+@functools.cache
+def _ctab_cells() -> tuple[tuple, ...]:
+    """(row label, base, column, [row, column], expected) for every cell,
+    built once per process for the catalog, `table_requests` and
+    `emit_commutator_table`."""
+    return tuple((label, base, col, SCom(row, Op(col)), expected)
+                 for label, base, row, lam, l in _ctab_rows()
+                 for col, expected in (("Lam", lam), ("L", l)))
+
+
+@functools.cache
+def _expected_terms(expected: Expr) -> tuple:
+    """`_terms(expected)`, read once per tree (trees are interned) for both
+    `table_requests` and `emit_commutator_table`."""
+    return tuple(_terms(expected))
 
 
 def _group_ctab(n: int) -> list[IdentityEntry]:
@@ -750,10 +760,12 @@ def _group_ctab(n: int) -> list[IdentityEntry]:
 
 # -- group 7: the bidegree table ----------------------------------------------
 
-def _btab_cells() -> list[tuple]:
-    """((p, q), [(label, expr)]) in (-q, p) order.  Each d, lam and tau part X
-    and X* sits at its own bidegree, [X, L] one step up and [X, Lam] one down;
-    within a cell atoms come first, then [., L], then [., Lam]."""
+@functools.cache
+def _btab_cells() -> tuple[tuple, ...]:
+    """((p, q), ((label, expr), ...)) in (-q, p) order, built once per
+    process.  Each d, lam and tau part X and X* sits at its own bidegree,
+    [X, L] one step up and [X, Lam] one down; within a cell atoms come
+    first, then [., L], then [., Lam]."""
     atoms = [(nm, Op(nm), bd) for nm, bd in _PC_SCALAR
              if nm not in ("L", "Lam") and not nm.startswith("rho_")]
     atoms += [(nm + "*", Adj(x), (-p, -q)) for nm, x, (p, q) in atoms]
@@ -762,7 +774,8 @@ def _btab_cells() -> list[tuple]:
         for nm, x, (p, q) in atoms:
             item = (nm, x) if col is None else (f"[{nm},{col}]", SCom(x, Op(col)))
             cells.setdefault((p + shift, q + shift), []).append(item)
-    return sorted(cells.items(), key=lambda cell: (-cell[0][1], cell[0][0]))
+    return tuple((pq, tuple(items))
+                 for pq, items in sorted(cells.items(), key=lambda c: (-c[0][1], c[0][0])))
 
 
 def _group_btab(n: int) -> list[IdentityEntry]:
@@ -1080,7 +1093,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json_text(self.to_dict())
 
     def to_markdown(self) -> str:
         c = self.counts()
@@ -1144,7 +1157,11 @@ def suite_requests(n: int, suite: str = "all", mode: str = "exact") -> list[tupl
 
 
 def verify(ws: Workspace, suite: str = "all", tolerance: float = 1e-10) -> Report:
-    """Evaluate the catalog on a workspace and report per-entry residuals."""
+    """Evaluate the catalog on a workspace and report per-entry residuals.
+
+    Entries are evaluated in catalog order under one plan.  The values of
+    the bidegree entries are held until the end and measured in one
+    `measured_bidegree` call; their results keep their catalog places."""
     entries = _suite_entries(ws.n, suite)
     if not 0 <= tolerance < math.inf:  # also false for nan
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
@@ -1169,6 +1186,8 @@ def verify(ws: Workspace, suite: str = "all", tolerance: float = 1e-10) -> Repor
     # the catalog is static: count every evaluation first, so that each
     # value is dropped after its last use
     ws.plan(req for e in entries if not skipped(e) for req in _requests(e, is_float))
+    # bidegree entries: values held in catalog order, measured in one call
+    placed: list[tuple[int, IdentityEntry, LinearOperator]] = []
     for e in entries:
         if skipped(e):
             report.results.append(
@@ -1176,13 +1195,8 @@ def verify(ws: Workspace, suite: str = "all", tolerance: float = 1e-10) -> Repor
             continue
         vals = [ws._eval(x, fm) for x, fm in _requests(e, is_float)]
         if e.kind == "bidegree":
-            measured = measured_bidegree(vals[0])
-            ok = measured <= {e.cell}
-            exercised = bool(measured) if e.guards is None else all(
-                ws.nonzero(g) for g in e.guards)
-            detail = "" if ok else f"measured {sorted(measured)}"
-            report.results.append(EntryResult(
-                e, "pass" if ok else "fail", exercised, None, detail))
+            placed.append((len(report.results), e, vals[0]))
+            report.results.append(None)
             continue
         lhs, rhs = vals
         residual = _value_residual(lhs, rhs)
@@ -1194,6 +1208,12 @@ def verify(ws: Workspace, suite: str = "all", tolerance: float = 1e-10) -> Repor
         report.results.append(EntryResult(
             e, "pass" if ok else "fail", exercised,
             float(residual) if is_float else residual))
+    for (at, e, _), measured in zip(placed, measured_bidegree([v for *_, v in placed])):
+        ok = measured <= {e.cell}
+        exercised = bool(measured) if e.guards is None else all(
+            ws.nonzero(g) for g in e.guards)
+        detail = "" if ok else f"measured {sorted(measured)}"
+        report.results[at] = EntryResult(e, "pass" if ok else "fail", exercised, None, detail)
     return report
 
 
@@ -1210,11 +1230,12 @@ _SPAN_FAMILIES = (
 _SPAN_LEE = ("E_lee", "I_lee", "E_jlee", "I_jlee")
 
 
-def _span_exprs() -> list[tuple[str, Expr]]:
+@functools.cache
+def _span_exprs() -> tuple[tuple[str, Expr], ...]:
     """(label, expr) of every atom of the commutator table's span."""
-    return ([(nm, Op(nm)) for nm in _SPAN_FAMILIES]
-            + [(nm + "*", Adj(Op(nm))) for nm in _SPAN_FAMILIES]
-            + [(nm, Op(nm)) for nm in _SPAN_LEE])
+    return tuple([(nm, Op(nm)) for nm in _SPAN_FAMILIES]
+                 + [(nm + "*", Adj(Op(nm))) for nm in _SPAN_FAMILIES]
+                 + [(nm, Op(nm)) for nm in _SPAN_LEE])
 
 
 def _span_atoms(ws: Workspace) -> list[tuple[str, LinearOperator]]:
@@ -1251,7 +1272,7 @@ def table_requests(which: str = "both") -> list[tuple]:
         exprs += [x for _, x in span]
         for *_, target, expected in _ctab_cells():
             exprs.append(target)
-            if _on_atoms(_terms(expected), index) is None:
+            if _on_atoms(_expected_terms(expected), index) is None:
                 exprs.append(expected)
     if which != "commutator":
         exprs += [x for _, items in _btab_cells() for _, x in items]
@@ -1329,7 +1350,7 @@ def emit_commutator_table(ws: Workspace) -> dict:
             if norm == sum((x[j] * rhs[j].conjugate() for j in live), ZERO):
                 solved = _format_combo([(x[j], labels[j]) for j in live])
                 support = {labels[j] for j in live}
-        terms = _terms(expected)
+        terms = _expected_terms(expected)
         e = _on_atoms(terms, index)
         if e is None:
             matches = target == ws.eval(expected).matrix
@@ -1393,18 +1414,22 @@ def commutator_table_markdown(table: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def emit_bidegree_table(ws: Workspace) -> dict:
-    """Measured bidegree placement for every tabulated operator."""
+    """Measured bidegree placement for every tabulated operator.  The
+    operators are evaluated in table order and measured in one
+    `measured_bidegree` call."""
     if ws.mode != "exact":
         raise StructuralError("the bidegree table requires exact mode")
+    table = _btab_cells()
+    measurements = iter(measured_bidegree([ws.eval(expr) for _, items in table
+                                           for _, expr in items]))
     cells = []
     ok = True
-    for (p, q), items in _btab_cells():
+    for (p, q), items in table:
         placed = []
         vacuous = []
         misplaced = []
-        for label, expr in items:
-            op = ws.eval(expr)
-            measured = measured_bidegree(op)
+        for label, _ in items:
+            measured = next(measurements)
             if not measured:
                 vacuous.append(label)
             elif measured == {(p, q)}:

@@ -5,7 +5,9 @@ projection as a matrix, from the 2n generator words and the complex frame.
 This module computes the same maps one blade at a time, with the sign of
 each blade product counted directly, so the tests can compare two
 constructions that share nothing but the blade-mask convention of
-`kahlerid.algebra`.
+`kahlerid.algebra`.  Bidegree measurement, which the package runs block by
+block under blade degree, is also given here through the dense 4^n x 4^n
+complex frame.
 """
 from __future__ import annotations
 
@@ -21,9 +23,11 @@ from kahlerid.algebra import (
     mask_of,
 )
 from kahlerid.dirac import dirac
-from kahlerid.matrices import ExactMatrix
+import numpy as np
+
+from kahlerid.matrices import ExactMatrix, linear_combination
 from kahlerid.models import nabla
-from kahlerid.operators import make_operator, multiplication_sum
+from kahlerid.operators import blade_structure, make_operator, multiplication_sum
 from kahlerid.scalars import GaussianRational, ONE, ZERO, gq
 
 
@@ -197,6 +201,44 @@ def bidegree_components(a: Multivector, picture: str = "ext") -> dict[tuple[int,
             if not part.is_zero():
                 out[(p, k - p)] = part
     return out
+
+
+# ---------------------------------------------------------------------------
+# bidegree through the dense complex frame
+# ---------------------------------------------------------------------------
+
+def _dense_frame(op):
+    """op's complex frame and the full product U^-1 M U."""
+    cf = blade_structure((op.dim.bit_length() - 1) // 2).complex_frame(op.picture)
+    return cf, linear_combination([(1, (cf.u_inv, op.matrix, cf.u), None)], op.matrix.shape)
+
+
+def dense_measured_bidegree(op) -> set[tuple[int, int]]:
+    """The shifts of the nonzero entries of the dense U^-1 M U."""
+    cf, m = _dense_frame(op)
+    return {cf.shift(code) for code in set(cf.shift_code[m.nonzero_mask()].tolist())}
+
+
+def dense_bidegree_components(op) -> dict[tuple[int, int], ExactMatrix]:
+    """U P_(a,b) U^-1 for each shift of P = U^-1 M U, by dense products."""
+    cf, m = _dense_frame(op)
+    out = {}
+    for code in sorted(set(cf.shift_code[m.nonzero_mask()].tolist())):
+        keep = cf.shift_code == code
+        part = ExactMatrix(np.where(keep, m.re, 0), np.where(keep, m.im, 0), m.den)
+        out[cf.shift(code)] = linear_combination([(1, (cf.u, part, cf.u_inv), None)], m.shape)
+    return out
+
+
+def dense_bidegree_project(a: Multivector, p: int, q: int) -> Multivector:
+    """The (p, q) part of a through the full U^-1 and U."""
+    n = a.n
+    bs = blade_structure(n)
+    cf = bs.complex_frame("ext")
+    keep = (cf.shift_code[:, 0] == (p + n) * (2 * n + 1) + q + n)[:, None]
+    x = cf.u_inv @ bs.to_column(a)
+    part = ExactMatrix(np.where(keep, x.re, 0), np.where(keep, x.im, 0), x.den)
+    return bs.to_multivector(cf.u @ part)
 
 
 # ---------------------------------------------------------------------------

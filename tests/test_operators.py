@@ -466,6 +466,71 @@ def test_mixed_operator_reports_every_shift(ws):
     assert measured_bidegree(d_plus_l) == {(2, -1), (1, 0), (0, 1), (-1, 2), (1, 1)}
 
 
+# entries from small to past the float64 (2**53) and int64 (2**62) tiers
+_WIDE_INTS = st.one_of(st.integers(-3, 3),
+                       st.sampled_from([2**30, 2**45, 2**53 - 1, 2**53, -2**53 - 1,
+                                        2**62, -2**64, 3**50]))
+
+
+@st.composite
+def _wide_operator(draw):
+    """A sparse exact operator at n = 1-3 in either picture: zero, real or
+    complex, its entries over a common denominator."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    dim = 4**n
+    kind = draw(st.sampled_from(["zero", "real", "complex"]))
+    den = draw(st.sampled_from([1, 3, 2**40]))
+    cols = [{} for _ in range(dim)]
+    if kind != "zero":
+        at = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+        for (r, c), a, b in draw(st.lists(st.tuples(at, _WIDE_INTS, _WIDE_INTS),
+                                          min_size=1, max_size=8)):
+            v = gq(Fraction(a, den), Fraction(b, den) if kind == "complex" else 0)
+            if v:
+                cols[c][r] = v
+    return make_operator("P", ExactMatrix.from_columns(dim, cols),
+                         draw(st.sampled_from(["ext", "cl"])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_wide_operator(), min_size=1, max_size=5))
+def test_batched_blocked_bidegree_measurement_matches_the_dense_frame(ops):
+    assert measured_bidegree(ops) == [reference.dense_measured_bidegree(op) for op in ops]
+    for op in ops:
+        assert measured_bidegree(op) == reference.dense_measured_bidegree(op)
+        assert operator_bidegree_components(op) == reference.dense_bidegree_components(op)
+
+
+def test_batched_measurement_splits_a_batch_by_tier():
+    # at n = 2 an entry of 1, 2**45 and 2**62 puts U^-1 M U on float64,
+    # int64 and Python integers: one batch runs all three, each on its tier
+    cf = blade_structure(2).complex_frame("ext")
+    ops = [make_operator("P", ExactMatrix.from_columns(16, [{}, {3: gq(v)}] + [{}] * 14), "ext")
+           for v in (1, 2**45, 2**62)]
+    tiers = {dtype: [ops[i] for i in rows]
+             for rows, *_, dtype, _ in operators._frame_blocks(cf, [op.matrix for op in ops])}
+    assert tiers == {np.float64: [ops[0]], np.int64: [ops[1]], object: [ops[2]]}
+    assert measured_bidegree(ops) == [reference.dense_measured_bidegree(op) for op in ops]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_n_and_multivector(), st.sampled_from([1, 2**53 + 1, 2**63]))
+def test_blocked_bidegree_projection_matches_the_dense_frame(case, scale):
+    n, a = case
+    a = a.scale(gq(scale))
+    for p in range(n + 1):
+        for q in range(n + 1):
+            assert operators.bidegree_project(a, p, q) == reference.dense_bidegree_project(a, p, q)
+
+
+def test_batched_bidegree_measurement_requires_exact_matrices(ws):
+    L = ws("nil6").ops["L"]
+    for m in (L.matrix, ExactMatrix.zeros(L.dim)):
+        fl = LinearOperator("F", FloatMatrix.from_exact(m), "ext", "even")
+        with pytest.raises(StructuralError, match="requires an exact matrix"):
+            measured_bidegree([L, fl])
+
+
 @st.composite
 def _parity_operands(draw):
     """Two operators of one picture, each even, odd, mixed or zero, exact or float."""

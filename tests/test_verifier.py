@@ -1,6 +1,8 @@
 """Catalog integrity, evaluation semantics, vacuity, and table emission."""
 import copy
+import functools
 import hashlib
+import json
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahlerid import get_model, gq, verifier
+from kahlerid import builtin_models, get_model, gq, verifier
 from kahlerid.algebra import Multivector
+from kahlerid.jsontext import json_text
 from kahlerid.matrices import ExactMatrix, FrobeniusColumns, linear_combination, solve_exact
 from kahlerid.models import from_brackets
 from kahlerid.operators import LinearOperator, StructuralError, make_operator
@@ -388,6 +391,30 @@ def test_perturbed_torsion_witness_fails(ws, leaf, entry_id, monkeypatch):
     assert result.residual == diff.max_norm() > 0
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_misplaced_bidegree_entries_fail_in_their_catalog_places(ws, mode, monkeypatch):
+    # each bidegree entry moved one step off its cell fails with the shifts
+    # measured; the batch keeps every result in its catalog place
+    full = verifier.catalog
+
+    def moved(n):
+        return tuple(replace(e, cell=(e.cell[0] + 1, e.cell[1])) if e.kind == "bidegree" else e
+                     for e in full(n))
+
+    want = verify(ws("nil6", mode)).results
+    monkeypatch.setattr(verifier, "catalog", moved)
+    got = verify(ws("nil6", mode)).results
+    assert [r.entry.id for r in got] == [r.entry.id for r in want]
+    for r, w in zip(got, want):
+        if r.entry.kind != "bidegree":
+            assert (r.status, r.residual) == (w.status, w.residual)
+        elif w.exercised:
+            cell = (r.entry.cell[0] - 1, r.entry.cell[1])
+            assert (r.status, r.detail) == ("fail", f"measured [{cell}]")
+        else:
+            assert (r.status, r.detail) == ("pass", "")
+
+
 def test_workspace_errors(ws):
     with pytest.raises(ValueError):
         Workspace(get_model("t2"), mode="symbolic")
@@ -429,6 +456,13 @@ def test_commutator_cell_outside_the_span_is_unresolved(ws, monkeypatch):
     assert by_key[("mu", "Lam")]["status"] == "ok"
 
 
+def _patch_ctab_rows(monkeypatch, rows):
+    """Serve the table rows from rows, through a fresh `_ctab_cells` cache
+    (the process-wide one keeps the rows it read first)."""
+    monkeypatch.setattr(verifier, "_ctab_rows", rows)
+    monkeypatch.setattr(verifier, "_ctab_cells", functools.cache(verifier._ctab_cells.__wrapped__))
+
+
 def test_commutator_cell_with_a_wrong_expected_form_is_a_mismatch(ws, monkeypatch):
     rows = verifier._ctab_rows
 
@@ -440,7 +474,7 @@ def test_commutator_cell_with_a_wrong_expected_form_is_a_mismatch(ws, monkeypatc
             out.append((label, base, row, lam, l))
         return out
 
-    monkeypatch.setattr(verifier, "_ctab_rows", doubled)
+    _patch_ctab_rows(monkeypatch, doubled)
     table = emit_commutator_table(ws("nil6"))
     assert not table["ok"]
     bad = [c for c in table["cells"] if c["status"] != "ok"]
@@ -463,7 +497,7 @@ def test_commutator_cell_with_a_wrong_expected_form_off_the_span_is_a_mismatch(
             out.append((label, base, row, lam, l))
         return out
 
-    monkeypatch.setattr(verifier, "_ctab_rows", doubled)
+    _patch_ctab_rows(monkeypatch, doubled)
     table = emit_commutator_table(ws("nil6"))
     assert not table["ok"]
     bad = [c for c in table["cells"] if c["status"] != "ok"]
@@ -614,3 +648,36 @@ def test_tables_require_exact_mode(ws):
         emit_commutator_table(w)
     with pytest.raises(StructuralError):
         emit_bidegree_table(w)
+
+
+# -- JSON text ------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(builtin_models()))
+def test_json_text_is_the_indented_dump_of_every_report_and_table(ws, name):
+    for mode in ("exact", "float"):
+        report = verify(ws(name, mode)).to_dict()
+        assert json_text(report) == json.dumps(report, indent=2) + "\n"
+    tables = {"commutator": emit_commutator_table(ws(name)),
+              "bidegree": emit_bidegree_table(ws(name))}
+    for payload in (tables, *tables.values()):
+        assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+_JSON_SCALAR = st.one_of(st.text(), st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.sampled_from(["\\", "\"", "\n\t\x00\x7f", "é☃\U0001f600"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_JSON_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4)), max_leaves=20))
+def test_json_text_matches_the_indented_dump(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_json_text_writes_scalar_subclasses_as_their_base_type():
+    class Label(str):
+        pass
+
+    obj = {"a": [Label("xé"), np.float64(0.5), True], "b": {"c": Label("y")}}
+    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
