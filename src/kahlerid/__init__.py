@@ -28,7 +28,6 @@ from .operators import (
     StructuralError,
     adjoint,
     bar,
-    bidegree_project,
     blade_structure,
     compose,
     conjugate,
@@ -75,7 +74,6 @@ __all__ = [
     "adjoint",
     "assemble",
     "bar",
-    "bidegree_project",
     "blade_structure",
     "builtin_descriptions",
     "builtin_models",

@@ -7,7 +7,6 @@ cannot be read or parsed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -96,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_models(args) -> int:
     descs = builtin_descriptions()
     if args.format == "json":
-        text = json.dumps({"models": descs}, indent=2) + "\n"
+        text = json_text({"models": descs})
     else:
         lines = ["| model | description |", "|---|---|"]
         for name, desc in descs.items():
@@ -119,7 +118,7 @@ def _cmd_validate(args) -> int:
                 for f in report.failures
             ],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json_text(payload)
     else:
         text = report.summary() + "\n"
     _emit(text, args.out)

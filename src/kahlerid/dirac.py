@@ -94,7 +94,7 @@ class CliffordZoo:
     def __init__(self, geom: ModelGeometry):
         n = geom.n
         bs = blade_structure(n)
-        om = geom.omega_clifford
+        om = geom.omega_form
         idx = range(1, 2 * n + 1)
         ops = self.ops = LazyMap()
         elements = self.elements = LazyMap()

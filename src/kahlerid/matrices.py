@@ -182,6 +182,7 @@ class ExactMatrix:
             im = _zero_part(*re.shape, re.dtype)
         re.flags.writeable = False
         im.flags.writeable = False
+        # _bounds is (max |re|, max |im|), taken when the matrix is made
         self.re, self.im, self.den, self._bounds = re, im, den, _bounds
 
     # -- constructors ----------------------------------------------------
@@ -218,23 +219,15 @@ class ExactMatrix:
                 im[at] = np.array(ims, dtype=dtype)
         return ExactMatrix(re, im, den)
 
-    @staticmethod
-    def column(rows: int, entries: dict[int, GaussianRational]) -> "ExactMatrix":
-        return ExactMatrix.from_columns(rows, [entries])
-
     # -- shape / access --------------------------------------------------
     @property
     def shape(self) -> tuple[int, int]:
         return self.re.shape
 
-    def _part_bounds(self) -> tuple[int, int]:
-        """(max |re|, max |im|), taken when the matrix was made."""
-        return self._bounds
-
     @property
     def bound(self) -> int:
         """The entry bound max(|re|, |im|) over all entries."""
-        return max(self._part_bounds())
+        return max(self._bounds)
 
     def entry(self, i: int, j: int) -> GaussianRational:
         return from_parts(int(self.re[i, j]), int(self.im[i, j]), self.den)
@@ -244,14 +237,14 @@ class ExactMatrix:
         return {int(i): self.entry(i, j) for i in rows}
 
     def is_zero(self) -> bool:
-        return self._part_bounds() == (0, 0)
+        return self._bounds == (0, 0)
 
     def nonzero_mask(self) -> np.ndarray:
         """True at the nonzero entries."""
         return (self.re != 0) | (self.im != 0)
 
     def has_im(self) -> bool:
-        return self._part_bounds()[1] > 0
+        return self._bounds[1] > 0
 
     def max_norm(self) -> Fraction:
         return Fraction(self.bound, self.den)
@@ -393,16 +386,6 @@ def parts_product(factors, dtype) -> tuple:
     return tuple(out)
 
 
-def _inner_dtype(fixed_width: bool, bound: int):
-    """The dtype of a stacked real product of fixed-width parts, or of
-    Python integers when fixed_width is False, whose every partial sum is
-    at most bound in magnitude: float64 below 2**53, int64 below 2**62,
-    object from there."""
-    if not (fixed_width and bound < _I64_BOUND):
-        return object
-    return np.float64 if bound < _F64_BOUND else np.int64
-
-
 def _gather(mats, support: np.ndarray, dtype, with_im: bool) -> np.ndarray:
     """Rows re(m) on support for each m, then im(m) when with_im, each
     widened from its storage dtype to the tier dtype as it is copied in."""
@@ -442,7 +425,7 @@ class FrobeniusColumns:
         self.bound = max((y.bound for y in cols), default=0)
         self.fixed_width = all(y.re.dtype != object for y in cols)
         self.has_im = any(y.has_im() for y in cols)
-        self.stack = _gather(cols, self.support, _inner_dtype(self.fixed_width, self.bound),
+        self.stack = _gather(cols, self.support, _tier(self.bound, self.fixed_width, chain=True),
                              self.has_im)
 
     def inner(self, rows) -> list[list[GaussianRational]]:
@@ -459,8 +442,8 @@ class FrobeniusColumns:
         x_bound = max((x.bound for x in rows), default=0)
         if not (k and x_bound and self.bound):
             return [[ZERO] * ncols for _ in rows]
-        dtype = _inner_dtype(self.fixed_width and all(x.re.dtype != object for x in rows),
-                             2 * k * x_bound * self.bound)
+        dtype = _tier(2 * k * x_bound * self.bound,
+                      self.fixed_width and all(x.re.dtype != object for x in rows), chain=True)
         x_im = any(x.has_im() for x in rows)
         xs, ys = _gather(rows, self.support, dtype, x_im), _cast(self.stack, dtype)
         step = max(1, _SERIAL_MNK // (len(xs) * len(ys)))
@@ -488,7 +471,7 @@ def frobenius_norms(mats) -> list[GaussianRational]:
     would choose for <x, x>."""
     out = []
     for x in mats:
-        dtype = _inner_dtype(x.re.dtype != object, 2 * x.re.size * x.bound ** 2)
+        dtype = _tier(2 * x.re.size * x.bound ** 2, x.re.dtype != object, chain=True)
         s = 0
         for part, bound in zip((x.re, x.im), x._bounds):
             if bound:
@@ -623,7 +606,7 @@ class FloatMatrix:
     @staticmethod
     def from_exact(m: ExactMatrix) -> "FloatMatrix":
         re, im = (x.astype(np.float64) / m.den if b else None
-                  for x, b in zip((m.re, m.im), m._part_bounds()))
+                  for x, b in zip((m.re, m.im), m._bounds))
         return FloatMatrix(re, im, m.shape)
 
     @property

@@ -27,14 +27,15 @@ from .algebra import (
     frame,
     j_vector,
 )
+from .matrices import ExactMatrix
 from .operators import (
     LinearOperator,
     apply_operator,
+    bidegree_decompose,
     blade_structure,
     contract,
     derivation,
     form_slices,
-    three_form_parts,
 )
 from .scalars import GaussianRational, ZERO
 
@@ -329,10 +330,13 @@ class ModelGeometry:
     structure: AdaptedStructure
     connection: ConnectionTable
     d: LinearOperator
-    omega_form: Multivector
-    omega_clifford: Multivector
+    # d = mu + del + delbar + mubar, keyed by (p, q) = (3, 0), (2, 1), (1, 2),
+    # (0, 3): the part of bidegree shift (p - 1, q - 1), which sends omega, of
+    # bidegree (1, 1), to the (p, q) part of d omega
+    d_parts: dict
+    omega_form: Multivector  # omega; its coefficients are the same in both pictures
     d_omega: Multivector
-    d_omega_parts: dict  # (p, q) -> the (p, q) part of d omega, p + q = 3
+    d_omega_parts: dict  # (p, q) -> d_parts[(p, q)] applied to omega
     d_omega_plus: Multivector
     d_omega_minus: Multivector
     lee_form: Multivector
@@ -381,9 +385,16 @@ def geometry(m: LieModel) -> ModelGeometry:
             f"model {m.name}: matrix adjoint of d is not -*d* (codifferential)"
         )
 
+    # the part of shift (p - 1, q - 1) sends omega to the (p, q) part of d omega
+    shifts = bidegree_decompose(d)
+    zero = LinearOperator("0", ExactMatrix.zeros(bs.dim), "ext", "odd")
+    d_parts = {(p, 3 - p): shifts.pop((p - 1, 2 - p), zero) for p in (3, 2, 1, 0)}
+    if shifts:
+        raise GeometryError(f"model {m.name}: d has unexpected bidegree shifts {sorted(shifts)}")
+
     omega = st.omega()
     d_omega = apply_operator(d, omega)
-    parts = three_form_parts(d_omega)
+    parts = {pq: apply_operator(part, omega) for pq, part in d_parts.items()}
     plus = parts[(2, 1)] + parts[(1, 2)]
     minus = parts[(3, 0)] + parts[(0, 3)]
 
@@ -414,8 +425,8 @@ def geometry(m: LieModel) -> ModelGeometry:
         structure=st,
         connection=levi_civita(m),
         d=d,
+        d_parts=d_parts,
         omega_form=omega,
-        omega_clifford=omega,
         d_omega=d_omega,
         d_omega_parts=parts,
         d_omega_plus=plus,

@@ -11,8 +11,10 @@ the frame.  So U^-1 M U is one blockwise conjugation, V_q M_qp U_p over the
 nonzero degree blocks (q, p) of M, on the tier the exact kernel's bound
 rule gives.  `measured_bidegree` takes a list of operators and measures
 them together: each block pair is one stacked product over the operators
-nonzero on it.  The components of `bidegree_decompose` and the (p, q)
-projection of a form run on the same blocks.  Contraction applies these
+nonzero on it.  `bidegree_decompose`, the one bidegree projector, splits
+an operator into its pure-shift parts on the same blocks; the parts of a
+form are parts of an operator applied to it (those of d omega are d's
+parts applied to omega, see `models.geometry`).  Contraction applies these
 matrices to a single column.
 """
 from __future__ import annotations
@@ -216,7 +218,7 @@ class BladeStructure:
 
     # -- conversions -------------------------------------------------------
     def to_column(self, a: Multivector) -> ExactMatrix:
-        return ExactMatrix.column(self.dim, a.coeffs)
+        return ExactMatrix.from_columns(self.dim, [a.coeffs])
 
     def to_multivector(self, col: ExactMatrix) -> Multivector:
         if col.shape != (self.dim, 1):
@@ -477,7 +479,7 @@ def _frame_blocks(cf: ComplexFrame, mats: list[ExactMatrix], back: bool = False)
     storage dtype, the nonzero blocks of all of them are found at once, and
     only the blocks multiplied are cast.
     """
-    v, u = cf.u_inv._part_bounds(), cf.u._part_bounds()
+    v, u = cf.u_inv._bounds, cf.u._bounds
     chain = [v, None, u, u, v] if back else [v, None, u]
     inner = [max(map(len, cf.index))] * (len(chain) - 1)
     tier_of: dict = {}
@@ -485,7 +487,7 @@ def _frame_blocks(cf: ComplexFrame, mats: list[ExactMatrix], back: bool = False)
     for i, m in enumerate(mats):
         if m.is_zero():
             continue
-        key = m._part_bounds(), m.re.dtype != object
+        key = m._bounds, m.re.dtype != object
         if key not in tier_of:
             chain[1] = key[0]
             tier_of[key] = product_tier(chain, inner, key[1])
@@ -509,16 +511,15 @@ def _frame_blocks(cf: ComplexFrame, mats: list[ExactMatrix], back: bool = False)
                     (cf.v_blocks[q], x, cf.u_blocks[p]), dtype)
 
 
-def measured_bidegree(ops: LinearOperator | Sequence[LinearOperator]):
-    """The set of bidegree shifts (a, b) on which an operator has a nonzero
-    component; for a sequence of operators, the list of their sets.
+def measured_bidegree(ops: Sequence[LinearOperator]) -> list[set[tuple[int, int]]]:
+    """For each operator, the set of bidegree shifts (a, b) on which it has
+    a nonzero component.
 
-    Operators given together are measured together: they are stacked per
-    complex frame, and each degree block pair is conjugated once, in one
-    stacked product over every operator nonzero on it (see `_frame_blocks`).
+    The operators are measured together: they are stacked per complex
+    frame, and each degree block pair is conjugated once, in one stacked
+    product over every operator nonzero on it (see `_frame_blocks`).
     """
-    single = isinstance(ops, LinearOperator)
-    ops = [ops] if single else list(ops)
+    ops = list(ops)
     out = [set() for _ in ops]
     frames: dict = {}
     for i, op in enumerate(ops):
@@ -532,21 +533,17 @@ def measured_bidegree(ops: LinearOperator | Sequence[LinearOperator]):
             present[rows[b], cf.code_blocks[q][p][r, c]] = True
         for i, code in zip(*np.nonzero(present)):
             out[members[i]].add(cf.shift(code))
-    return out[0] if single else out
+    return out
 
 
-def _exact_zeros(shape, dtype) -> np.ndarray:
-    """Zeros to hold exact results computed on tier dtype: int64 for float64."""
-    return np.zeros(shape, dtype=np.int64 if dtype is np.float64 else dtype)
-
-
-def operator_bidegree_components(op: LinearOperator) -> dict[tuple[int, int], ExactMatrix]:
+def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperator]:
     """Decompose P = sum of components with pure bidegree shift (a, b).
 
-    Keys are shifts; each value is U P_(a,b) U^-1, with P_(a,b) the entries
-    of P = U^-1 M U that move bidegree by (a, b).  Both conjugations run
-    block by block: block (q, p) of a component is U_q (P_(a,b))_qp V_p,
-    one stacked product over the shifts present in the block.
+    Keys are shifts; each value is the operator U P_(a,b) U^-1, named
+    op.name[a,b], with P_(a,b) the entries of P = U^-1 M U that move
+    bidegree by (a, b).  Both conjugations run block by block: block (q, p)
+    of a component is U_q (P_(a,b))_qp V_p, one stacked product over the
+    shifts present in the block.
     """
     _require_exact(op)
     cf = blade_structure(_n_from_dim(op.dim)).complex_frame(op.picture)
@@ -563,58 +560,18 @@ def operator_bidegree_components(op: LinearOperator) -> dict[tuple[int, int], Ex
         at = np.ix_(cf.index[q], cf.index[p])
         for j, c in enumerate(map(int, codes)):
             if c not in dense:
-                dense[c] = [_exact_zeros(m.shape, dtype) for _ in "ri"]
+                # exact results computed on float64 are held as int64
+                dense[c] = [np.zeros(m.shape, dtype=np.int64 if dtype is np.float64 else dtype)
+                            for _ in "ri"]
             for part, x in zip(dense[c], back):
                 if x is not None:
                     part[at] = x[j]
     den = cf.u_inv.den ** 2 * m.den
-    return {cf.shift(c): ExactMatrix(re, im, den) for c, (re, im) in sorted(dense.items())}
-
-
-def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperator]:
-    return {
-        shift: make_operator(f"{op.name}[{shift[0]},{shift[1]}]", mat, op.picture)
-        for shift, mat in operator_bidegree_components(op).items()
-    }
-
-
-def bidegree_project(a: Multivector, p: int, q: int) -> Multivector:
-    """The (p, q) part of the form a: its coordinates on the columns of the
-    complex frame of bidegree (p, q), mapped back to the blade basis.  Those
-    columns have degree k = p + q, so only the degree-k block of U^-1 and
-    of U is applied, to the degree-k coefficients of a."""
-    n = a.n
-    if not (0 <= p <= n and 0 <= q <= n):
-        raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
-    bs = blade_structure(n)
-    cf = bs.complex_frame("ext")
-    col = bs.to_column(a)
-    k, rows = p + q, cf.index[p + q]
-    dtype = product_tier([cf.u_inv._part_bounds(), col._part_bounds(), cf.u._part_bounds()],
-                         [len(rows)] * 2, col.re.dtype != object)
-    x = parts_product((cf.v_blocks[k], (col.re[rows], col.im[rows])), dtype)
-    # frame column 0 is the scalar 1, so row r of code block (k, 0) codes
-    # the bidegree of frame column r of degree k
-    keep = cf.code_blocks[k][0] == (p + n) * (2 * n + 1) + q + n
-    y = parts_product((cf.u_blocks[k], [None if v is None else np.where(keep, v, 0) for v in x]),
-                      dtype)
-    out = []
-    for v in y:
-        part = _exact_zeros(col.shape, dtype)
-        if v is not None:
-            part[rows] = v
-        out.append(part)
-    return bs.to_multivector(ExactMatrix(*out, cf.u_inv.den * col.den))
-
-
-def three_form_parts(psi: Multivector) -> dict[tuple[int, int], Multivector]:
-    """The (3,0), (2,1), (1,2) and (0,3) parts of a 3-form, keyed by bidegree
-    (zero where p or q exceeds n)."""
-    if psi.degrees() not in ({3}, set()):
-        raise ValueError("three_form_parts expects a homogeneous 3-form")
-    n = psi.n
-    return {(p, 3 - p): bidegree_project(psi, p, 3 - p) if max(p, 3 - p) <= n
-            else Multivector.zero(n) for p in (3, 2, 1, 0)}
+    out = {}
+    for c, (re, im) in sorted(dense.items()):
+        a, b = cf.shift(c)
+        out[(a, b)] = make_operator(f"{op.name}[{a},{b}]", ExactMatrix(re, im, den), op.picture)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +660,7 @@ def vector_operator(block: ExactMatrix) -> ExactMatrix:
         im = np.zeros_like(re)
         im[vectors] = block.im
     # zero padding keeps block's normal form and bounds
-    return ExactMatrix(re, im, block.den, _normalized=True, _bounds=block._part_bounds())
+    return ExactMatrix(re, im, block.den, _normalized=True, _bounds=block._bounds)
 
 
 def ext_mult(phi: Multivector, name: str) -> LinearOperator:

@@ -667,14 +667,10 @@ def _terms(x: Expr, c: GaussianRational = ONE, star: bool = False) -> list:
     return [(c, label)]
 
 
-def _format_expr(x: Expr) -> str:
-    """A relation tree as text, a shared non-unit coefficient factored out:
-    `i(mubar* + tau_mubar*)`, `-i rho_delbar - tau_delbar`, `3 lam_mu*`."""
-    return _format_terms(_terms(x))
-
-
 def _format_terms(terms) -> str:
-    """`_format_expr` of the tree that `_terms` read as `terms`."""
+    """The relation tree that `_terms` read as `terms`, as text, a shared
+    non-unit coefficient factored out: `i(mubar* + tau_mubar*)`,
+    `-i rho_delbar - tau_delbar`, `3 lam_mu*`."""
     c = terms[0][0] if terms else ONE
     if c == ONE or any(k != c for k, _ in terms):
         return _format_combo(terms)
@@ -702,7 +698,7 @@ def _variant_entries(prefix, group, relations, families, condition=None):
             for p in family:
                 rhs = relations[p][k]
                 adj = _minus_adj(rhs)
-                stmt = f"[{p}, {col}] = {_format_expr(rhs)}"
+                stmt = f"[{p}, {col}] = {_format_terms(_terms(rhs))}"
                 zero = isinstance(rhs, ZeroOp)
                 for suffix, note, lhs, r in (
                         ("", "", SCom(Op(p), Op(col)), rhs),
@@ -753,7 +749,7 @@ def _expected_terms(expected: Expr) -> tuple:
 
 def _group_ctab(n: int) -> list[IdentityEntry]:
     return [IdentityEntry(f"ctab.{label}.{col}", "commutator-table",
-                          f"[{label}, {col}] = {_format_expr(rhs)}", "operator",
+                          f"[{label}, {col}] = {_format_terms(_expected_terms(rhs))}", "operator",
                           cell, rhs, guards=(base,))
             for label, base, col, cell, rhs in _ctab_cells()]
 

@@ -22,7 +22,6 @@ from .operators import (
     add_ops,
     adjoint,
     apply_operator,
-    bidegree_decompose,
     blade_structure,
     conjugate,
     contract_op,
@@ -39,8 +38,8 @@ from .operators import (
 )
 from .scalars import gq
 
-# the (p, q) parts of d omega, each named after the part of d of bidegree
-# (p - 1, q - 1)
+# the names of the part of d and of d omega keyed (p, q) in the geometry:
+# mu sends omega to mu omega, the (3, 0) part of d omega, and so on
 _PARTS = {(3, 0): "mu", (2, 1): "del", (1, 2): "delbar", (0, 3): "mubar"}
 
 _HALF = gq("1/2")
@@ -50,23 +49,18 @@ class ExteriorZoo:
     """The exterior-picture operators of one model, under their catalog
     names in `ops`, each built on its first read.
 
-    The gates that read only the geometry run here: d moves bidegree only
-    by the shifts of its four parts, J_d acts on each (p, q) part of d omega
-    as i(p - q), and conjugation swaps the pure parts.  A gate on an
-    operator runs in that operator's builder: `lam` equals E_{d omega},
-    `tau` and `rho` equal the sums of their plus and minus parts, and
-    tau(1) is the Lee form.
+    d and its four parts come from the geometry, which checks that d moves
+    bidegree only by their shifts.  The gates on d omega's parts run here:
+    J_d acts on each (p, q) part as i(p - q), and conjugation swaps the pure
+    parts.  A gate on an operator runs in that operator's builder: `lam`
+    equals E_{d omega}, `tau` and `rho` equal the sums of their plus and
+    minus parts, and tau(1) is the Lee form.
     """
 
     def __init__(self, geom: ModelGeometry):
         n = geom.n
         bs = blade_structure(n)
         d = geom.d
-        d_parts = bidegree_decompose(d)
-        shifts = {(p - 1, q - 1): nm for (p, q), nm in _PARTS.items()}
-        bad = set(d_parts) - set(shifts)
-        if bad:
-            raise GeometryError(f"d has unexpected bidegree shifts {sorted(bad)}")
         # the pure-bidegree pieces of the torsion 3-form d omega: J_d acts on
         # the (p, q) part as i(p - q)
         parts = geom.d_omega_parts
@@ -89,10 +83,8 @@ class ExteriorZoo:
         ops.add("dc_star", partial(from_ops, adjoint, "(d^c)*", "dc"))
         ops.add("Ja_ext", partial(make_operator, "J_a", bs.Ja_ext, "ext"))
         ops.add("Jd_ext", lambda: make_operator("J_d", bs.Jd_ext, "ext"))
-        zero = ExactMatrix.zeros(bs.dim)
-        for shift, nm in shifts.items():
-            ops[nm] = (d_parts[shift].renamed(nm) if shift in d_parts
-                       else LinearOperator(nm, zero, "ext", "odd"))
+        for pq, nm in _PARTS.items():
+            ops[nm] = geom.d_parts[pq].renamed(nm)
 
         def summed(op, fam, whole):
             """op, the whole of a family, once it equals its plus and minus parts' sum."""

@@ -230,17 +230,6 @@ def dense_bidegree_components(op) -> dict[tuple[int, int], ExactMatrix]:
     return out
 
 
-def dense_bidegree_project(a: Multivector, p: int, q: int) -> Multivector:
-    """The (p, q) part of a through the full U^-1 and U."""
-    n = a.n
-    bs = blade_structure(n)
-    cf = bs.complex_frame("ext")
-    keep = (cf.shift_code[:, 0] == (p + n) * (2 * n + 1) + q + n)[:, None]
-    x = cf.u_inv @ bs.to_column(a)
-    part = ExactMatrix(np.where(keep, x.re, 0), np.where(keep, x.im, 0), x.den)
-    return bs.to_multivector(cf.u @ part)
-
-
 # ---------------------------------------------------------------------------
 # evaluation and Hodge star
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ def test_criterion_8_construction_gates(ws, capsys):
     for name in ("nil6", "hopf4"):
         w = ws(name)
         for opname, op in w.ops.items():
-            shifts = measured_bidegree(op)
+            (shifts,) = measured_bidegree([op])
             if len(shifts) != 1:
                 continue
             ((p, q),) = shifts

@@ -1,7 +1,6 @@
 """Exterior/Clifford algebra layer: products, J actions, bidegrees, star."""
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +13,8 @@ from kahlerid.algebra import (
     frame,
     j_vector,
 )
-from kahlerid.operators import bidegree_project, three_form_parts
+from kahlerid.models import builtin_models, from_brackets, geometry
+from kahlerid.operators import add_ops
 import reference
 from reference import (
     basis,
@@ -124,19 +124,6 @@ def test_omega_matches_pairing():
 
 # -- bidegree ------------------------------------------------------------------
 
-def test_antiholomorphic_one_form_n1():
-    a = coframe(1, 1) - coframe(1, 2).scale(gq(0, 1))
-    assert bidegree_project(a, 0, 1) == a
-    assert bidegree_project(a, 1, 0).is_zero()
-    b = coframe(1, 1) + coframe(1, 2).scale(gq(0, 1))
-    assert bidegree_project(b, 1, 0) == b
-
-
-def test_bidegree_out_of_range_raises():
-    with pytest.raises(ValueError):
-        bidegree_project(basis(2, 1, 2, 3), 3, 0)
-
-
 def test_bidegree_components_sum_back():
     a = basis(2, 1, 2, 3) + basis(2, 1, 2).scale(gq(2))
     parts = bidegree_components(a)
@@ -153,16 +140,27 @@ def test_degree_spectrum():
 
 
 def test_three_form_parts_nil6(geom):
-    g = geom("nil6")
-    parts = three_form_parts(g.d_omega)
-    assert list(parts) == [(3, 0), (2, 1), (1, 2), (0, 3)]
-    total = Multivector.zero(3)
-    for (p, q), part in parts.items():
-        assert part == reference.bidegree_project(g.d_omega, p, q)
-        assert not part.is_zero()
-        total = total + part
-    assert total == g.d_omega
-    assert g.d_omega_parts == parts
+    # d omega's parts are d's parts applied to omega.  On every built-in, on
+    # big32 (nil6 with brackets scaled by 2**32 and 2**-32) and on nil8 (n = 4)
+    # each is the blade-by-blade projection, they sum to d omega, and d's
+    # parts sum to d
+    geoms = [geom(name) for name in builtin_models()] + [geometry(from_brackets(
+        "big32", 3, {(1, 2): {4: -2**32}, (1, 3): {5: -1}, (2, 3): {6: Fraction(-1, 2**32)}})),
+        geometry(from_brackets("nil8", 4, {(1, 2): {5: -1}, (1, 3): {6: -1}, (2, 3): {7: -1}}))]
+    for g in geoms:
+        parts = g.d_omega_parts
+        assert list(parts) == list(g.d_parts) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+        total = Multivector.zero(g.n)
+        for (p, q), part in parts.items():
+            if max(p, q) <= g.n:
+                assert part == reference.bidegree_project(g.d_omega, p, q)
+            else:
+                assert part.is_zero()
+            if g.model.name in ("nil6", "big32"):
+                assert not part.is_zero()
+            total = total + part
+        assert total == g.d_omega
+        assert add_ops(*g.d_parts.values()).matrix == g.d.matrix
 
 
 # -- Hodge star ----------------------------------------------------------------

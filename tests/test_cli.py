@@ -42,6 +42,19 @@ def test_models_listing(capsys):
     assert set(data["models"]) >= {"t2", "t4", "t6", "kt4", "hopf4", "iwa6", "nil6"}
 
 
+@pytest.mark.parametrize("argv, code", [(["models", "--format", "json"], 0),
+                                        (["validate", "--model", "kt4"], 0),
+                                        (["validate", "--model", "nonuni"], 2)])
+def test_models_and_validate_json_is_json_dumps_indented(argv, code, tmp_path, capsys):
+    # the bytes json.dumps(payload, indent=2) writes, for a model that passes
+    # validation and for one that fails it
+    if argv[-1] == "nonuni":
+        argv[-1] = _write_model(tmp_path, "nonuni", [(1, 2, 2, Fraction(1))], 1)
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_validate_builtin(capsys):
     assert main(["validate", "--model", "kt4"]) == 0
     data = json.loads(capsys.readouterr().out)

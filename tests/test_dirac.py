@@ -53,7 +53,7 @@ def test_hc_on_unit(geom, cz, name):
     g = geom(name)
     hc = cz(name).ops["Hc"]
     got = apply_operator(hc, Multivector.unit(g.n))
-    assert got == g.omega_clifford.scale(gq(0, -1))
+    assert got == g.omega_form.scale(gq(0, -1))
 
 
 def test_hc_transport(ws):

@@ -300,7 +300,7 @@ def _assert_normal(m):
     """den > 0, gcd(re, im, den) = 1, both parts in the narrowest dtype for
     the bound, read-only parts, and a cached bound equal to a fresh
     reduction."""
-    assert m._part_bounds() == (_max_abs(m.re), _max_abs(m.im))
+    assert m._bounds == (_max_abs(m.re), _max_abs(m.im))
     assert m.den > 0
     assert math.gcd(m.den, *(int(x) for x in m.re.flat), *(int(x) for x in m.im.flat)) == 1
     assert m.re.dtype == m.im.dtype == _narrowest(m.bound)
@@ -340,7 +340,8 @@ def test_parts_are_read_only_from_every_constructor():
     assert big.re.dtype == object
     for m in (a, big, a + a, a @ a, big @ big, a.scale(gq(0, 1)), -a, a.adjoint(), a.bar(),
               a.transpose(), ExactMatrix.identity(2), linear_combination([(2, a, None)], (2, 2)),
-              ExactMatrix.zeros(2), ExactMatrix.zeros(3, 1), ExactMatrix.column(2, {1: gq(1)}),
+              ExactMatrix.zeros(2), ExactMatrix.zeros(3, 1),
+              ExactMatrix.from_columns(2, [{1: gq(1)}]),
               ExactMatrix(np.eye(2, dtype=np.int64), np.zeros((2, 2), np.int64), 1),
               ExactMatrix.zeros(2) @ a):
         for part in (m.re, m.im):
@@ -427,8 +428,8 @@ def test_stacked_inner_products_equal_the_pairwise_ones(case):
 
 
 def test_stacked_inner_products_of_zero_and_disjoint_matrices_are_zero():
-    a = ExactMatrix.column(3, {0: gq(1, 2)})
-    b = ExactMatrix.column(3, {2: gq(Fraction(1, 7))})
+    a = ExactMatrix.from_columns(3, [{0: gq(1, 2)}])
+    b = ExactMatrix.from_columns(3, [{2: gq(Fraction(1, 7))}])
     zero = ExactMatrix.zeros(3, 1)
     assert FrobeniusColumns([zero, zero]).inner([a, b]) == [[gq(0)] * 2] * 2
     assert FrobeniusColumns([b, zero]).inner([a, zero]) == [[gq(0)] * 2] * 2
@@ -486,14 +487,14 @@ def test_a_zero_operand_gives_the_zero_of_the_product_shape(case):
     want = _product_ref(a, b)
     assert got == want and want.is_zero()
     assert got.shape == (a.shape[0], b.shape[1])
-    assert got.den == 1 and got._part_bounds() == (0, 0) == (_max_abs(got.re), _max_abs(got.im))
+    assert got.den == 1 and got._bounds == (0, 0) == (_max_abs(got.re), _max_abs(got.im))
     assert got.re.dtype == got.im.dtype == _narrowest(0)
     assert not (got.re.flags.writeable or got.im.flags.writeable)
 
 
 def test_element_columns_times_a_zero_operator():
     op = ExactMatrix.zeros(64)
-    col = ExactMatrix.column(64, {3: gq(1, 1)})
+    col = ExactMatrix.from_columns(64, [{3: gq(1, 1)}])
     assert (op @ col).shape == (64, 1) and (op @ col).is_zero()
     assert (col.adjoint() @ op).shape == (1, 64)
 
@@ -738,7 +739,8 @@ def test_every_constructor_carries_the_bounds_of_its_parts():
     c = _from_cols([[gq(1, 2), gq(0, 1)], [gq(3), gq(-1, -1)]])
     big = ExactMatrix(np.array([[_BIG, 0], [0, -1]], dtype=object), None, 5)
     made = [a, c, big, ExactMatrix.identity(2), ExactMatrix.zeros(2), ExactMatrix.zeros(2, 3),
-            ExactMatrix.column(2, {1: gq(0, 3)}), ExactMatrix(np.eye(2, dtype=np.int64) * 4, None, 6),
+            ExactMatrix.from_columns(2, [{1: gq(0, 3)}]),
+            ExactMatrix(np.eye(2, dtype=np.int64) * 4, None, 6),
             ExactMatrix(c.re, c.im, c.den, _normalized=True), _as_object(c),
             -c, c.adjoint(), c.bar(), c.transpose(), a + c, a - a, c.scale(gq(0, 1)), a @ c,
             big @ big, big.scale(Fraction(1, _BIG)), c + c.bar(), vector_operator(c),
@@ -856,7 +858,7 @@ def test_parts_at_every_storage_edge_compute_like_python_integers(pairs, data):
     cols = [{i: gq(Fraction(ra.re[i, j], ra.den), Fraction(ra.im[i, j], ra.den))
              for i in range(dim)} for j in range(dim)]
     _assert_stored(ExactMatrix.from_columns(dim, cols), ra.re, ra.im, ra.den)
-    _assert_stored(ExactMatrix.column(dim, cols[0]), ra.re[:, :1], ra.im[:, :1], ra.den)
+    _assert_stored(ExactMatrix.from_columns(dim, cols[:1]), ra.re[:, :1], ra.im[:, :1], ra.den)
     one = np.eye(dim, dtype=object)
     _assert_stored(ExactMatrix.identity(dim), one, 0 * one, 1)
     _assert_stored(ExactMatrix.zeros(dim), 0 * one, 0 * one, 1)

@@ -2,6 +2,8 @@
 import ast
 from pathlib import Path
 
+import kahlerid
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "kahlerid"
 
 # wrapped by name from outside the package (the benchmark's tracer counts its calls)
@@ -36,3 +38,8 @@ def test_every_definition_in_src_is_referenced_in_src():
     dead = [f"{module}: {qual}" for module, tree in trees.items()
             for qual, name in _definitions(tree) if name not in used and qual not in ALLOWED]
     assert not dead, dead
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in kahlerid.__all__ if not hasattr(kahlerid, name)]
+    assert not missing, missing

@@ -530,6 +530,11 @@ def test_commutator_cell_equal_to_other_atoms_lists_them_as_aliases(ws, monkeypa
     assert cell["aliases"] == ["lam_mu_copy", "-lam_mu_neg"]
 
 
+def _format(x):
+    """A relation tree as the catalog prints it."""
+    return verifier._format_terms(verifier._terms(x))
+
+
 def _commutator_cells_entrywise(w):
     """The table's cells decided by rebuilding and comparing matrices: each
     solution is checked by reconstruction, each expected form and alias by
@@ -559,7 +564,7 @@ def _commutator_cells_entrywise(w):
         status = ("unresolved" if not solved
                   else "ok" if t == w.eval(expected).matrix else "mismatch")
         cells.append({"row": label, "column": col,
-                      "expected": verifier._format_expr(expected), "status": status,
+                      "expected": _format(expected), "status": status,
                       "solved": solved, "aliases": aliases})
     return cells
 
@@ -585,7 +590,7 @@ def test_relation_terms_read_over_the_span_are_the_evaluated_form(ws, name):
         want = w.eval(expected).matrix
         got = linear_combination([(c, atoms[j][1].matrix, None) for j, c in e.items()],
                                  want.shape)
-        assert got == want, verifier._format_expr(expected)
+        assert got == want, _format(expected)
     assert on_atoms == 56
 
 
@@ -609,7 +614,7 @@ def test_table_statements_print_their_trees(n):
     for e in catalog(n):
         if e.group == "commutator-table":
             _, row, col = e.id.rsplit(".", 2)
-            assert e.statement == f"[{row}, {col}] = {verifier._format_expr(e.rhs)}"
+            assert e.statement == f"[{row}, {col}] = {_format(e.rhs)}"
 
 
 def test_relation_printer_factors_a_shared_coefficient():

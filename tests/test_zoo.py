@@ -4,8 +4,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from kahlerid import GeometryError, StructuralError, Workspace, geometry, get_model, operators
-from kahlerid import matrices, zoo
+from kahlerid import GeometryError, StructuralError, Workspace, geometry, get_model
+from kahlerid import matrices, models, zoo
 from kahlerid.matrices import ExactMatrix
 from kahlerid.verifier import (
     emit_bidegree_table,
@@ -64,20 +64,23 @@ def test_assembled_zoo_is_pinned(name):
 
 def test_swapped_d_omega_parts_are_rejected(monkeypatch):
     # J_d acts on the (p, q) part of d omega as i(p - q), so parts filed under
-    # each other's bidegree must stop the zoo; their sum alone cannot tell
-    project = operators.bidegree_project
+    # each other's bidegree must stop the zoo; their sum alone cannot tell.
+    # Swapping d's (1, 0) and (0, 1) parts swaps d omega's (2, 1) and (1, 2)
+    decompose = models.bidegree_decompose
 
-    def swapped(a, p, q):
-        return project(a, q, p) if (p, q) in ((2, 1), (1, 2)) else project(a, p, q)
+    def swapped(op):
+        parts = decompose(op)
+        parts[(1, 0)], parts[(0, 1)] = parts[(0, 1)], parts[(1, 0)]
+        return parts
 
-    monkeypatch.setattr(operators, "bidegree_project", swapped)
+    monkeypatch.setattr(models, "bidegree_decompose", swapped)
     g = geometry(get_model("nil6"))
     with pytest.raises(GeometryError, match=r"part of d omega is not of bidegree"):
         ExteriorZoo(g)
 
 
-# built with the zoo: d and its four bidegree parts, which the gate on d's
-# shifts computes
+# built with the zoo: d and its four bidegree parts, which the geometry
+# computes for its gate on d's shifts and for d omega's parts
 EAGER = {"d", "mu", "del", "delbar", "mubar"}
 
 
