@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested checks pass, 1 an identity or table cell
 fails, 2 the model violates a Lie-algebra invariant, 3 the model file
-cannot be read or parsed.
+cannot be read or parsed, or the --out file cannot be written.
 """
 from __future__ import annotations
 
@@ -36,12 +36,19 @@ EXIT_VALIDATION = 2
 EXIT_FORMAT = 3
 
 
+class OutputError(Exception):
+    """The --out file cannot be written."""
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise OutputError(f"cannot write {out}: {e.strerror or e}") from e
 
 
 def _tolerance(text: str) -> float:
@@ -178,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModelValidationError as e:
         sys.stderr.write(e.report.summary() + "\n")
         return EXIT_VALIDATION
-    except ModelFormatError as e:
+    except (ModelFormatError, OutputError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_FORMAT
     raise AssertionError("unreachable")

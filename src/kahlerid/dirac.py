@@ -64,9 +64,10 @@ def sigma(nablas, a: int) -> LinearOperator:
     j, s = bs.structure.pair(a)
     na, nj = nablas[a - 1].matrix, nablas[j - 1].matrix
     jd = bs.Jd_cl
-    # nabla_{J e_a} = s nabla_{e_j}, and J_a^{-1} (N J_a - J_a N) = J_a^{-1} N J_a - N
+    # nabla_{J e_a} = s nabla_{e_j}, and J_a^{-1} (N J_a - J_a N) = N^c - N
+    nj_c = nj.signed_reindex(*bs.ja_action["cl"])
     mat = linear_combination([(1, (na, jd), None), (-1, (jd, na), None),
-                              (s, (bs.Ja_cl_inv, nj, bs.Ja_cl), None), (-s, nj, None)], na.shape)
+                              (s, nj_c, None), (-s, nj, None)], na.shape)
     return make_operator(f"sigma_{a}", mat, "cl")
 
 

@@ -21,7 +21,9 @@ when their parts are, and `==` compares them directly:
 Each matrix carries its part bounds (max |re|, max |im|), taken by the
 normal form from the same read of each part that gives the gcd, so a real
 matrix is known to be real and no bound is ever scanned for again; negation,
-adjoint, conjugation and transpose pass them on unchanged.
+adjoint, conjugation, transpose and `signed_reindex` pass them on unchanged:
+conjugation by a signed permutation such as J_a only moves entries and flips
+their signs, for exact and float matrices alike.
 
 Every sum, scaling and product is one call of one kernel,
 `linear_combination`, which computes sum_k c_k (m_k1 @ ... @ m_kj): it
@@ -48,11 +50,12 @@ product is an integer pair over den_x den_y, read into a GaussianRational,
 which has that form, with no Fraction in between; `entry`, `from_columns`
 and the kernel's coefficients read and build scalars the same way.
 
-FloatMatrix is the float view that `verify --float` evaluates: the same
-operation surface over float64 real and imaginary parts, a part known to be
-zero not stored.  Its products and the exact tiers' go through one part-wise
-product, `_part_product`, which skips every real product with a zero
-operand; no complex128 product is ever made.
+FloatMatrix is the float view that `verify --float` evaluates, made from an
+exact matrix by `from_exact`: the operations the evaluator applies, over
+float64 real and imaginary parts, a part known to be zero not stored.  Its
+products and the exact tiers' go through one part-wise product,
+`_part_product`, which skips every real product with a zero operand; no
+complex128 product is ever made.
 """
 from __future__ import annotations
 
@@ -282,6 +285,15 @@ class ExactMatrix:
         return ExactMatrix(self.re.T.copy(), self._map_im(lambda x: x.T.copy()), self.den,
                            _normalized=True, _bounds=self._bounds)
 
+    def signed_reindex(self, image: np.ndarray, sign: np.ndarray) -> "ExactMatrix":
+        """S^-1 M S for the signed permutation S sending basis vector m to
+        sign[m] times basis vector image[m]: entry (r, c) is
+        sign[r] sign[c] M[image[r], image[c]].  Entries only move and change
+        sign, so den, the bounds and the storage dtype carry over."""
+        fn = functools.partial(_signed_take, image=image, sign=sign)
+        return ExactMatrix(fn(self.re), self._map_im(fn), self.den, _normalized=True,
+                           _bounds=self._bounds)
+
     def _map_im(self, fn):
         """fn(im), or None when im is the shared zero part."""
         return fn(self.im) if self._bounds[1] else None
@@ -310,6 +322,17 @@ class ExactMatrix:
     def __repr__(self):
         r, c = self.shape
         return f"ExactMatrix({r}x{c}, den={self.den}, max={self.max_norm()})"
+
+
+def _signed_take(x: np.ndarray, image: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """sign[r] sign[c] x[image[r], image[c]] at (r, c), in x's dtype: the
+    signs are cast to it, and storage ranges are symmetric, so a flip never
+    wraps."""
+    s = sign.astype(x.dtype, copy=False)
+    out = x.take(image, axis=0).take(image, axis=1)
+    out *= s[:, None]
+    out *= s
+    return out
 
 
 def _part_product(a, b) -> tuple:
@@ -583,7 +606,8 @@ def _from_float(re: np.ndarray, im: np.ndarray | None, den: int) -> ExactMatrix:
 
 
 class FloatMatrix:
-    """The float64 view of a matrix, with ExactMatrix's operation surface.
+    """The float64 view of a matrix, with the ExactMatrix operations that
+    float evaluation applies.
 
     The value is re + i im, each part a read-only float64 array, or None
     for a part known to be zero: a real matrix stores no imaginary part,
@@ -609,11 +633,6 @@ class FloatMatrix:
                   for x, b in zip((m.re, m.im), m._bounds))
         return FloatMatrix(re, im, m.shape)
 
-    @property
-    def zero(self) -> bool:
-        """Known to be zero: no part is stored."""
-        return self.re is None and self.im is None
-
     def __add__(self, other):
         return FloatMatrix(_float_sum(((1, self.re), (1, other.re))),
                            _float_sum(((1, self.im), (1, other.im))), self.shape)
@@ -621,10 +640,6 @@ class FloatMatrix:
     def __sub__(self, other):
         return FloatMatrix(_float_sum(((1, self.re), (-1, other.re))),
                            _float_sum(((1, self.im), (-1, other.im))), self.shape)
-
-    def __neg__(self):
-        return FloatMatrix(_part(np.negative, self.re), _part(np.negative, self.im),
-                           self.shape)
 
     def scale(self, c):
         c = c.to_complex() if isinstance(c, GaussianRational) else complex(c)
@@ -644,9 +659,10 @@ class FloatMatrix:
     def bar(self):
         return FloatMatrix(self.re, _part(np.negative, self.im), self.shape)
 
-    def transpose(self):
-        return FloatMatrix(_part(np.transpose, self.re), _part(np.transpose, self.im),
-                           self.shape[::-1])
+    def signed_reindex(self, image: np.ndarray, sign: np.ndarray) -> "FloatMatrix":
+        """S^-1 M S, as `ExactMatrix.signed_reindex`."""
+        fn = functools.partial(_signed_take, image=image, sign=sign)
+        return FloatMatrix(_part(fn, self.re), _part(fn, self.im), self.shape)
 
     def is_zero(self) -> bool:
         return not any(x is not None and x.any() for x in (self.re, self.im))

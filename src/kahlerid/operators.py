@@ -15,7 +15,9 @@ nonzero on it.  `bidegree_decompose`, the one bidegree projector, splits
 an operator into its pure-shift parts on the same blocks; the parts of a
 form are parts of an operator applied to it (those of d omega are d's
 parts applied to omega, see `models.geometry`).  Contraction applies these
-matrices to a single column.
+matrices to a single column.  J-conjugation P^c = J_a^-1 P J_a makes no
+product: J_a sends each blade to +- one blade (`BladeStructure.ja_action`),
+so P^c is P re-indexed with signs, for exact and float operators alike.
 """
 from __future__ import annotations
 
@@ -170,8 +172,11 @@ class BladeStructure:
         low, high = self.rows & ((1 << n) - 1), self.rows >> n
         swap = (low << n) | high
         p, q = degs[low], degs[high]
-        self.Ja_ext = self._signed_permutation(swap, 1 - 2 * ((p + p * q) % 2))
-        self.Ja_cl = self._signed_permutation(swap, 1 - 2 * ((q + p * q) % 2))
+        # (image, sign) of J_a in each picture, J_a blade m = sign[m] blade image[m]
+        self.ja_action = {"ext": (swap, 1 - 2 * ((p + p * q) % 2)),
+                          "cl": (swap, 1 - 2 * ((q + p * q) % 2))}
+        self.Ja_ext = self._signed_permutation(*self.ja_action["ext"])
+        self.Ja_cl = self._signed_permutation(*self.ja_action["cl"])
         # J_a is a real signed permutation: inverse = transpose
         self.Ja_ext_inv = self.Ja_ext.transpose()
         self.Ja_cl_inv = self.Ja_cl.transpose()
@@ -184,7 +189,6 @@ class BladeStructure:
         crossings = sum(((comp >> b) & 1) * degs[self.rows >> (b + 1)] for b in range(2 * n))
         self.hodge = self._signed_permutation(comp, 1 - 2 * (crossings % 2))
         self._frames: dict[str, ComplexFrame] = {}
-        self._float_ja: dict[str, tuple[FloatMatrix, FloatMatrix]] = {}
         # Generators as row signs, (G_i M)[r] = sign[r] * M[r ^ bit_i]:
         # E_i = t^i ^ ., C_i = E_i^T = e_i _| ., L_i = E_i - C_i = e_i . (left
         # Clifford), R_i = (E_i + C_i) par = . e_i (right Clifford).
@@ -240,19 +244,6 @@ class BladeStructure:
             sign = sign * self.generator_signs[kind][i - 1][self.rows ^ flip]
             flip |= 1 << (i - 1)
         return sign
-
-    def ja(self, picture: str, float_mode: bool) -> tuple:
-        """(J_a, J_a^-1) in the picture; in float mode their float views
-        (real, read-only), converted once per picture and shared."""
-        if picture == "ext":
-            pair = (self.Ja_ext, self.Ja_ext_inv)
-        else:
-            pair = (self.Ja_cl, self.Ja_cl_inv)
-        if not float_mode:
-            return pair
-        if picture not in self._float_ja:
-            self._float_ja[picture] = tuple(FloatMatrix.from_exact(m) for m in pair)
-        return self._float_ja[picture]
 
     # -- complex frame -----------------------------------------------------
     def complex_frame(self, picture: str) -> ComplexFrame:
@@ -404,15 +395,13 @@ def adjoint(op: LinearOperator) -> LinearOperator:
 
 
 def conjugate(op: LinearOperator) -> LinearOperator:
-    """J-conjugation P^c: J_a^{-1} P J_a in the operator's own picture.
+    """J-conjugation P^c = J_a^{-1} P J_a in the operator's own picture.
+
+    J_a sends blade m to sign[m] blade image[m], so P^c is P re-indexed:
+    entry (r, c) is sign[r] sign[c] P[image[r], image[c]], with no product.
     J_a keeps the degree, so P^c has the parity of P."""
     bs = blade_structure(_n_from_dim(op.dim))
-    m = op.matrix
-    j, jinv = bs.ja(op.picture, isinstance(m, FloatMatrix))
-    if isinstance(m, ExactMatrix):
-        mat = linear_combination([(1, (jinv, m, j), None)], m.shape)
-    else:
-        mat = jinv @ (m @ j)
+    mat = op.matrix.signed_reindex(*bs.ja_action[op.picture])
     return make_operator(f"{op.name}^c", mat, op.picture, op.parity)
 
 

@@ -882,17 +882,6 @@ class Workspace:
             return not self.elements[name][0].is_zero()
         raise StructuralError(f"unknown guard {name!r}")
 
-    def _leaf_op(self, name: str, float_mode: bool) -> LinearOperator:
-        op = self.op(name)
-        if not float_mode:
-            return op
-        return LinearOperator(op.name, FloatMatrix.from_exact(op.matrix), op.picture,
-                              op.parity)
-
-    def _leaf_el(self, name: str, float_mode: bool) -> ElementValue:
-        col, picture = self.element_column(name)
-        return ElementValue(FloatMatrix.from_exact(col) if float_mode else col, picture)
-
     # -- evaluation ----------------------------------------------------------
     def eval(self, expr: Expr):
         return self._eval(expr, self.mode == "float")
@@ -912,6 +901,12 @@ class Workspace:
         val = self._memo.get(key)
         if val is None:
             val = self._eval_inner(expr, float_mode)
+            if float_mode and isinstance(val.matrix, ExactMatrix):
+                # a leaf, a zero or a rebuild is computed exactly in either
+                # mode; float mode takes its float view, here and only here
+                mat = FloatMatrix.from_exact(val.matrix)
+                val = (LinearOperator(val.name, mat, val.picture, val.parity)
+                       if isinstance(val, LinearOperator) else ElementValue(mat, val.picture))
             self._memo[key] = val
         left = self._uses.get(key)
         if left == 1:
@@ -922,19 +917,13 @@ class Workspace:
 
     def _eval_inner(self, expr: Expr, float_mode: bool):
         if isinstance(expr, Op):
-            return self._leaf_op(expr.name, float_mode)
+            return self.op(expr.name)
         if isinstance(expr, El):
-            return self._leaf_el(expr.name, float_mode)
+            return ElementValue(*self.element_column(expr.name))
         if isinstance(expr, ZeroOp):
-            mat = ExactMatrix.zeros(self.dim)
-            if float_mode:
-                mat = FloatMatrix.from_exact(mat)
-            return LinearOperator("0", mat, expr.picture, "even")
+            return LinearOperator("0", ExactMatrix.zeros(self.dim), expr.picture, "even")
         if isinstance(expr, ZeroEl):
-            mat = ExactMatrix.zeros(self.dim, 1)
-            if float_mode:
-                mat = FloatMatrix.from_exact(mat)
-            return ElementValue(mat, expr.picture)
+            return ElementValue(ExactMatrix.zeros(self.dim, 1), expr.picture)
         vals = [self._eval(child, fm) for child, fm in _children(expr, float_mode)]
         if isinstance(expr, Add):
             if all(isinstance(v, LinearOperator) for v in vals):
@@ -975,12 +964,8 @@ class Workspace:
         if isinstance(expr, Transport):
             return transport(ops[0])
         if isinstance(expr, Rebuild):
-            # rebuilds need exact columns (see _children); convert afterwards in float mode
-            rebuilt = derivation_rebuild(ops[0])
-            if float_mode:
-                rebuilt = LinearOperator(rebuilt.name, FloatMatrix.from_exact(rebuilt.matrix),
-                                         rebuilt.picture, rebuilt.parity)
-            return rebuilt
+            # rebuilds need exact columns (see _children)
+            return derivation_rebuild(ops[0])
         raise StructuralError(f"unknown expression node {type(expr).__name__}")
 
 

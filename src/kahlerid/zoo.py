@@ -243,7 +243,7 @@ def assemble(geom: ModelGeometry):
     ops = LazyMap(ExteriorZoo(geom).ops, cz.ops)
     for picture in PICTURES:
         ops.add(f"Ja_{picture}_inv",
-                partial(make_operator, "J_a^-1", bs.ja(picture, False)[1], picture))
+                partial(make_operator, "J_a^-1", getattr(bs, f"Ja_{picture}_inv"), picture))
         ops.add(f"par_{picture}", partial(make_operator, "par", bs.parity_sign, picture))
         ops.add(f"id_{picture}", partial(make_operator, "id", bs.identity, picture))
         ops.add(f"proj1_{picture}", partial(make_operator, "proj1", bs.proj1, picture))

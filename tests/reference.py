@@ -7,7 +7,9 @@ each blade product counted directly, so the tests can compare two
 constructions that share nothing but the blade-mask convention of
 `kahlerid.algebra`.  Bidegree measurement, which the package runs block by
 block under blade degree, is also given here through the dense 4^n x 4^n
-complex frame.
+complex frame, J-conjugation, which the package applies as a signed
+re-indexing, as the product J_a^-1 M J_a, and Betti numbers, which the
+package never computes, as exact ranks of d by `Fraction` elimination.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from kahlerid.algebra import (
 from kahlerid.dirac import dirac
 import numpy as np
 
-from kahlerid.matrices import ExactMatrix, linear_combination
+from kahlerid.matrices import ExactMatrix, FloatMatrix, linear_combination
 from kahlerid.models import nabla
 from kahlerid.operators import blade_structure, make_operator, multiplication_sum
 from kahlerid.scalars import GaussianRational, ONE, ZERO, gq
@@ -228,6 +230,51 @@ def dense_bidegree_components(op) -> dict[tuple[int, int], ExactMatrix]:
         part = ExactMatrix(np.where(keep, m.re, 0), np.where(keep, m.im, 0), m.den)
         out[cf.shift(code)] = linear_combination([(1, (cf.u, part, cf.u_inv), None)], m.shape)
     return out
+
+
+# ---------------------------------------------------------------------------
+# J-conjugation as a product, Betti numbers by elimination
+# ---------------------------------------------------------------------------
+
+def product_conjugate(m, picture: str):
+    """J_a^-1 @ m @ J_a, the conjugation m^c as two matrix products, for an
+    ExactMatrix m or, with J_a's float views, a FloatMatrix."""
+    bs = blade_structure((m.shape[0].bit_length() - 1) // 2)
+    j, jinv = getattr(bs, f"Ja_{picture}"), getattr(bs, f"Ja_{picture}_inv")
+    if isinstance(m, FloatMatrix):
+        j, jinv = FloatMatrix.from_exact(j), FloatMatrix.from_exact(jinv)
+    return jinv @ m @ j
+
+
+def rank(rows: list[list[Fraction]]) -> int:
+    """The rank of a matrix given by its rows, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    done = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(done, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        top = rows[done]
+        for r in range(done + 1, len(rows)):
+            f = rows[r][col] / top[col]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+        done += 1
+    return done
+
+
+def betti_numbers(d: ExactMatrix, n: int) -> tuple[int, ...]:
+    """(b_0, ..., b_2n) of a real differential d on the forms of a
+    2n-dimensional Lie algebra: b_k = dim - rank d_k - rank d_(k-1), with
+    d_k the block of d from degree k to degree k + 1."""
+    if d.has_im():
+        raise ValueError("d of a real Lie algebra is real")
+    blades = [[m for m in range(4**n) if blade_degree(m) == k] for k in range(2 * n + 1)]
+    ranks = [rank([[Fraction(int(d.re[r, c]), d.den) for c in blades[k]]
+                   for r in blades[k + 1]]) for k in range(2 * n)] + [0]
+    return tuple(len(blades[k]) - ranks[k] - (ranks[k - 1] if k else 0)
+                 for k in range(2 * n + 1))
 
 
 # ---------------------------------------------------------------------------

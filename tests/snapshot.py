@@ -1,0 +1,58 @@
+"""Write the JSON outputs a refactor must keep byte for byte: exact verify,
+float verify and both tables, for the seven built-in models, big32 and nil8.
+
+    PYTHONPATH=src python tests/snapshot.py OUT_DIR
+
+Run it on two checkouts and compare with `diff -r OUT_A OUT_B`: empty output
+means every file is byte-identical.  pytest does not collect this file.
+"""
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from kahlerid.cli import main
+
+BUILTINS = ("t2", "t4", "kt4", "hopf4", "t6", "iwa6", "nil6")
+# (a, b, c, v) with de^c = -sum v e^a ^ e^b: nil6 with two brackets rescaled
+# by 2**32 and 2**-32, whose operators leave int64 for Python integers, and
+# the n = 4 two-step nilpotent algebra nil8
+MODEL_FILES = {
+    "big32": (3, [(1, 2, 4, str(-2**32)), (1, 3, 5, "-1"), (2, 3, 6, f"-1/{2**32}")]),
+    "nil8": (4, [(1, 2, 5, "-1"), (1, 3, 6, "-1"), (2, 3, 7, "-1")]),
+}
+RUNS = {
+    "verify-exact": ["verify", "--suite", "all", "--exact"],
+    "verify-float": ["verify", "--suite", "all", "--float"],
+    "tables": ["table", "--which", "both"],
+}
+
+
+def snapshot(out_dir: Path) -> list[Path]:
+    """Write <model>.<run>.json into out_dir for every model and run; the
+    paths written."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        models = {name: name for name in BUILTINS}
+        for name, (n, brackets) in MODEL_FILES.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps({"name": name, "n": n, "brackets": [
+                {"a": a, "b": b, "c": c, "v": v} for a, b, c, v in brackets]}))
+            models[name] = str(path)
+        for name, spec in models.items():
+            for run, argv in RUNS.items():
+                dest = out_dir / f"{name}.{run}.json"
+                code = main([*argv, "--model", spec, "--format", "json", "--out", str(dest)])
+                if code:
+                    raise SystemExit(f"{name} {run}: exit {code}")
+                written.append(dest)
+    return written
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    print(f"wrote {len(snapshot(Path(sys.argv[1])))} files")

@@ -257,6 +257,20 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert data["suite"] == "elementary"
 
 
+@pytest.mark.parametrize("command", [["models"], ["validate", "--model", "t2"],
+                                     ["verify", "--model", "t2", "--suite", "elementary"],
+                                     ["table", "--model", "t2", "--which", "bidegree"]])
+def test_out_file_that_cannot_be_written_exits_3(command, tmp_path, capsys):
+    # a missing directory and a directory: one error line, no traceback
+    for dest in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main([*command, "--out", str(dest)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {dest}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "inf", "abc"])
 def test_tolerance_must_be_a_finite_nonnegative_number(value, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 """Lie-algebra models: validation, CE differential, connection, Nijenhuis."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from kahlerid.models import (
     validate_model,
 )
 from kahlerid.operators import apply_operator, derivation_rebuild
+import reference
 from reference import wedge
 
 
@@ -87,6 +89,43 @@ def test_differential_is_antiderivation():
 
 def test_abelian_differential_vanishes():
     assert ce_differential(get_model("t4")).is_zero()
+
+
+# Betti numbers of the compact quotients, which left-invariant forms compute:
+# for nilmanifolds by Nomizu, Ann. of Math. 59 (1954); hopf4 is the algebra
+# of S^3 x S^1, the Hopf surface; t2, t4 and t6 are tori
+BETTI = {
+    "t2": (1, 2, 1),
+    "t4": tuple(math.comb(4, k) for k in range(5)),
+    "t6": tuple(math.comb(6, k) for k in range(7)),
+    "kt4": (1, 3, 4, 3, 1),
+    "hopf4": (1, 1, 0, 1, 1),
+    "iwa6": (1, 4, 8, 10, 8, 4, 1),
+    "nil6": (1, 3, 8, 12, 8, 3, 1),
+}
+
+
+def _kunneth(a, b):
+    """The Betti numbers of a product: the convolution of the factors'."""
+    return tuple(sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+                 for k in range(len(a) + len(b) - 1))
+
+
+@pytest.mark.parametrize("name", sorted(BETTI))
+def test_betti_numbers_from_exact_ranks_of_d(name):
+    m = get_model(name)
+    assert reference.betti_numbers(ce_differential(m).matrix, m.n) == BETTI[name]
+
+
+def test_betti_numbers_of_big32_and_nil8():
+    # big32 is nil6 with two brackets rescaled by 2**32 and 2**-32, an
+    # isomorphic algebra; nil8 is nil6's algebra plus R^2
+    big32 = from_brackets("big32", 3, {(1, 2): {4: -2**32}, (1, 3): {5: -1},
+                                       (2, 3): {6: Fraction(-1, 2**32)}})
+    nil8 = from_brackets("nil8", 4, {(1, 2): {5: -1}, (1, 3): {6: -1}, (2, 3): {7: -1}})
+    assert reference.betti_numbers(ce_differential(big32).matrix, 3) == BETTI["nil6"]
+    assert (reference.betti_numbers(ce_differential(nil8).matrix, 4)
+            == _kunneth(BETTI["nil6"], (1, 2, 1)))
 
 
 # -- Levi-Civita connection -------------------------------------------------------

@@ -127,22 +127,54 @@ def test_bidegree_measurement_requires_exact():
         measured_bidegree([fl])
 
 
+# an entry bound of each storage dtype, with the dtype
+_STORAGE_TIERS = ((2**7 - 1, np.int8), (2**15 - 1, np.int16), (2**31 - 1, np.int32),
+                  (2**62 - 1, np.int64), (2**70, object))
+
+
+@st.composite
+def _conjugation_operands(draw):
+    """A sparse exact matrix at n = 1, 2 or 3, real or complex, its parts
+    stored in the dtype of a drawn bound: an entry at the bound fixes it,
+    and an entry of 1 keeps the normal form from dividing it out."""
+    dim = 4 ** draw(st.sampled_from([1, 2, 3]))
+    bound, dtype = draw(st.sampled_from(_STORAGE_TIERS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = [rng.integers(-3, 4, size=(dim, dim)).astype(object)
+             for _ in range(1 + draw(st.booleans()))]
+    for x in parts:
+        x[rng.random((dim, dim)) < 0.7] = 0
+    at_bound, at_one = rng.choice(dim * dim, size=2, replace=False)
+    parts[0].flat[at_bound] = draw(st.sampled_from([bound, -bound]))
+    parts[-1].flat[at_one] = 1
+    m = ExactMatrix(parts[0], parts[1] if len(parts) > 1 else None, draw(st.integers(1, 6)))
+    assert m.re.dtype == dtype
+    return m
+
+
 @pytest.mark.parametrize("picture", ["ext", "cl"])
-def test_float_conjugation_converts_j_a_once_and_matches_the_exact_one(picture):
-    bs = blade_structure(2)
-    op = make_operator("L", ext_mult(AdaptedStructure(2).omega(), "L").matrix.scale(gq(1, 2)),
-                       picture)
-    fl = LinearOperator("L", FloatMatrix.from_exact(op.matrix), picture, op.parity)
-    got = conjugate(fl)
-    assert bs.ja(picture, True) is bs.ja(picture, True)
-    # the twins are real: one read-only float64 part each
-    for twin in bs.ja(picture, True):
-        assert twin.im is None and not twin.re.flags.writeable
-    want = FloatMatrix.from_exact(conjugate(op).matrix)
+@pytest.mark.parametrize("kind", ["exact", "float"])
+@settings(max_examples=40, deadline=None)
+@given(_conjugation_operands())
+def test_conjugation_equals_the_product_form(kind, picture, m):
+    # P^c is P re-indexed by J_a's blade images with its signs; the oracle
+    # multiplies by J_a^-1 and J_a
+    op = make_operator("P", m, picture)
+    if kind == "float":
+        op = LinearOperator("P", FloatMatrix.from_exact(m), picture, op.parity)
+    got = conjugate(op)
+    want = reference.product_conjugate(op.matrix, picture)
+    assert got.parity == op.parity and got.picture == picture
+    if kind == "exact":
+        assert got.matrix == want
+        # only signs change: den, bounds and storage dtype carry over
+        assert got.matrix.den == m.den and got.matrix._bounds == m._bounds
+        assert (got.matrix.re.dtype, got.matrix.im.dtype) == (m.re.dtype, m.im.dtype)
+        return
     for part, ref in ((got.matrix.re, want.re), (got.matrix.im, want.im)):
         assert (part is None) == (ref is None)
-        assert ref is None or np.allclose(part, ref, rtol=0, atol=1e-12)
-    assert got.parity == op.parity
+        # each product entry is one +-entry plus zeros: exact in float64
+        assert ref is None or (np.array_equal(part, ref) and not part.flags.writeable)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
