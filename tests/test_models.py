@@ -3,10 +3,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerid import gq
 from kahlerid.algebra import Multivector, coframe, frame, j_vector
+from kahlerid.matrices import ExactMatrix
 from kahlerid.models import (
+    LieModel,
     ModelFormatError,
     ModelValidationError,
     builtin_models,
@@ -23,9 +27,28 @@ from kahlerid.models import (
     resolve_model,
     validate_model,
 )
-from kahlerid.operators import apply_operator, derivation_rebuild
+from kahlerid.operators import (
+    add_ops,
+    apply_operator,
+    derivation_rebuild,
+    ext_mult,
+    int_mult,
+)
 import reference
 from reference import wedge
+
+# the built-ins and two models beyond them: big32, nil6 with two brackets
+# rescaled by 2**32 and 2**-32, and nil8, nil6's algebra plus R^2
+MODELS = {
+    **builtin_models(),
+    "big32": from_brackets("big32", 3, {(1, 2): {4: -2**32}, (1, 3): {5: -1},
+                                        (2, 3): {6: Fraction(-1, 2**32)}}),
+    "nil8": from_brackets("nil8", 4, {(1, 2): {5: -1}, (1, 3): {6: -1}, (2, 3): {7: -1}}),
+}
+
+
+def _blade(*indices) -> int:
+    return sum(1 << (i - 1) for i in indices)
 
 
 # -- validation ----------------------------------------------------------------
@@ -61,6 +84,57 @@ def test_antisymmetry_and_range_witnesses():
     names = {f.invariant for f in report.failures}
     assert "antisymmetry" in names
     assert "index-range" in names
+
+
+def test_summary_text_of_entry_faults():
+    # an index out of range and a nonzero [e_a, e_a] stop validation first;
+    # duplicates and mismatched antisymmetric pairs are found next
+    one = Fraction(1)
+    m = LieModel("bad", 1, ((1, 1, 2, one), (1, 2, 5, one)))
+    assert validate_model(m).summary() == (
+        "model bad: 2 invariant failure(s)\n"
+        "  antisymmetry at (1, 1, 2): [e_1, e_1] must vanish, got 1\n"
+        "  index-range at (1, 2, 5): index 5 outside 1..2")
+    m = LieModel("dup", 2, ((1, 2, 3, one), (1, 2, 3, one), (2, 1, 3, one)))
+    assert validate_model(m).summary() == (
+        "model dup: 3 invariant failure(s)\n"
+        "  duplicate-entry at (1, 2, 3): entry stored twice\n"
+        "  antisymmetry at (1, 2, 3): c^3_{12} = 1 but c^3_{21} = 1\n"
+        "  antisymmetry at (2, 1, 3): c^3_{21} = 1 but c^3_{12} = 1")
+
+
+@st.composite
+def _bracket_lists(draw):
+    n = draw(st.integers(1, 3))
+    index = st.integers(1, 2 * n)
+    value = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    brackets = {}
+    for a, b, c, v in draw(st.lists(st.tuples(index, index, index, value), max_size=8)):
+        if a != b:
+            brackets.setdefault((min(a, b), max(a, b)), {})[c] = v
+    return from_brackets("random", n, brackets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bracket_lists())
+def test_validation_agrees_with_d(m):
+    # Jacobi fails on (a, b, c) exactly where some d^2 theta^e has a
+    # theta^a ^ theta^b ^ theta^c part, which is the reported component;
+    # tr ad_e_b is, up to sign, d of the (2n - 1)-form e_b _| vol
+    report = validate_model(m)
+    d = ce_differential(m).matrix
+    d2 = d @ d
+    idx = range(1, m.dim + 1)
+    jacobi = {f.indices[:3]: f for f in report.failures if f.invariant == "jacobi"}
+    assert set(jacobi) == {
+        (a, b, c) for a in idx for b in idx for c in idx if a < b < c
+        and any(d2.entry(_blade(a, b, c), _blade(e)) for e in idx)}
+    for (a, b, c), f in jacobi.items():
+        e = f.indices[3]
+        assert f.detail == f"jacobiator component {d2.entry(_blade(a, b, c), _blade(e))} along e_{e}"
+    full = _blade(*idx)
+    assert {f.indices for f in report.failures if f.invariant == "unimodularity"} == {
+        (b,) for b in idx if d.entry(full, full ^ _blade(b))}
 
 
 def test_geometry_rejects_invalid_model():
@@ -126,6 +200,31 @@ def test_betti_numbers_of_big32_and_nil8():
     assert reference.betti_numbers(ce_differential(big32).matrix, 3) == BETTI["nil6"]
     assert (reference.betti_numbers(ce_differential(nil8).matrix, 4)
             == _kunneth(BETTI["nil6"], (1, 2, 1)))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_weitzenbock_identity(name):
+    # Bochner-Weitzenbock on the invariant forms of a unimodular algebra:
+    # d d* + d* d = -sum_a nabla_a nabla_a - sum_{a,b} E_a I_b R_ab with
+    # R_ab = [nabla_a, nabla_b] - nabla_{[e_a, e_b]}; unimodularity removes
+    # the nabla_{sum_a nabla_{e_a} e_a} term
+    m = MODELS[name]
+    n, idx = m.n, range(1, m.dim + 1)
+    d = ce_differential(m).matrix
+    conn = levi_civita(m)
+    nab = {a: nabla_forms(conn, a).matrix for a in idx}
+    rhs = ExactMatrix.zeros(4**n)
+    for a in idx:
+        rhs = rhs - nab[a] @ nab[a]
+        for b in idx:
+            r = nab[a] @ nab[b] - nab[b] @ nab[a]
+            for k in idx:
+                if m.structure(a, b, k):
+                    r = r - nab[k].scale(gq(m.structure(a, b, k)))
+            ei = (ext_mult(coframe(n, a), "E").matrix
+                  @ int_mult(coframe(n, b), "I").matrix)
+            rhs = rhs - ei @ r
+    assert d @ d.adjoint() + d.adjoint() @ d == rhs
 
 
 # -- Levi-Civita connection -------------------------------------------------------
@@ -197,6 +296,19 @@ def test_nijenhuis_symmetries_nil6():
             (idx, coeff), = jz.coeffs.items()
             target = nijenhuis(m, a, idx.bit_length()).scale(coeff)
             assert target == -j_vector(nijenhuis(m, a, b))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_mu_plus_mubar_is_the_nijenhuis_tensor(name):
+    # on 1-forms the pure-type parts of d are N: the theta^a ^ theta^b
+    # coefficient of (mu + mubar) theta^k is <N(e_a, e_b), e_k>
+    g = geometry(MODELS[name])
+    n, idx = g.n, range(1, g.model.dim + 1)
+    pure = add_ops(g.d_parts[(3, 0)], g.d_parts[(0, 3)])
+    for k in idx:
+        assert apply_operator(pure, coframe(n, k)) == Multivector(n, {
+            _blade(a, b): g.nijenhuis(a, b).coeffs.get(_blade(k), 0)
+            for a in idx for b in idx if a < b})
 
 
 # -- derived geometry ---------------------------------------------------------------
