@@ -42,16 +42,6 @@ def blade_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_of(indices) -> int:
-    m = 0
-    for i in indices:
-        b = 1 << (i - 1)
-        if m & b:
-            raise ValueError(f"repeated index {i} in blade")
-        m |= b
-    return m
-
-
 # ---------------------------------------------------------------------------
 # multivectors
 # ---------------------------------------------------------------------------
@@ -95,14 +85,8 @@ class Multivector:
         return Multivector(n, {0: _as_scalar(c)})
 
     # -- access ----------------------------------------------------------
-    def coeff(self, *indices) -> GaussianRational:
-        return self.coeffs.get(mask_of(sorted(indices)), ZERO)
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degrees(self) -> set[int]:
-        return {blade_degree(m) for m in self.coeffs}
 
     # -- linear structure --------------------------------------------------
     def __add__(self, other: "Multivector") -> "Multivector":
@@ -134,11 +118,6 @@ class Multivector:
         r.coeffs = {m: v * c for m, v in self.coeffs.items()}
         return r
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
     def conj(self) -> "Multivector":
         """Entrywise complex conjugation in the real blade basis."""
         r = Multivector.__new__(Multivector)
@@ -150,9 +129,6 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
 
     def _check(self, other: "Multivector"):
         if not isinstance(other, Multivector):

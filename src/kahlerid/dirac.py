@@ -110,7 +110,7 @@ class CliffordZoo:
             return make_operator(name, _frame_sum(kind, family("sigma")), "cl")
 
         for a in idx:
-            ops.add(f"nabla_{a}", partial(nabla, geom.connection, a))
+            ops.add(f"nabla_{a}", partial(nabla, geom.connection, n, a))
             ops.add(f"sigma_{a}", partial(sigma_at, a))
         ops.add("L_omega", partial(clifford_left, om, "L_omega"))
         ops.add("R_omega", partial(clifford_right, om, "R_omega"))

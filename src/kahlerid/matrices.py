@@ -316,9 +316,6 @@ class ExactMatrix:
         """sum_ij self[ij] * conj(other[ij]), exact."""
         return FrobeniusColumns([other]).inner([self])[0][0]
 
-    def to_complex(self) -> np.ndarray:
-        return (self.re.astype(np.float64) + 1j * self.im.astype(np.float64)) / self.den
-
     def __repr__(self):
         r, c = self.shape
         return f"ExactMatrix({r}x{c}, den={self.den}, max={self.max_norm()})"

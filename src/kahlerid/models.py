@@ -7,6 +7,13 @@ identified with the exterior algebra of the dual; the Chevalley-Eilenberg
 differential, the Levi-Civita connection in the invariant frame, and the
 Nijenhuis tensor are all exact rational computations.
 
+The structure constants (`LieModel.constants`), the Christoffel symbols
+(`levi_civita`) and the Nijenhuis tensor (`nijenhuis`) are each one sparse
+table {(a, b): {c: value}} of their nonzero `Fraction` components, Gamma and
+N built in one pass over the nonzero constants.  Validation, d, nabla on
+polyvectors and forms, integrability and the zoo's Nijenhuis slices read
+these tables.
+
 Unimodularity (tr ad_X = 0) is required: it makes the matrix adjoint of d
 coincide with the formal codifferential, which the whole operator calculus
 relies on.
@@ -20,13 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import (
-    AdaptedStructure,
-    Multivector,
-    blade_indices,
-    frame,
-    j_vector,
-)
+from .algebra import AdaptedStructure, Multivector, j_vector
 from .matrices import ExactMatrix
 from .operators import (
     LinearOperator,
@@ -37,7 +38,6 @@ from .operators import (
     derivation,
     form_slices,
 )
-from .scalars import GaussianRational, ZERO
 
 
 class ModelFormatError(ValueError):
@@ -70,40 +70,20 @@ class LieModel:
     def dim(self) -> int:
         return 2 * self.n
 
-    def structure(self, a: int, b: int, c: int) -> Fraction:
-        """c^c_{ab} with antisymmetric completion over stored entries."""
-        tot = Fraction(0)
-        for (x, y, z, v) in self.entries:
-            if z != c:
-                continue
-            if (x, y) == (a, b):
-                tot += v
-            elif (x, y) == (b, a):
-                tot -= v
-        return tot
+    @cached_property
+    def constants(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """{(a, b): {c: c^c_{ab}}}, the nonzero constants, with antisymmetric
+        completion over the stored entries."""
+        return _table(t for (a, b, c, v) in self.entries for t in ((a, b, c, v), (b, a, c, -v)))
 
-    def bracket_frame(self, a: int, b: int) -> Multivector:
-        out = {}
-        for (x, y, z, v) in self.entries:
-            if (x, y) == (a, b):
-                out[z] = out.get(z, Fraction(0)) + v
-            elif (x, y) == (b, a):
-                out[z] = out.get(z, Fraction(0)) - v
-        return Multivector(
-            self.n, {1 << (z - 1): GaussianRational(v) for z, v in out.items() if v}
-        )
 
-    def bracket(self, x: Multivector, y: Multivector) -> Multivector:
-        """Bilinear extension of the frame bracket to degree-1 elements."""
-        out = Multivector.zero(self.n)
-        for ma, ca in x.coeffs.items():
-            for mb, cb in y.coeffs.items():
-                (a,) = blade_indices(ma)
-                (b,) = blade_indices(mb)
-                if a == b:
-                    continue
-                out = out + self.bracket_frame(a, b).scale(ca * cb)
-        return out
+def _table(terms) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """{(a, b): {c: sum of v}} over the terms (a, b, c, v), nonzero sums only."""
+    table: dict = {}
+    for a, b, c, v in terms:
+        row = table.setdefault((a, b), {})
+        row[c] = row.get(c, 0) + v
+    return {key: kept for key, row in table.items() if (kept := {c: v for c, v in row.items() if v})}
 
 
 def from_brackets(name: str, n: int, brackets: dict) -> LieModel:
@@ -182,29 +162,26 @@ def validate_model(m: LieModel) -> ValidationReport:
     if failures:
         return ValidationReport(m.name, False, tuple(failures))
 
-    # Jacobi: [[A,B],C] + [[B,C],A] + [[C,A],B] = 0
+    # Jacobi: [[A,B],C] + [[B,C],A] + [[C,A],B] = 0, reporting the first
+    # component left nonzero as the three terms accumulate
+    const = m.constants
     for a in range(1, dim + 1):
         for b in range(a + 1, dim + 1):
             for c in range(b + 1, dim + 1):
-                tot = (
-                    m.bracket(m.bracket_frame(a, b), frame(m.n, c))
-                    + m.bracket(m.bracket_frame(b, c), frame(m.n, a))
-                    + m.bracket(m.bracket_frame(c, a), frame(m.n, b))
-                )
-                if not tot.is_zero():
-                    d_idx = blade_indices(next(iter(tot.coeffs)))[0]
-                    failures.append(
-                        ValidationFailure(
-                            "jacobi",
-                            (a, b, c, d_idx),
-                            f"jacobiator component {tot.coeffs[1 << (d_idx - 1)]}"
-                            f" along e_{d_idx}",
-                        )
-                    )
+                tot: dict[int, Fraction] = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    term: dict[int, Fraction] = {}
+                    for k, v in const.get((x, y), {}).items():
+                        _accumulate(term, ((e, v * w) for e, w in const.get((k, z), {}).items()))
+                    _accumulate(tot, term.items())
+                if tot:
+                    e, v = next(iter(tot.items()))
+                    failures.append(ValidationFailure(
+                        "jacobi", (a, b, c, e), f"jacobiator component {v} along e_{e}"))
 
     # unimodularity: sum_A c^A_{AB} = 0 for each B
     for b in range(1, dim + 1):
-        tr = sum(m.structure(a, b, a) for a in range(1, dim + 1))
+        tr = sum(const.get((a, b), {}).get(a, 0) for a in range(1, dim + 1))
         if tr:
             failures.append(
                 ValidationFailure(
@@ -215,6 +192,16 @@ def validate_model(m: LieModel) -> ValidationReport:
     return ValidationReport(m.name, not failures, tuple(failures))
 
 
+def _accumulate(acc: dict, items) -> None:
+    """Add the (key, value) items into acc, dropping a key once it sums to zero."""
+    for k, v in items:
+        s = acc.get(k, 0) + v
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+
+
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg differential
 # ---------------------------------------------------------------------------
@@ -222,102 +209,73 @@ def validate_model(m: LieModel) -> ValidationReport:
 def ce_differential(m: LieModel) -> LinearOperator:
     """d on invariant forms: d t^C = -sum_{A<B} c^C_{AB} t^A ^ t^B, extended
     as an antiderivation."""
-    n = m.n
-    dim = m.dim
-    dtheta: dict[int, Multivector] = {}
-    for c in range(1, dim + 1):
-        acc: dict[int, GaussianRational] = {}
-        for a in range(1, dim + 1):
-            for b in range(a + 1, dim + 1):
-                v = m.structure(a, b, c)
-                if v:
-                    mask = (1 << (a - 1)) | (1 << (b - 1))
-                    acc[mask] = acc.get(mask, ZERO) - GaussianRational(v)
-        dtheta[c] = Multivector(n, acc)
-
-    return derivation(dtheta, "d", "ext")
+    dtheta: dict[int, dict] = {c: {} for c in range(1, m.dim + 1)}
+    for (a, b), row in m.constants.items():
+        if a < b:
+            for c, v in row.items():
+                dtheta[c][(1 << (a - 1)) | (1 << (b - 1))] = -v
+    return derivation({c: Multivector(m.n, acc) for c, acc in dtheta.items()}, "d", "ext")
 
 
 # ---------------------------------------------------------------------------
 # Levi-Civita connection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConnectionTable:
-    """Christoffel table: nabla_{e_A} e_B = sum_C gamma[(A,B,C)] e_C."""
-
-    n: int
-    gamma: tuple[tuple[tuple[int, int, int], Fraction], ...]
-
-    def coeff(self, a: int, b: int, c: int) -> Fraction:
-        for key, v in self.gamma:
-            if key == (a, b, c):
-                return v
-        return Fraction(0)
-
-    def derivative(self, a: int, b: int) -> Multivector:
-        out = {}
-        for (x, y, z), v in self.gamma:
-            if (x, y) == (a, b) and v:
-                out[1 << (z - 1)] = GaussianRational(v)
-        return Multivector(self.n, out)
-
-
-def levi_civita(m: LieModel) -> ConnectionTable:
-    """Koszul formula in an orthonormal invariant frame:
-    2 <nabla_{e_A} e_B, e_C> = c^C_{AB} - c^A_{BC} + c^B_{CA}.
+def levi_civita(m: LieModel) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """Christoffel table {(a, b): {c: Gamma}}, nabla_{e_a} e_b = sum_c Gamma e_c,
+    from the Koszul formula in an orthonormal invariant frame:
+    2 <nabla_{e_A} e_B, e_C> = c^C_{AB} - c^A_{BC} + c^B_{CA}.  Each
+    c^z_{xy} = v adds v/2 at (x, y, z), -v/2 at (z, x, y) and v/2 at (y, z, x).
     """
-    dim = m.dim
-    rows = []
-    for a in range(1, dim + 1):
-        for b in range(1, dim + 1):
-            for c in range(1, dim + 1):
-                v = (
-                    m.structure(a, b, c)
-                    - m.structure(b, c, a)
-                    + m.structure(c, a, b)
-                ) / 2
-                if v:
-                    rows.append(((a, b, c), v))
-    return ConnectionTable(m.n, tuple(rows))
+    return _table(t for (x, y), row in m.constants.items() for z, v in row.items()
+                  for t in ((x, y, z, v / 2), (z, x, y, -v / 2), (y, z, x, v / 2)))
 
 
-def nabla(conn: ConnectionTable, a: int) -> LinearOperator:
+def nabla(gamma: dict, n: int, a: int) -> LinearOperator:
     """nabla_{e_a} on polyvectors/Clifford elements (derivation extension)."""
-    action = {b: conn.derivative(a, b) for b in range(1, 2 * conn.n + 1)}
+    action = {b: Multivector(n, {1 << (c - 1): v for c, v in gamma.get((a, b), {}).items()})
+              for b in range(1, 2 * n + 1)}
     return derivation(action, f"nabla_{a}", "cl")
 
 
-def nabla_forms(conn: ConnectionTable, a: int) -> LinearOperator:
+def nabla_forms(gamma: dict, n: int, a: int) -> LinearOperator:
     """nabla_{e_a} on forms: (nabla alpha)(Y) = -alpha(nabla Y) on invariants."""
-    action = {}
-    for c in range(1, 2 * conn.n + 1):
-        acc = {}
-        for b in range(1, 2 * conn.n + 1):
-            v = conn.coeff(a, b, c)
-            if v:
-                acc[1 << (b - 1)] = GaussianRational(-v)
-        action[c] = Multivector(conn.n, acc)
-    return derivation(action, f"nabla_forms_{a}", "ext")
+    action: dict[int, dict] = {c: {} for c in range(1, 2 * n + 1)}
+    for b in range(1, 2 * n + 1):
+        for c, v in gamma.get((a, b), {}).items():
+            action[c][1 << (b - 1)] = -v
+    return derivation({c: Multivector(n, acc) for c, acc in action.items()},
+                      f"nabla_forms_{a}", "ext")
 
 
 # ---------------------------------------------------------------------------
 # Nijenhuis tensor
 # ---------------------------------------------------------------------------
 
-def nijenhuis(m: LieModel, a: int, b: int) -> Multivector:
-    """N(X,Y) = 1/4 ([JX,JY] - J[JX,Y] - J[X,JY] - [X,Y]) on frame vectors."""
-    x = frame(m.n, a)
-    y = frame(m.n, b)
-    jx = j_vector(x, "cl")
-    jy = j_vector(y, "cl")
-    out = (
-        m.bracket(jx, jy)
-        - j_vector(m.bracket(jx, y), "cl")
-        - j_vector(m.bracket(x, jy), "cl")
-        - m.bracket(x, y)
-    )
-    return out.scale(Fraction(1, 4))
+def nijenhuis(m: LieModel) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """{(a, b): {k: <N(e_a, e_b), e_k>}} for
+    N(X,Y) = 1/4 ([JX,JY] - J[JX,Y] - J[X,JY] - [X,Y]).
+
+    pre[x] = (i, s) where J(s e_i) = e_x.  A constant c^k_{xy} = v, with
+    J e_k = t e_l, enters each term where its bracket is [e_x, e_y]: the
+    first at X = s_i e_i, Y = s_j e_j, the second at X = s_i e_i, the third
+    at Y = s_j e_j, and J[e_x, e_y] = v t e_l.
+    """
+    st = AdaptedStructure(m.n)
+    pre = {x: (i, s) for i in range(1, m.dim + 1) for x, s in [st.pair(i)]}
+
+    def terms():
+        for (x, y), row in m.constants.items():
+            (i, si), (j, sj) = pre[x], pre[y]
+            for k, v in row.items():
+                l, t = st.pair(k)
+                q = v / 4
+                yield i, j, k, si * sj * q  # [JX, JY]
+                yield i, y, l, -si * t * q  # -J[JX, Y]
+                yield x, j, l, -sj * t * q  # -J[X, JY]
+                yield x, y, k, -q  # -[X, Y]
+
+    return _table(terms())
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +286,7 @@ def nijenhuis(m: LieModel, a: int, b: int) -> Multivector:
 class ModelGeometry:
     model: LieModel
     structure: AdaptedStructure
-    connection: ConnectionTable
+    connection: dict  # levi_civita's table
     d: LinearOperator
     # d = mu + del + delbar + mubar, keyed by (p, q) = (3, 0), (2, 1), (1, 2),
     # (0, 3): the part of bidegree shift (p - 1, q - 1), which sends omega, of
@@ -342,7 +300,7 @@ class ModelGeometry:
     lee_form: Multivector
     jstar_lee: Multivector
     dstar_omega: Multivector
-    nijenhuis_table: dict
+    nijenhuis: dict  # nijenhuis's table, empty exactly when J is integrable
     integrable: bool
     almost_kahler: bool
     lee_zero: bool
@@ -355,13 +313,6 @@ class ModelGeometry:
     @property
     def n(self) -> int:
         return self.model.n
-
-    def nijenhuis(self, a: int, b: int) -> Multivector:
-        if a == b:
-            return Multivector.zero(self.n)
-        if (a, b) in self.nijenhuis_table:
-            return self.nijenhuis_table[(a, b)]
-        return -self.nijenhuis_table[(b, a)]
 
 
 def geometry(m: LieModel) -> ModelGeometry:
@@ -411,15 +362,7 @@ def geometry(m: LieModel) -> ModelGeometry:
             f"model {m.name}: Lee form cross-check -J*(d* omega) failed"
         )
 
-    nij = {}
-    integrable = True
-    for a in range(1, m.dim + 1):
-        for b in range(a + 1, m.dim + 1):
-            val = nijenhuis(m, a, b)
-            nij[(a, b)] = val
-            if not val.is_zero():
-                integrable = False
-
+    nij = nijenhuis(m)
     return ModelGeometry(
         model=m,
         structure=st,
@@ -434,8 +377,8 @@ def geometry(m: LieModel) -> ModelGeometry:
         lee_form=lee,
         jstar_lee=j_vector(lee, "ext"),
         dstar_omega=dstar_omega_vec,
-        nijenhuis_table=nij,
-        integrable=integrable,
+        nijenhuis=nij,
+        integrable=not nij,
         almost_kahler=d_omega.is_zero(),
         lee_zero=lee.is_zero(),
     )

@@ -125,7 +125,7 @@ class ExteriorZoo:
             ops.add(f"I_{nm}", partial(int_mult, form, f"I_{nm}"))
         ops.add("C_lee", partial(contract_op, geom.lee_form, "C_lee"))
         for a in range(1, 2 * n + 1):
-            ops.add(f"nablaf_{a}", partial(nabla_forms, geom.connection, a))
+            ops.add(f"nablaf_{a}", partial(nabla_forms, geom.connection, n, a))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,8 @@ def _torsion_witnesses(geom: ModelGeometry, ops: LazyMap, elements: LazyMap) -> 
     @cache
     def tensors():
         """The slices of d omega and of its two halves, and of <e_k, N(e_b, e_c)>."""
-        nij = tensor_slices(n, {(k, b, c): geom.nijenhuis(b, c).coeff(k)
-                                for k in idx for b in idx for c in idx})
+        nij = tensor_slices(n, {(k, b, c): gq(v) for (b, c), row in geom.nijenhuis.items()
+                                for k, v in row.items()})
         return [form_slices(geom.d_omega), geom.d_omega_plus_slices,
                 form_slices(geom.d_omega_minus), nij]
 

@@ -1,5 +1,6 @@
-"""Write the JSON outputs a refactor must keep byte for byte: exact verify,
-float verify and both tables, for the seven built-in models, big32 and nil8.
+"""Write the JSON outputs a refactor must keep byte for byte: validation,
+exact verify, float verify and both tables, for the seven built-in models,
+big32 and nil8, and validation alone for two invalid algebras.
 
     PYTHONPATH=src python tests/snapshot.py OUT_DIR
 
@@ -13,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from kahlerid.cli import main
+from kahlerid.cli import EXIT_VALIDATION, main
 
 BUILTINS = ("t2", "t4", "kt4", "hopf4", "t6", "iwa6", "nil6")
 # (a, b, c, v) with de^c = -sum v e^a ^ e^b: nil6 with two brackets rescaled
@@ -23,7 +24,14 @@ MODEL_FILES = {
     "big32": (3, [(1, 2, 4, str(-2**32)), (1, 3, 5, "-1"), (2, 3, 6, f"-1/{2**32}")]),
     "nil8": (4, [(1, 2, 5, "-1"), (1, 3, 6, "-1"), (2, 3, 7, "-1")]),
 }
+# validated only, each exiting 2: [e1, e2] = e3 and [e3, e4] = e1 fail
+# Jacobi on two triples, and [e1, e2] = e2 is not unimodular
+INVALID_FILES = {
+    "jacobi2": (2, [(1, 2, 3, "1"), (3, 4, 1, "1")]),
+    "nonunimodular": (2, [(1, 2, 2, "1")]),
+}
 RUNS = {
+    "validate": ["validate"],
     "verify-exact": ["verify", "--suite", "all", "--exact"],
     "verify-float": ["verify", "--suite", "all", "--float"],
     "tables": ["table", "--which", "both"],
@@ -37,16 +45,19 @@ def snapshot(out_dir: Path) -> list[Path]:
     written = []
     with tempfile.TemporaryDirectory() as tmp:
         models = {name: name for name in BUILTINS}
-        for name, (n, brackets) in MODEL_FILES.items():
+        for name, (n, brackets) in {**MODEL_FILES, **INVALID_FILES}.items():
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps({"name": name, "n": n, "brackets": [
                 {"a": a, "b": b, "c": c, "v": v} for a, b, c, v in brackets]}))
             models[name] = str(path)
         for name, spec in models.items():
+            invalid = name in INVALID_FILES
             for run, argv in RUNS.items():
+                if invalid and run != "validate":
+                    continue
                 dest = out_dir / f"{name}.{run}.json"
                 code = main([*argv, "--model", spec, "--format", "json", "--out", str(dest)])
-                if code:
+                if code != (EXIT_VALIDATION if invalid else 0):
                     raise SystemExit(f"{name} {run}: exit {code}")
                 written.append(dest)
     return written

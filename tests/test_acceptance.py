@@ -180,7 +180,7 @@ def test_criterion_6_almost_kahler_specialization(ws, capsys):
             problems.append(f"{nm} should vanish when d omega = 0")
     if w.ops["mu"].is_zero():
         problems.append("mu should not vanish on kt4")
-    if w.geom.nijenhuis(1, 2).is_zero():
+    if (1, 2) not in w.geom.nijenhuis:
         problems.append("Nijenhuis tensor should not vanish on kt4")
     rep = verify(w)
     ak = [r for r in rep.results if r.entry.group == "almost-kahler"]

@@ -51,6 +51,11 @@ def _blade(*indices) -> int:
     return sum(1 << (i - 1) for i in indices)
 
 
+def _entry(table, a, b, c):
+    """table[(a, b)][c], zero where absent."""
+    return table.get((a, b), {}).get(c, 0)
+
+
 # -- validation ----------------------------------------------------------------
 
 def test_builtins_validate():
@@ -212,18 +217,17 @@ def test_weitzenbock_identity(name):
     n, idx = m.n, range(1, m.dim + 1)
     d = ce_differential(m).matrix
     conn = levi_civita(m)
-    nab = {a: nabla_forms(conn, a).matrix for a in idx}
+    nab = {a: nabla_forms(conn, n, a).matrix for a in idx}
+    ext = {a: ext_mult(coframe(n, a), "E").matrix for a in idx}
+    inner = {a: int_mult(coframe(n, a), "I").matrix for a in idx}
     rhs = ExactMatrix.zeros(4**n)
     for a in idx:
         rhs = rhs - nab[a] @ nab[a]
         for b in idx:
             r = nab[a] @ nab[b] - nab[b] @ nab[a]
-            for k in idx:
-                if m.structure(a, b, k):
-                    r = r - nab[k].scale(gq(m.structure(a, b, k)))
-            ei = (ext_mult(coframe(n, a), "E").matrix
-                  @ int_mult(coframe(n, b), "I").matrix)
-            rhs = rhs - ei @ r
+            for k, c in m.constants.get((a, b), {}).items():
+                r = r - nab[k].scale(gq(c))
+            rhs = rhs - ext[a] @ inner[b] @ r
     assert d @ d.adjoint() + d.adjoint() @ d == rhs
 
 
@@ -232,12 +236,12 @@ def test_weitzenbock_identity(name):
 def test_koszul_values_kt4():
     conn = levi_civita(get_model("kt4"))
     half = Fraction(1, 2)
-    assert conn.coeff(1, 2, 3) == half        # nabla_{e1} e2 = e3/2
-    assert conn.coeff(1, 3, 2) == -half       # nabla_{e1} e3 = -e2/2
-    assert conn.coeff(2, 3, 1) == half
-    assert conn.coeff(3, 1, 2) == -half
-    assert conn.coeff(2, 1, 3) == -half
-    assert conn.coeff(1, 4, 1) == 0
+    assert _entry(conn, 1, 2, 3) == half        # nabla_{e1} e2 = e3/2
+    assert _entry(conn, 1, 3, 2) == -half       # nabla_{e1} e3 = -e2/2
+    assert _entry(conn, 2, 3, 1) == half
+    assert _entry(conn, 3, 1, 2) == -half
+    assert _entry(conn, 2, 1, 3) == -half
+    assert _entry(conn, 1, 4, 1) == 0
 
 
 @pytest.mark.parametrize("name", ["kt4", "hopf4", "nil6"])
@@ -249,32 +253,38 @@ def test_connection_is_levi_civita(name):
     for a in range(1, dim + 1):
         for b in range(1, dim + 1):
             for c in range(1, dim + 1):
-                assert conn.coeff(a, b, c) == -conn.coeff(a, c, b)
+                assert _entry(conn, a, b, c) == -_entry(conn, a, c, b)
     for a in range(1, dim + 1):
         for b in range(a + 1, dim + 1):
-            torsion = conn.derivative(a, b) - conn.derivative(b, a)
-            assert torsion == m.bracket_frame(a, b)
+            for c in range(1, dim + 1):
+                torsion = _entry(conn, a, b, c) - _entry(conn, b, a, c)
+                assert torsion == _entry(m.constants, a, b, c)
 
 
 def test_nabla_is_derivation_and_transports():
     m = get_model("hopf4")
     for a in (1, 2, 3, 4):
-        op = nabla(levi_civita(m), a)
+        op = nabla(levi_civita(m), m.n, a)
         assert derivation_rebuild(op).matrix == op.matrix
         assert op.parity == "even"
 
 
 def test_nabla_forms_value_kt4():
     # (nabla_{e1} theta^3)(e_b) = -theta^3(nabla_{e1} e_b) gives -theta^2/2
-    op = nabla_forms(levi_civita(get_model("kt4")), 1)
+    op = nabla_forms(levi_civita(get_model("kt4")), 2, 1)
     assert apply_operator(op, coframe(2, 3)) == coframe(2, 2).scale(gq(Fraction(-1, 2)))
 
 
 # -- Nijenhuis tensor --------------------------------------------------------------
 
+def _nij(m, a, b) -> Multivector:
+    """N(e_a, e_b) as a vector."""
+    return Multivector(m.n, {1 << (k - 1): v for k, v in nijenhuis(m).get((a, b), {}).items()})
+
+
 def test_nijenhuis_values():
-    assert nijenhuis(get_model("kt4"), 1, 2) == frame(2, 3).scale(gq(Fraction(-1, 4)))
-    assert nijenhuis(get_model("nil6"), 1, 2) == frame(3, 4).scale(gq(Fraction(1, 4)))
+    assert _nij(get_model("kt4"), 1, 2) == frame(2, 3).scale(gq(Fraction(-1, 4)))
+    assert _nij(get_model("nil6"), 1, 2) == frame(3, 4).scale(gq(Fraction(1, 4)))
 
 
 @pytest.mark.parametrize("name", ["hopf4", "iwa6"])
@@ -282,7 +292,7 @@ def test_integrable_models_have_zero_nijenhuis(name):
     m = get_model(name)
     for a in range(1, m.dim + 1):
         for b in range(1, m.dim + 1):
-            assert nijenhuis(m, a, b).is_zero()
+            assert _nij(m, a, b).is_zero()
     assert geometry(m).integrable
 
 
@@ -290,12 +300,12 @@ def test_nijenhuis_symmetries_nil6():
     m = get_model("nil6")
     for a in (1, 2, 5):
         for b in (3, 4, 6):
-            assert nijenhuis(m, a, b) == -nijenhuis(m, b, a)
+            assert _nij(m, a, b) == -_nij(m, b, a)
             # N(Y, JZ) = -J N(Y, Z)
             jz = j_vector(frame(3, b))
             (idx, coeff), = jz.coeffs.items()
-            target = nijenhuis(m, a, idx.bit_length()).scale(coeff)
-            assert target == -j_vector(nijenhuis(m, a, b))
+            target = _nij(m, a, idx.bit_length()).scale(coeff)
+            assert target == -j_vector(_nij(m, a, b))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -307,7 +317,7 @@ def test_mu_plus_mubar_is_the_nijenhuis_tensor(name):
     pure = add_ops(g.d_parts[(3, 0)], g.d_parts[(0, 3)])
     for k in idx:
         assert apply_operator(pure, coframe(n, k)) == Multivector(n, {
-            _blade(a, b): g.nijenhuis(a, b).coeffs.get(_blade(k), 0)
+            _blade(a, b): _entry(g.nijenhuis, a, b, k)
             for a in idx for b in idx if a < b})
 
 
@@ -399,8 +409,7 @@ def test_json_accepts_fraction_strings():
     spec = {"name": "x", "n": 2,
             "brackets": [{"a": 1, "b": 2, "c": 3, "v": "-3/4"}]}
     m = load_model_dict(spec)
-    assert m.structure(1, 2, 3) == Fraction(-3, 4)
-    assert m.structure(2, 1, 3) == Fraction(3, 4)
+    assert m.constants == {(1, 2): {3: Fraction(-3, 4)}, (2, 1): {3: Fraction(3, 4)}}
 
 
 def test_resolve_model(tmp_path):
