@@ -25,24 +25,28 @@ adjoint, conjugation, transpose and `signed_reindex` pass them on unchanged:
 conjugation by a signed permutation such as J_a only moves entries and flips
 their signs, for exact and float matrices alike.
 
+Exact arithmetic has two tiers, chosen by `_tier` from a bound on every
+partial sum alone: float64 (BLAS for products) below 2**53, where every
+integer is a float64, and Python integers (object) from there; no float
+ever enters the object tier.  Zero parts and zero factors are dropped
+first, so that bound is at least each live operand's, and an operand
+stored as Python integers (bound >= 2**62) always takes the object tier.
+
 Every sum, scaling and product is one call of one kernel,
 `linear_combination`, which computes sum_k c_k (m_k1 @ ... @ m_kj): it
-chooses the tier once from the coefficients and the carried bounds, which
-bound every partial sum -- float64 BLAS below 2**53 (every such integer is a
-float64), int64 below 2**62, Python big integers above, and no float ever
-enters the object tier -- casts each distinct operand once, and normalizes
-once.  A part with bound 0 is neither cast nor multiplied, and a term with
-a zero factor is dropped, so a product with a zero operand is the shared
-zero of its shape at no cost.  A float64 result is cast once, to the
-storage dtype of the bounds read from it.  `product_tier` and
-`parts_product` give the same tier rule and part-wise product to stacked
-products of raw parts, such as the blockwise conjugations of bidegree
-measurement.
+chooses the tier once from the coefficients and the carried bounds, casts
+each distinct operand once, and normalizes once.  A part with bound 0 is
+neither cast nor multiplied, and a term with a zero factor is dropped, so
+a product with a zero operand is the shared zero of its shape at no cost.
+A float64 result is cast once, to the storage dtype of the bounds read
+from it.  `product_tier` and `parts_product` give the same tier rule and
+part-wise product to stacked products of raw parts, such as the blockwise
+conjugations of bidegree measurement.
 
 `FrobeniusColumns` gathers a list of matrices y_c once on the union of their
 supports; its `inner` returns every <x_r, y_c> = sum x_r * conj(y_c) for a
-list of matrices x_r from one stacked real product, on the tier its bounds
-allow, summed over chunks of the support small enough (m n k <= 64**3) for
+list of matrices x_r from one stacked real product, on the tier of its
+bounds, summed over chunks of the support small enough (m n k <= 64**3) for
 OpenBLAS to run each on the calling thread.  `ExactMatrix.frobenius_inner`
 is its 1 x 1 case, and `frobenius_norms` gives <x, x> for each of a list of
 matrices, one dot product per part on the same tier rule.  Each inner
@@ -67,7 +71,7 @@ import numpy as np
 
 from .scalars import GaussianRational, ZERO, from_parts
 
-# int64 guard: |result| of any fused multiply-add stays below 2**62
+# int64 stores parts below this bound, Python integers from it
 _I64_BOUND = 1 << 62
 # float64 guard: every integer of magnitude below 2**53 is a float64
 _F64_BOUND = 1 << 53
@@ -139,13 +143,10 @@ def _product_bounds(bounds, inner) -> tuple[int, int]:
     return b_re, b_im
 
 
-def _tier(peak: int, fixed_width: bool, chain: bool):
+def _tier(peak: int):
     """The dtype of exact arithmetic whose every partial sum is at most peak
-    in magnitude: float64 BLAS when a product is made (chain) below 2**53,
-    int64 below 2**62 on fixed-width parts, Python integers otherwise."""
-    if not (fixed_width and peak < _I64_BOUND):
-        return object
-    return np.float64 if peak < _F64_BOUND and chain else np.int64
+    in magnitude: float64 below 2**53, Python integers from there."""
+    return np.float64 if peak < _F64_BOUND else object
 
 
 def _parts(c) -> tuple[int, int, int]:
@@ -387,12 +388,11 @@ def _cast(arr: np.ndarray, dtype) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
-def product_tier(bounds, inner, fixed_width: bool):
+def product_tier(bounds, inner):
     """The tier `linear_combination` would choose for one product
-    m_1 @ ... @ m_j of factors with part bounds `bounds`, factor i >= 2
-    multiplied over inner dimension inner[i - 2]; fixed_width says no
-    factor has Python-integer parts."""
-    return _tier(max(_product_bounds(bounds, inner)), fixed_width, len(bounds) > 1)
+    m_1 @ ... @ m_j of nonzero factors with part bounds `bounds`, factor
+    i >= 2 multiplied over inner dimension inner[i - 2]."""
+    return _tier(max(_product_bounds(bounds, inner)))
 
 
 def parts_product(factors, dtype) -> tuple:
@@ -424,12 +424,11 @@ class FrobeniusColumns:
 
     Entries of x off that support meet only zeros, so each inner product is
     a dot product of length k = |support|.  The stack of the y_c is held
-    once, as float64 when its entries are below 2**53 (exact there), else as
-    int64 while every y_c has fixed-width parts (`fixed_width`), else as
-    Python integers.
+    once, on the tier of their bound: float64 below 2**53 (exact there),
+    Python integers from there.
     """
 
-    __slots__ = ("shape", "support", "stack", "dens", "bound", "fixed_width", "has_im")
+    __slots__ = ("shape", "support", "stack", "dens", "bound", "has_im")
 
     def __init__(self, cols):
         cols = list(cols)
@@ -443,16 +442,13 @@ class FrobeniusColumns:
         self.support = np.flatnonzero(mask)
         self.dens = [y.den for y in cols]
         self.bound = max((y.bound for y in cols), default=0)
-        self.fixed_width = all(y.re.dtype != object for y in cols)
         self.has_im = any(y.has_im() for y in cols)
-        self.stack = _gather(cols, self.support, _tier(self.bound, self.fixed_width, chain=True),
-                             self.has_im)
+        self.stack = _gather(cols, self.support, _tier(self.bound), self.has_im)
 
     def inner(self, rows) -> list[list[GaussianRational]]:
         """[[<x_r, y_c> for each column c] for each row r], from one product
-        of the stacked real and imaginary parts.  Its tier follows from the
-        bounds: float64 BLAS while 2 k max|x| max|y| < 2**53, int64 below
-        2**62, Python integers otherwise.  The product is summed over
+        of the stacked real and imaginary parts, on the tier of
+        2 k max|x| max|y|, which bounds every partial sum.  It is summed over
         chunks of the support, each an m x k by k x n product with
         m n k <= 64**3, which OpenBLAS runs on the calling thread."""
         rows = list(rows)
@@ -462,8 +458,7 @@ class FrobeniusColumns:
         x_bound = max((x.bound for x in rows), default=0)
         if not (k and x_bound and self.bound):
             return [[ZERO] * ncols for _ in rows]
-        dtype = _tier(2 * k * x_bound * self.bound,
-                      self.fixed_width and all(x.re.dtype != object for x in rows), chain=True)
+        dtype = _tier(2 * k * x_bound * self.bound)
         x_im = any(x.has_im() for x in rows)
         xs, ys = _gather(rows, self.support, dtype, x_im), _cast(self.stack, dtype)
         step = max(1, _SERIAL_MNK // (len(xs) * len(ys)))
@@ -491,7 +486,7 @@ def frobenius_norms(mats) -> list[GaussianRational]:
     would choose for <x, x>."""
     out = []
     for x in mats:
-        dtype = _tier(2 * x.re.size * x.bound ** 2, x.re.dtype != object, chain=True)
+        dtype = _tier(2 * x.re.size * x.bound ** 2)
         s = 0
         for part, bound in zip((x.re, x.im), x._bounds):
             if bound:
@@ -515,15 +510,13 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
     entry by entry.
 
     The sum runs over D, the least common multiple of the terms'
-    denominators.  Its tier is chosen once, before any arithmetic, from the
-    integer coefficients and the carried part bounds, which bound every
-    partial sum of every product and of the sum: float64 BLAS when a
-    product is made and they stay below 2**53, int64 below 2**62, Python
-    integers otherwise.  Each distinct operand is cast to that tier once, a
-    part with bound 0 is neither cast nor multiplied, and a term with a
-    zero factor is dropped.
+    denominators.  Its tier is chosen once, before any arithmetic, by
+    `_tier` from the integer coefficients and the carried part bounds, which
+    bound every partial sum of every product and of the sum.  Each distinct
+    operand is cast to that tier once, a part with bound 0 is neither cast
+    nor multiplied, and a term with a zero factor is dropped.
     """
-    live, den, fixed_width, chain = [], 1, True, False
+    live, den = [], 1
     for c, m, gather in terms:
         factors = () if m is None else (m,) if isinstance(m, ExactMatrix) else tuple(m)
         a, b, d = _parts(c)
@@ -540,8 +533,6 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
         if (a or b) and (b_re or b_im):
             den = math.lcm(den, d)
             live.append((a, b, d, factors, gather, b_re, b_im))
-            fixed_width = fixed_width and all(f.re.dtype != object for f in factors)
-            chain = chain or len(factors) > 1
     if not live:
         return _zero(*shape)
     scaled = []
@@ -552,7 +543,7 @@ def linear_combination(terms, shape: tuple[int, int]) -> ExactMatrix:
         re_bound += abs(a) * b_re + abs(b) * b_im
         im_bound += abs(b) * b_re + abs(a) * b_im
         scaled.append((a, b, factors, gather))
-    dtype = _tier(max(re_bound, im_bound), fixed_width, chain)
+    dtype = _tier(max(re_bound, im_bound))
     cast = {}
     re = np.zeros(shape, dtype=dtype)
     # a sum whose imaginary bound is 0 is real: no term reaches im

@@ -142,12 +142,17 @@ def validate_model(m: LieModel) -> ValidationReport:
     if failures:
         return ValidationReport(m.name, False, tuple(failures))
 
+    # a bracket stored again, or again in the other order with the
+    # antisymmetric value, would be counted twice by `LieModel.constants`
     seen: dict[tuple[int, int, int], Fraction] = {}
     for (a, b, c, v) in m.entries:
         if (a, b, c) in seen:
             failures.append(
                 ValidationFailure("duplicate-entry", (a, b, c), "entry stored twice")
             )
+        elif seen.get((b, a, c)) == -v:
+            failures.append(ValidationFailure(
+                "duplicate-entry", (a, b, c), f"entry stored twice, also as ({b}, {a}, {c})"))
         seen[(a, b, c)] = v
     for (a, b, c), v in seen.items():
         w = seen.get((b, a, c))

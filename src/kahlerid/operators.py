@@ -463,24 +463,18 @@ def _frame_blocks(cf: ComplexFrame, mats: list[ExactMatrix], back: bool = False)
     stacked numerators of V_q M_qp U_p for them in the tier dtype.
 
     Each M's tier is the one `linear_combination` would choose for the
-    chain U^-1 M U, or with back for U^-1 M U U U^-1, with every inner
+    product U^-1 M U, or with back for U^-1 M U U U^-1, with every inner
     dimension taken as the largest block.  The parts are stacked in their
     storage dtype, the nonzero blocks of all of them are found at once, and
     only the blocks multiplied are cast.
     """
     v, u = cf.u_inv._bounds, cf.u._bounds
-    chain = [v, None, u, u, v] if back else [v, None, u]
-    inner = [max(map(len, cf.index))] * (len(chain) - 1)
-    tier_of: dict = {}
+    inner = [max(map(len, cf.index))] * (4 if back else 2)
     tiers: dict = {}
     for i, m in enumerate(mats):
-        if m.is_zero():
-            continue
-        key = m._bounds, m.re.dtype != object
-        if key not in tier_of:
-            chain[1] = key[0]
-            tier_of[key] = product_tier(chain, inner, key[1])
-        tiers.setdefault(tier_of[key], []).append(i)
+        if not m.is_zero():
+            bounds = [v, m._bounds, u, u, v] if back else [v, m._bounds, u]
+            tiers.setdefault(product_tier(bounds, inner), []).append(i)
     for dtype, group in tiers.items():
         group = np.array(group)
         re = np.stack([mats[i].re for i in group])

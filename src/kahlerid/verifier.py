@@ -205,6 +205,13 @@ GROUP_SUITE = {
 SUITES = ("all", "elementary", "clifford", "exterior", "tables")
 
 
+def _add_entry(out, prefix, group, eid, stmt, lhs, rhs, kind="operator", guards=None, cell=None):
+    """Append to out the entry prefix.eid of group: each group's builder
+    binds out, prefix and group once and adds its entries through it."""
+    out.append(IdentityEntry(f"{prefix}.{eid}", group, stmt, kind, lhs, rhs, cell=cell,
+                             guards=guards))
+
+
 # -- group 1: elementary properties of J, the musicals, and conjugation -----
 
 _PC_SCALAR = [
@@ -231,9 +238,7 @@ _PC_SCALAR = [
 
 def _group_elementary(n: int) -> list[IdentityEntry]:
     out = []
-
-    def ent(eid, stmt, lhs, rhs, kind="operator", guards=None):
-        out.append(IdentityEntry("el." + eid, "elementary", stmt, kind, lhs, rhs, guards=guards))
+    ent = functools.partial(_add_entry, out, "el", "elementary")
 
     ent("jd_transport", "flat . J_d . sharp = -J_d* (same matrix, both pictures)",
         Transport(Op("Jd_cl")), neg(Op("Jd_ext")), guards=())
@@ -322,9 +327,7 @@ def _group_elementary(n: int) -> list[IdentityEntry]:
 
 def _group_clifford(n: int) -> list[IdentityEntry]:
     out = []
-
-    def ent(eid, stmt, lhs, rhs, kind="operator", guards=None):
-        out.append(IdentityEntry("cl." + eid, "clifford", stmt, kind, lhs, rhs, guards=guards))
+    ent = functools.partial(_add_entry, out, "cl", "clifford")
 
     dds = add(Op("d"), Op("d_star"))
     laml = add(Op("Lam"), neg(Op("L")))
@@ -470,10 +473,7 @@ _XI_CONJ = {
 
 def _group_exterior(n: int) -> list[IdentityEntry]:
     out = []
-
-    def ent(eid, stmt, lhs, rhs, kind="operator", guards=None, cell=None):
-        out.append(IdentityEntry("ex." + eid, "exterior", stmt, kind, lhs, rhs,
-                                 cell=cell, guards=guards))
+    ent = functools.partial(_add_entry, out, "ex", "exterior")
 
     ent("d_decomposition", "d = mu + del + delbar + mubar",
         Op("d"), add(Op("mu"), Op("del"), Op("delbar"), Op("mubar")), guards=None)
@@ -562,10 +562,7 @@ def _group_exterior(n: int) -> list[IdentityEntry]:
 
 def _group_main(n: int) -> list[IdentityEntry]:
     out = []
-
-    def ent(eid, stmt, lhs, rhs, guards=None):
-        out.append(IdentityEntry("main." + eid, "main", stmt, "operator", lhs, rhs,
-                                 guards=guards))
+    ent = functools.partial(_add_entry, out, "main", "main")
 
     dds = add(Op("d"), Op("d_star"))
     laml = add(Op("Lam"), neg(Op("L")))
@@ -951,22 +948,24 @@ class Workspace:
                     f"cannot apply {opv.name} ({opv.picture}) to a {elv.picture} element")
             return ElementValue(opv.matrix @ elv.matrix, elv.picture)
         ops = [_operator(v) for v in vals]
-        if isinstance(expr, SCom):
-            return supercommutator(*ops)
-        if isinstance(expr, Comp):
-            return compose(*ops)
-        if isinstance(expr, Adj):
-            return adjoint(ops[0])
-        if isinstance(expr, Conj):
-            return conjugate(ops[0])
-        if isinstance(expr, Bar):
-            return bar(ops[0])
-        if isinstance(expr, Transport):
-            return transport(ops[0])
-        if isinstance(expr, Rebuild):
-            # rebuilds need exact columns (see _children)
-            return derivation_rebuild(ops[0])
-        raise StructuralError(f"unknown expression node {type(expr).__name__}")
+        calculus = _CALCULUS.get(type(expr))
+        if calculus is None:
+            raise StructuralError(f"unknown expression node {type(expr).__name__}")
+        return calculus(*ops)
+
+
+# the operator-calculus function of each node whose operands are all
+# operators (a Rebuild's are exact, see `_children`); each entry reads the
+# module-level name when called, so a wrapper bound to it later is called
+_CALCULUS = {
+    SCom: lambda a, b: supercommutator(a, b),
+    Comp: lambda a, b: compose(a, b),
+    Adj: lambda a: adjoint(a),
+    Conj: lambda a: conjugate(a),
+    Bar: lambda a: bar(a),
+    Transport: lambda a: transport(a),
+    Rebuild: lambda a: derivation_rebuild(a),
+}
 
 
 def _count_uses(requests) -> dict[tuple, int]:

@@ -10,6 +10,8 @@ block under blade degree, is also given here through the dense 4^n x 4^n
 complex frame, J-conjugation, which the package applies as a signed
 re-indexing, as the product J_a^-1 M J_a, and Betti numbers, which the
 package never computes, as exact ranks of d by `Fraction` elimination.
+It also defines, once for every test, the two models the tests run beyond
+the built-ins, big32 and nil8.
 """
 from __future__ import annotations
 
@@ -27,9 +29,34 @@ from kahlerid.dirac import dirac
 import numpy as np
 
 from kahlerid.matrices import ExactMatrix, FloatMatrix, linear_combination
-from kahlerid.models import nabla
+from kahlerid.models import LieModel, from_brackets, nabla
 from kahlerid.operators import blade_structure, make_operator, multiplication_sum
 from kahlerid.scalars import GaussianRational, ONE, ZERO, gq
+
+
+# ---------------------------------------------------------------------------
+# models beyond the built-ins
+# ---------------------------------------------------------------------------
+
+# {name: (n, {(a, b): {c: c^c_ab}})}: big32 is nil6 with two brackets
+# rescaled by 2**32 and 2**-32, an isomorphic algebra whose operators leave
+# int64 for Python integers; nil8 is nil6's algebra plus R^2, at n = 4
+EXTRA_MODELS = {
+    "big32": (3, {(1, 2): {4: -2**32}, (1, 3): {5: -1}, (2, 3): {6: Fraction(-1, 2**32)}}),
+    "nil8": (4, {(1, 2): {5: -1}, (1, 3): {6: -1}, (2, 3): {7: -1}}),
+}
+
+
+def extra_model(name: str) -> LieModel:
+    n, brackets = EXTRA_MODELS[name]
+    return from_brackets(name, n, brackets)
+
+
+def model_spec(name: str, n: int, brackets: dict) -> dict:
+    """The JSON model file of these brackets, as `--model FILE` reads it."""
+    return {"name": name, "n": n, "brackets": [
+        {"a": a, "b": b, "c": c, "v": str(v)}
+        for (a, b), targets in brackets.items() for c, v in targets.items()]}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Write the JSON outputs a refactor must keep byte for byte: validation,
 exact verify, float verify and both tables, for the seven built-in models,
-big32 and nil8, and validation alone for two invalid algebras.
+big32 and nil8 (`reference.EXTRA_MODELS`), and validation alone for two
+invalid algebras.
 
     PYTHONPATH=src python tests/snapshot.py OUT_DIR
 
@@ -15,20 +16,14 @@ import tempfile
 from pathlib import Path
 
 from kahlerid.cli import EXIT_VALIDATION, main
+from reference import EXTRA_MODELS, model_spec
 
 BUILTINS = ("t2", "t4", "kt4", "hopf4", "t6", "iwa6", "nil6")
-# (a, b, c, v) with de^c = -sum v e^a ^ e^b: nil6 with two brackets rescaled
-# by 2**32 and 2**-32, whose operators leave int64 for Python integers, and
-# the n = 4 two-step nilpotent algebra nil8
-MODEL_FILES = {
-    "big32": (3, [(1, 2, 4, str(-2**32)), (1, 3, 5, "-1"), (2, 3, 6, f"-1/{2**32}")]),
-    "nil8": (4, [(1, 2, 5, "-1"), (1, 3, 6, "-1"), (2, 3, 7, "-1")]),
-}
 # validated only, each exiting 2: [e1, e2] = e3 and [e3, e4] = e1 fail
 # Jacobi on two triples, and [e1, e2] = e2 is not unimodular
 INVALID_FILES = {
-    "jacobi2": (2, [(1, 2, 3, "1"), (3, 4, 1, "1")]),
-    "nonunimodular": (2, [(1, 2, 2, "1")]),
+    "jacobi2": (2, {(1, 2): {3: 1}, (3, 4): {1: 1}}),
+    "nonunimodular": (2, {(1, 2): {2: 1}}),
 }
 RUNS = {
     "validate": ["validate"],
@@ -45,10 +40,9 @@ def snapshot(out_dir: Path) -> list[Path]:
     written = []
     with tempfile.TemporaryDirectory() as tmp:
         models = {name: name for name in BUILTINS}
-        for name, (n, brackets) in {**MODEL_FILES, **INVALID_FILES}.items():
+        for name, (n, brackets) in {**EXTRA_MODELS, **INVALID_FILES}.items():
             path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps({"name": name, "n": n, "brackets": [
-                {"a": a, "b": b, "c": c, "v": v} for a, b, c, v in brackets]}))
+            path.write_text(json.dumps(model_spec(name, n, brackets)))
             models[name] = str(path)
         for name, spec in models.items():
             invalid = name in INVALID_FILES

@@ -13,7 +13,7 @@ from kahlerid.algebra import (
     frame,
     j_vector,
 )
-from kahlerid.models import builtin_models, from_brackets, geometry
+from kahlerid.models import builtin_models, geometry
 from kahlerid.operators import add_ops
 import reference
 from reference import (
@@ -144,9 +144,8 @@ def test_three_form_parts_nil6(geom):
     # big32 (nil6 with brackets scaled by 2**32 and 2**-32) and on nil8 (n = 4)
     # each is the blade-by-blade projection, they sum to d omega, and d's
     # parts sum to d
-    geoms = [geom(name) for name in builtin_models()] + [geometry(from_brackets(
-        "big32", 3, {(1, 2): {4: -2**32}, (1, 3): {5: -1}, (2, 3): {6: Fraction(-1, 2**32)}})),
-        geometry(from_brackets("nil8", 4, {(1, 2): {5: -1}, (1, 3): {6: -1}, (2, 3): {7: -1}}))]
+    geoms = [geom(name) for name in builtin_models()] + [
+        geometry(reference.extra_model(name)) for name in ("big32", "nil8")]
     for g in geoms:
         parts = g.d_omega_parts
         assert list(parts) == list(g.d_parts) == [(3, 0), (2, 1), (1, 2), (0, 3)]

@@ -13,6 +13,7 @@ import pytest
 from kahlerid import get_model
 from kahlerid.cli import main
 from kahlerid.models import MAX_EXPONENT
+import reference
 
 
 def _write_model(tmp_path, name, entries, n):
@@ -212,6 +213,24 @@ def test_verify_json_is_byte_identical_to_the_reference(name, tmp_path):
     assert main(["verify", "--model", name, "--suite", "all", "--exact",
                  "--format", "json", "--out", str(dest)]) == 0
     assert hashlib.sha256(dest.read_bytes()).hexdigest() == REFS["verify"][f"{name}:all"]["sha256"]
+
+
+# SHA-256 of big32's exact `verify --suite all` and `table --which both`
+# JSON, as `tests/snapshot.py` writes them: big32's operators are stored as
+# Python integers, so these pin the big-integer tier end to end
+BIG32_SHA256 = {
+    "verify": "e629a947ed3d936b0a732f74ebeb67867dd343ed90eb78430475776babbc87ca",
+    "table": "75dfa66a4555e551eb99e7e593d8aaac8e8c99369b7e3e52f478e8839714a73f",
+}
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "all", "--exact"],
+                                  ["table", "--which", "both"]], ids=lambda argv: argv[0])
+def test_big32_json_is_byte_identical_to_the_reference(argv, tmp_path):
+    model, dest = tmp_path / "big32.json", tmp_path / "out.json"
+    model.write_text(json.dumps(reference.model_spec("big32", *reference.EXTRA_MODELS["big32"])))
+    assert main([*argv, "--model", str(model), "--format", "json", "--out", str(dest)]) == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == BIG32_SHA256[argv[0]]
 
 
 def _float_view(model: str, tmp_path) -> dict:

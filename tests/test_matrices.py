@@ -253,7 +253,7 @@ _PARTS = st.sampled_from(["complex", "real", "imaginary"])
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 64), st.integers(0, 30),
        _PARTS, _PARTS, st.integers(0, 2**32 - 1))
-# 2 * k * a * b is near 2**59: the int64 tier, where float64 would round
+# 2 * k * a * b is near 2**59: the object tier, where float64 would round
 @example(rows=4, k=64, bits=26, a_parts="complex", b_parts="complex", seed=0)
 def test_matmul_float64_int64_and_object_tiers_agree(rows, k, bits, a_parts, b_parts, seed):
     rng = np.random.default_rng(seed)
@@ -283,7 +283,8 @@ _FACTORS = [gq(Fraction(-3, 7), Fraction(5, 2)), gq(_BIG), gq(0, Fraction(1, 10*
 
 @st.composite
 def _square(draw, dim):
-    """A dim x dim matrix on the float64 (3 bits), int64 (26) or object (64) tier."""
+    """A dim x dim matrix of 3-, 26- or 64-bit numerators: float64 holds the
+    products of the first exactly, the object tier those of the others."""
     bits = draw(st.sampled_from([3, 26, 64]))
     den = draw(st.sampled_from([1, 6, 10**20 + 39]))
     num = st.integers(-(1 << bits), 1 << bits)
@@ -388,8 +389,8 @@ def test_from_columns_fills_int64_whenever_the_entries_fit():
 @st.composite
 def _sparse(draw, shape, bits_choice):
     """A matrix of this shape on a random subset of its entries (possibly
-    none), real or complex, with 3-, 26- or 64-bit numerators: the float64,
-    int64 and object tiers."""
+    none), real or complex, with 3-, 26- or 64-bit numerators: products on
+    the float64 tier, past it, and stored as Python integers."""
     rows, cols = shape
     bits = draw(st.sampled_from(bits_choice))
     den = draw(st.sampled_from([1, 6, 10**20 + 39]))
@@ -442,7 +443,7 @@ def test_stacked_inner_products_of_zero_and_disjoint_matrices_are_zero():
 
 def test_stacked_inner_products_just_past_the_float64_and_int64_bounds():
     # 2 k max|x| max|y| just past 2**53: the exact sum 2**53 + 2**26 + 1 is
-    # odd and has no float64, so the int64 tier must take it
+    # odd and has no float64, so the object tier must take it
     x = ExactMatrix(np.array([[1 << 26, 1]]), np.zeros((1, 2), np.int64), 1)
     y = ExactMatrix(np.array([[(1 << 27) + 1, 1]]), np.zeros((1, 2), np.int64), 1)
     assert FrobeniusColumns([y, x]).inner([x]) == [[gq(2**53 + 2**26 + 1), gq(2**52 + 1)]]
@@ -674,7 +675,7 @@ _COEFFS = st.sampled_from([gq(1), gq(-1), gq(0, 1), gq(Fraction(-3, 7), Fraction
 @st.composite
 def _combo_case(draw):
     """1-3 terms over dim x dim matrices, each a chain of 1-3 factors on the
-    float64, int64 or object tier, with mixed denominators; with `cancel`
+    float64 or object tier, with mixed denominators; with `cancel`
     every term comes again negated, so the sum is zero."""
     dim = draw(st.integers(1, 3))
     terms = [(draw(_COEFFS), tuple(draw(st.lists(_square(dim), min_size=1, max_size=3))))
@@ -707,24 +708,32 @@ def test_the_kernel_equals_separate_products_and_sums_on_every_tier(case):
         assert got.den == 1 and got.im is ExactMatrix.zeros(dim).im
 
 
-@pytest.mark.parametrize("bits, tier", [(3, np.float64), (16, np.int64), (22, object)])
+@pytest.mark.parametrize("bits, tier", [(3, np.float64), (16, object), (22, object),
+                                        (40, np.float64)])
 def test_the_kernel_takes_the_tier_its_bounds_allow(bits, tier, monkeypatch):
     # a chain of three complex 4 x 4 matrices: its bound is below
-    # (2 * 4)**2 * 2**(3 bits), and near it
+    # (2 * 4)**2 * 2**(3 bits), and near it; at 40 bits a sum with no
+    # product, whose bound is below 3 * 2**40
     rng = np.random.default_rng(bits)
     mats = [ExactMatrix(rng.integers(-(1 << bits), 1 << bits, (4, 4)),
                         rng.integers(-(1 << bits), 1 << bits, (4, 4)), 6) for _ in range(3)]
+    chain = tuple(mats if bits < 40 else mats[:1])
     seen = []
-    part_product = matrices._part_product
+    part_product, fma = matrices._part_product, matrices._fma
 
     def recorded(a, b):
         seen.extend(x.dtype for x in (*a, *b) if x is not None)
         return part_product(a, b)
 
+    def recorded_fma(acc, k, x, at=...):
+        seen.extend(y.dtype for y in (acc, x) if y is not None)
+        return fma(acc, k, x, at)
+
     monkeypatch.setattr(matrices, "_part_product", recorded)
-    got = linear_combination([(gq(0, 1), tuple(mats), None), (2, mats[0], None)], (4, 4))
+    monkeypatch.setattr(matrices, "_fma", recorded_fma)
+    got = linear_combination([(gq(0, 1), chain, None), (2, mats[0], None)], (4, 4))
     assert set(seen) == {np.dtype(tier)}
-    assert got == _combo_ref([(gq(0, 1), mats), (gq(2), mats[:1])])
+    assert got == _combo_ref([(gq(0, 1), chain), (gq(2), mats[:1])])
 
 
 def test_a_chain_that_repeats_a_factor_bounds_every_product_in_it():
@@ -764,7 +773,7 @@ def _inner_ints(x, y):
               Fraction(int((xi * yr - xr * yi).sum()), d))
 
 
-@pytest.mark.parametrize("bits, tier", [(3, np.float64), (22, np.int64), (34, object)])
+@pytest.mark.parametrize("bits, tier", [(3, np.float64), (22, object), (34, object)])
 def test_chunked_inner_products_stay_serial_and_equal_the_pairwise_ones(bits, tier, monkeypatch):
     # 12 complex rows and columns on a 30 x 30 support: m = n = 24, so the
     # chunks hold 455 of the k <= 900 support entries

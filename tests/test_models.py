@@ -37,14 +37,9 @@ from kahlerid.operators import (
 import reference
 from reference import wedge
 
-# the built-ins and two models beyond them: big32, nil6 with two brackets
-# rescaled by 2**32 and 2**-32, and nil8, nil6's algebra plus R^2
-MODELS = {
-    **builtin_models(),
-    "big32": from_brackets("big32", 3, {(1, 2): {4: -2**32}, (1, 3): {5: -1},
-                                        (2, 3): {6: Fraction(-1, 2**32)}}),
-    "nil8": from_brackets("nil8", 4, {(1, 2): {5: -1}, (1, 3): {6: -1}, (2, 3): {7: -1}}),
-}
+# the built-ins and the two models beyond them, big32 and nil8
+MODELS = {**builtin_models(),
+          **{name: reference.extra_model(name) for name in reference.EXTRA_MODELS}}
 
 
 def _blade(*indices) -> int:
@@ -106,6 +101,18 @@ def test_summary_text_of_entry_faults():
         "  duplicate-entry at (1, 2, 3): entry stored twice\n"
         "  antisymmetry at (1, 2, 3): c^3_{12} = 1 but c^3_{21} = 1\n"
         "  antisymmetry at (2, 1, 3): c^3_{21} = 1 but c^3_{12} = 1")
+
+
+def test_a_bracket_stored_in_both_orders_is_one_duplicate():
+    # (1, 2, 3, 1) and (2, 1, 3, -1) state [e1, e2] = e3 twice, which the
+    # antisymmetric completion would sum to c^3_12 = 2
+    m = from_brackets("x", 2, {(1, 2): {3: 1}, (2, 1): {3: -1}})
+    assert validate_model(m).summary() == (
+        "model x: 1 invariant failure(s)\n"
+        "  duplicate-entry at (2, 1, 3): entry stored twice, also as (1, 2, 3)")
+    with pytest.raises(ModelValidationError) as exc:
+        geometry(m)
+    assert exc.value.report == validate_model(m)
 
 
 @st.composite
@@ -199,9 +206,7 @@ def test_betti_numbers_from_exact_ranks_of_d(name):
 def test_betti_numbers_of_big32_and_nil8():
     # big32 is nil6 with two brackets rescaled by 2**32 and 2**-32, an
     # isomorphic algebra; nil8 is nil6's algebra plus R^2
-    big32 = from_brackets("big32", 3, {(1, 2): {4: -2**32}, (1, 3): {5: -1},
-                                       (2, 3): {6: Fraction(-1, 2**32)}})
-    nil8 = from_brackets("nil8", 4, {(1, 2): {5: -1}, (1, 3): {6: -1}, (2, 3): {7: -1}})
+    big32, nil8 = MODELS["big32"], MODELS["nil8"]
     assert reference.betti_numbers(ce_differential(big32).matrix, 3) == BETTI["nil6"]
     assert (reference.betti_numbers(ce_differential(nil8).matrix, 4)
             == _kunneth(BETTI["nil6"], (1, 2, 1)))

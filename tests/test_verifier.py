@@ -16,7 +16,6 @@ from kahlerid import builtin_models, get_model, gq, verifier
 from kahlerid.algebra import Multivector
 from kahlerid.jsontext import json_text
 from kahlerid.matrices import ExactMatrix, FrobeniusColumns, linear_combination, solve_exact
-from kahlerid.models import from_brackets
 from kahlerid.operators import LinearOperator, StructuralError, make_operator
 from kahlerid.scalars import GaussianRational
 from kahlerid.verifier import (
@@ -43,6 +42,7 @@ from kahlerid.verifier import (
     emit_commutator_table,
     verify,
 )
+import reference
 from reference import basis
 
 BUILTINS = ["t2", "t4", "t6", "kt4", "hopf4", "iwa6", "nil6"]
@@ -161,7 +161,8 @@ def test_nodes_take_their_fields_by_position_only():
 
 @st.composite
 def _exact_sides(draw):
-    """Two matrices, equal (built apart) or not, on the int64 or object tier."""
+    """Two matrices, equal (built apart) or not, stored as int64 or as Python
+    integers."""
     rows, cols = draw(st.sampled_from([(1, 1), (2, 2), (3, 1), (3, 3)]))
     bits = draw(st.sampled_from([3, 64]))
     num = st.integers(-(1 << bits), 1 << bits)
@@ -241,8 +242,7 @@ def test_exercised_counts(ws):
 def test_big_integer_model_verifies_like_nil6(ws):
     # nil6 with two brackets rescaled by 2^32 and 2^-32: a nilpotent model of
     # the same shape whose d, D and nabla_2 leave int64 for Python integers
-    big = Workspace(from_brackets("big32", 3, {(1, 2): {4: -2**32}, (1, 3): {5: -1},
-                                               (2, 3): {6: Fraction(-1, 2**32)}}))
+    big = Workspace(reference.extra_model("big32"))
     assert any(op.matrix.re.dtype == object or op.matrix.im.dtype == object
                for op in big.ops.values())
     got, want = verify(big), verify(ws("nil6"))
