@@ -7,10 +7,10 @@ cannot be read or parsed, or the --out file cannot be written.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
-from .jsontext import json_text
 from .models import (
     ModelFormatError,
     ModelValidationError,
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_models(args) -> int:
     descs = builtin_descriptions()
     if args.format == "json":
-        text = json_text({"models": descs})
+        text = json.dumps({"models": descs}, indent=2) + "\n"
     else:
         lines = ["| model | description |", "|---|---|"]
         for name, desc in descs.items():
@@ -125,7 +125,7 @@ def _cmd_validate(args) -> int:
                 for f in report.failures
             ],
         }
-        text = json_text(payload)
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         text = report.summary() + "\n"
     _emit(text, args.out)
@@ -146,9 +146,7 @@ def _cmd_table(args) -> int:
     model = resolve_model(args.model)
     # tables are structural: exact arithmetic only.  Both tables are planned
     # together, so a value they share is evaluated once
-    requests = table_requests(args.which)
-    ws = Workspace(model, reads=requests)
-    ws.plan(requests)
+    ws = Workspace(model, reads=table_requests(args.which))
     parts = {}
     ok = True
     if args.which in ("commutator", "both"):
@@ -159,7 +157,7 @@ def _cmd_table(args) -> int:
         ok = ok and parts["bidegree"]["ok"]
     if args.format == "json":
         payload = parts if args.which == "both" else parts[args.which]
-        text = json_text(payload)
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         chunks = []
         if "commutator" in parts:

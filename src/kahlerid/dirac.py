@@ -33,14 +33,14 @@ from .models import ModelGeometry, nabla
 from .scalars import gq
 
 
-def clifford_left(phi: Multivector, name: str) -> LinearOperator:
+def clifford_left(phi: Multivector) -> LinearOperator:
     """Left Clifford multiplication L_phi."""
-    return make_operator(name, multiplication(phi, "L"), "cl")
+    return make_operator(multiplication(phi, "L"), "cl")
 
 
-def clifford_right(phi: Multivector, name: str) -> LinearOperator:
+def clifford_right(phi: Multivector) -> LinearOperator:
     """Right Clifford multiplication R_phi."""
-    return make_operator(name, multiplication(phi, "R"), "cl")
+    return make_operator(multiplication(phi, "R"), "cl")
 
 
 def _frame_sum(kind: str, ops) -> ExactMatrix:
@@ -51,7 +51,7 @@ def _frame_sum(kind: str, ops) -> ExactMatrix:
 
 def dirac(nablas) -> LinearOperator:
     """D = sum_A L_{e_A} nabla_{e_A}, from (nabla_{e_1}, ..., nabla_{e_2n})."""
-    return make_operator("D", _frame_sum("L", nablas), "cl")
+    return make_operator(_frame_sum("L", nablas), "cl")
 
 
 def sigma(nablas, a: int) -> LinearOperator:
@@ -68,7 +68,7 @@ def sigma(nablas, a: int) -> LinearOperator:
     nj_c = nj.signed_reindex(*bs.ja_action["cl"])
     mat = linear_combination([(1, (na, jd), None), (-1, (jd, na), None),
                               (s, nj_c, None), (-s, nj, None)], na.shape)
-    return make_operator(f"sigma_{a}", mat, "cl")
+    return make_operator(mat, "cl")
 
 
 def torsion_block(geom: ModelGeometry, a: int) -> ExactMatrix:
@@ -82,9 +82,8 @@ def sigma_from_torsion_form(geom: ModelGeometry, a: int) -> LinearOperator:
     """Alternative route on vectors only, extended as an even derivation:
     sigma_X(Y) = sum_B ( (d omega)^+(X, Y, e_B) - (d omega)^+(X, JY, J e_B) ) e_B.
     """
-    name = f"sigma_torsion_{a}"
-    on_vectors = make_operator(name, vector_operator(torsion_block(geom, a).transpose()), "cl")
-    return derivation_rebuild(on_vectors).renamed(name)
+    return derivation_rebuild(make_operator(vector_operator(torsion_block(geom, a).transpose()),
+                                            "cl"))
 
 
 class CliffordZoo:
@@ -106,29 +105,27 @@ class CliffordZoo:
         def sigma_at(a: int) -> LinearOperator:
             return sigma(family("nabla"), a)
 
-        def sigma_sum(name: str, kind: str) -> LinearOperator:
-            return make_operator(name, _frame_sum(kind, family("sigma")), "cl")
+        def sigma_sum(kind: str) -> LinearOperator:
+            return make_operator(_frame_sum(kind, family("sigma")), "cl")
 
         for a in idx:
             ops.add(f"nabla_{a}", partial(nabla, geom.connection, n, a))
             ops.add(f"sigma_{a}", partial(sigma_at, a))
-        ops.add("L_omega", partial(clifford_left, om, "L_omega"))
-        ops.add("R_omega", partial(clifford_right, om, "R_omega"))
+        ops.add("L_omega", partial(clifford_left, om))
+        ops.add("R_omega", partial(clifford_right, om))
         # H_c = (1/2i)(L_omega + R_omega), the Clifford-side counterpart of
         # the degree-counting commutator on forms
         ops.add("Hc", lambda: make_operator(
-            "H_c", (ops["L_omega"].matrix + ops["R_omega"].matrix).scale(gq(0, Fraction(-1, 2))),
-            "cl"))
+            (ops["L_omega"].matrix + ops["R_omega"].matrix).scale(gq(0, Fraction(-1, 2))), "cl"))
         ops.add("D", lambda: dirac(family("nabla")))
-        ops.add("Dc", lambda: conjugate(ops["D"]).renamed("D^c"))
-        ops.add("Jd_cl", lambda: make_operator("J_d", bs.Jd_cl, "cl"))
-        ops.add("Ja_cl", partial(make_operator, "J_a", bs.Ja_cl, "cl"))
+        ops.add("Dc", lambda: conjugate(ops["D"]))
+        ops.add("Jd_cl", lambda: make_operator(bs.Jd_cl, "cl"))
+        ops.add("Ja_cl", partial(make_operator, bs.Ja_cl, "cl"))
         # D_sigma = sum_A L_{e_A} sigma_{e_A}, and its wedge and contraction
         # halves under e.x = e^x - e_|x, so D_sigma = ext - int
-        for key, name, kind in (("Dsig", "D_sigma", "L"), ("Dsig_ext", "D_sigma_ext", "E"),
-                                ("Dsig_int", "D_sigma_int", "C")):
-            ops.add(key, partial(sigma_sum, name, kind))
-        ops.add("Dsigc", lambda: conjugate(ops["Dsig"]).renamed("D_sigma^c"))
+        for key, kind in (("Dsig", "L"), ("Dsig_ext", "E"), ("Dsig_int", "C")):
+            ops.add(key, partial(sigma_sum, kind))
+        ops.add("Dsigc", lambda: conjugate(ops["Dsig"]))
 
         def vector_sum():  # sum_A sigma_{e_A}(e_A)
             total = Multivector.zero(n)
@@ -140,10 +137,6 @@ class CliffordZoo:
             """(P x, "cl") for the operator P = ops[p] and the element x = elements[key]."""
             return apply_operator(ops[p], elements[key][0]), "cl"
 
-        def left(key: str, prefix: str, p: str):
-            """L_x for the element x = elements[key], named after ops[p]."""
-            return clifford_left(elements[key][0], f"L_{{{prefix}{ops[p].name} omega}}")
-
         elements["unit"] = (Multivector.unit(n), "cl")
         elements["omega_cl"] = (om, "cl")
         elements["jstar_lee_cl"] = (geom.jstar_lee, "cl")
@@ -153,9 +146,9 @@ class CliffordZoo:
         for p in ("D", "Dc", "Dsig", "Dsigc"):
             key = f"{p}_omega"
             elements.add(key, partial(applied, p, "omega_cl"))
-            ops.add(f"L_{key}", partial(left, key, "", p))
+            ops.add(f"L_{key}", lambda key=key: clifford_left(elements[key][0]))
         for p in ("D", "Dc"):
             key = f"Jd_{p}_omega"
             elements.add(key, partial(applied, "Jd_cl", f"{p}_omega"))
-            ops.add(f"L_{key}", partial(left, key, "J_d ", p))
-        ops.add("L_jlee", partial(clifford_left, geom.jstar_lee, "L_{(J* lee)#}"))
+            ops.add(f"L_{key}", lambda key=key: clifford_left(elements[key][0]))
+        ops.add("L_jlee", partial(clifford_left, geom.jstar_lee))

@@ -219,7 +219,7 @@ def ce_differential(m: LieModel) -> LinearOperator:
         if a < b:
             for c, v in row.items():
                 dtheta[c][(1 << (a - 1)) | (1 << (b - 1))] = -v
-    return derivation({c: Multivector(m.n, acc) for c, acc in dtheta.items()}, "d", "ext")
+    return derivation({c: Multivector(m.n, acc) for c, acc in dtheta.items()}, "ext")
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def nabla(gamma: dict, n: int, a: int) -> LinearOperator:
     """nabla_{e_a} on polyvectors/Clifford elements (derivation extension)."""
     action = {b: Multivector(n, {1 << (c - 1): v for c, v in gamma.get((a, b), {}).items()})
               for b in range(1, 2 * n + 1)}
-    return derivation(action, f"nabla_{a}", "cl")
+    return derivation(action, "cl")
 
 
 def nabla_forms(gamma: dict, n: int, a: int) -> LinearOperator:
@@ -249,8 +249,7 @@ def nabla_forms(gamma: dict, n: int, a: int) -> LinearOperator:
     for b in range(1, 2 * n + 1):
         for c, v in gamma.get((a, b), {}).items():
             action[c][1 << (b - 1)] = -v
-    return derivation({c: Multivector(n, acc) for c, acc in action.items()},
-                      f"nabla_forms_{a}", "ext")
+    return derivation({c: Multivector(n, acc) for c, acc in action.items()}, "ext")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +342,7 @@ def geometry(m: LieModel) -> ModelGeometry:
 
     # the part of shift (p - 1, q - 1) sends omega to the (p, q) part of d omega
     shifts = bidegree_decompose(d)
-    zero = LinearOperator("0", ExactMatrix.zeros(bs.dim), "ext", "odd")
+    zero = LinearOperator(ExactMatrix.zeros(bs.dim), "ext", "odd")
     d_parts = {(p, 3 - p): shifts.pop((p - 1, 2 - p), zero) for p in (3, 2, 1, 0)}
     if shifts:
         raise GeometryError(f"model {m.name}: d has unexpected bidegree shifts {sorted(shifts)}")

@@ -2,8 +2,9 @@
 
 Operators are dense exact (or float) matrices indexed by blade masks,
 tagged with a picture ("ext" for forms, "cl" for Clifford/polyvectors)
-and a parity (measured from the matrix, or carried over from definite-parity
-operands).  Bidegree is never declared: it is measured in the complex frame.
+and a parity, "even" or "odd": measured from the matrix of a leaf, and
+carried from the operands by every operation of the calculus.  Bidegree is
+never declared: it is measured in the complex frame.
 
 The frame U and U^-1 are block-diagonal under blade degree, and each
 `ComplexFrame` keeps its degree blocks and shift-code blocks, built with
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +49,9 @@ class StructuralError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearOperator:
-    name: str
     matrix: ExactMatrix | FloatMatrix
     picture: str
-    parity: str  # "even" | "odd" | "mixed"
+    parity: str  # "even" | "odd"
 
     @property
     def dim(self) -> int:
@@ -59,9 +59,6 @@ class LinearOperator:
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
-
-    def renamed(self, name: str) -> "LinearOperator":
-        return replace(self, name=name)
 
 
 class LazyMap(Mapping):
@@ -218,7 +215,7 @@ class BladeStructure:
         """J_d, the derivation extending J (cl) or J* (ext) from degree 1."""
         n = self.n
         images = {i: j_vector(coframe(n, i), picture) for i in range(1, 2 * n + 1)}
-        return derivation(images, "J_d", picture).matrix
+        return derivation(images, picture).matrix
 
     # -- conversions -------------------------------------------------------
     def to_column(self, a: Multivector) -> ExactMatrix:
@@ -318,26 +315,26 @@ def _n_from_dim(dim: int) -> int:
 # ---------------------------------------------------------------------------
 
 def compute_parity(matrix, bs: BladeStructure) -> str:
+    """The parity of a leaf's matrix: odd when every nonzero entry joins
+    blades of opposite parity, even when none does (a zero matrix included)."""
     nz = matrix.nonzero_mask()
-    eo = bool(np.any(nz & bs.cross_parity))
-    ee = bool(np.any(nz & ~bs.cross_parity))
-    if ee and eo:
-        return "mixed"
-    if eo:
-        return "odd"
-    return "even"
+    if not (nz & bs.cross_parity).any():
+        return "even"
+    if (nz & ~bs.cross_parity).any():
+        raise StructuralError("an operator must be even or odd, not both")
+    return "odd"
 
 
-def make_operator(name, matrix, picture, parity=None) -> LinearOperator:
-    """An operator on matrix.  parity is the one its operands determine, when
-    they do, and a zero matrix is even; None or "mixed" measures it."""
+def make_operator(matrix, picture, parity=None) -> LinearOperator:
+    """An operator on matrix.  parity is the one its operands determine,
+    and a zero matrix is even; a leaf gives None, and its parity is measured."""
     if picture not in PICTURES:
         raise ValueError(f"unknown picture {picture!r}")
-    if parity in (None, "mixed"):
+    if parity is None:
         parity = compute_parity(matrix, blade_structure(_n_from_dim(matrix.shape[0])))
     elif matrix.is_zero():
         parity = "even"
-    return LinearOperator(name, matrix, picture, parity)
+    return LinearOperator(matrix, picture, parity)
 
 
 def apply_operator(op: LinearOperator, a: Multivector) -> Multivector:
@@ -355,43 +352,32 @@ def _parity_sign(p: str, q: str) -> int:
     return -1 if (p == "odd" and q == "odd") else 1
 
 
-def _product_parity(p: str, q: str) -> str | None:
-    """The parity of a product of operands of parity p and q, when definite."""
-    if "mixed" in (p, q):
-        return None
+def _product_parity(p: str, q: str) -> str:
+    """The parity of a product of operands of parity p and q."""
     return "even" if p == q else "odd"
 
 
 def supercommutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     """Graded commutator [a, b] = ab - (-1)^{|a||b|} ba."""
     if a.picture != b.picture:
-        raise StructuralError(
-            f"cannot commute {a.name} ({a.picture}) with {b.name} ({b.picture})"
-        )
-    if a.parity == "mixed" or b.parity == "mixed":
-        raise StructuralError(
-            f"supercommutator needs definite parity, got"
-            f" {a.name}:{a.parity}, {b.name}:{b.parity}"
-        )
+        raise StructuralError(f"cannot commute a {a.picture} operator with a {b.picture} one")
     sign = _parity_sign(a.parity, b.parity)
     x, y = a.matrix, b.matrix
     if isinstance(x, ExactMatrix):
         mat = linear_combination([(1, (x, y), None), (-sign, (y, x), None)], x.shape)
     else:
         mat = x @ y - y @ x if sign == 1 else x @ y + y @ x
-    return make_operator(f"[{a.name},{b.name}]", mat, a.picture,
-                         _product_parity(a.parity, b.parity))
+    return make_operator(mat, a.picture, _product_parity(a.parity, b.parity))
 
 
 def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     if a.picture != b.picture:
         raise StructuralError("cannot compose operators from different pictures")
-    return make_operator(f"({a.name}.{b.name})", a.matrix @ b.matrix, a.picture,
-                         _product_parity(a.parity, b.parity))
+    return make_operator(a.matrix @ b.matrix, a.picture, _product_parity(a.parity, b.parity))
 
 
 def adjoint(op: LinearOperator) -> LinearOperator:
-    return make_operator(f"{op.name}*", op.matrix.adjoint(), op.picture, op.parity)
+    return make_operator(op.matrix.adjoint(), op.picture, op.parity)
 
 
 def conjugate(op: LinearOperator) -> LinearOperator:
@@ -402,36 +388,40 @@ def conjugate(op: LinearOperator) -> LinearOperator:
     J_a keeps the degree, so P^c has the parity of P."""
     bs = blade_structure(_n_from_dim(op.dim))
     mat = op.matrix.signed_reindex(*bs.ja_action[op.picture])
-    return make_operator(f"{op.name}^c", mat, op.picture, op.parity)
+    return make_operator(mat, op.picture, op.parity)
 
 
 def bar(op: LinearOperator) -> LinearOperator:
     """Entrywise conjugation (conj . P . conj); swaps bidegree."""
-    return make_operator(f"bar({op.name})", op.matrix.bar(), op.picture, op.parity)
+    return make_operator(op.matrix.bar(), op.picture, op.parity)
 
 
 def transport(op: LinearOperator) -> LinearOperator:
     """Musical transport: same coefficient matrix, other picture."""
     other = "cl" if op.picture == "ext" else "ext"
-    return LinearOperator(f"{op.name}~", op.matrix, other, op.parity)
+    return LinearOperator(op.matrix, other, op.parity)
 
 
 def scale_op(op: LinearOperator, c) -> LinearOperator:
-    return make_operator(f"({c})*{op.name}", op.matrix.scale(c), op.picture, op.parity)
+    return make_operator(op.matrix.scale(c), op.picture, op.parity)
 
 
 def add_ops(*ops: LinearOperator) -> LinearOperator:
+    """The sum of operators of one picture, with the parity its nonzero
+    operands share (a zero sum is even)."""
     first = ops[0]
     if any(o.picture != first.picture for o in ops):
         raise StructuralError("cannot add operators from different pictures")
+    parities = {o.parity for o in ops if not o.is_zero()}
+    if len(parities) > 1:
+        raise StructuralError("cannot add an even operator to an odd one")
     if isinstance(first.matrix, ExactMatrix):
         mat = linear_combination([(1, o.matrix, None) for o in ops], first.matrix.shape)
     else:
         mat = first.matrix
         for o in ops[1:]:
             mat = mat + o.matrix
-    name = "+".join(o.name for o in ops)
-    return make_operator(f"({name})", mat, first.picture)
+    return make_operator(mat, first.picture, parities.pop() if parities else "even")
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +512,11 @@ def measured_bidegree(ops: Sequence[LinearOperator]) -> list[set[tuple[int, int]
 def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperator]:
     """Decompose P = sum of components with pure bidegree shift (a, b).
 
-    Keys are shifts; each value is the operator U P_(a,b) U^-1, named
-    op.name[a,b], with P_(a,b) the entries of P = U^-1 M U that move
-    bidegree by (a, b).  Both conjugations run block by block: block (q, p)
-    of a component is U_q (P_(a,b))_qp V_p, one stacked product over the
-    shifts present in the block.
+    Keys are shifts; each value is the operator U P_(a,b) U^-1, with
+    P_(a,b) the entries of P = U^-1 M U that move bidegree by (a, b).  Both
+    conjugations run block by block: block (q, p) of a component is
+    U_q (P_(a,b))_qp V_p, one stacked product over the shifts present in the
+    block.  U keeps the degree, so every component has op's parity.
     """
     _require_exact(op)
     cf = blade_structure(_n_from_dim(op.dim)).complex_frame(op.picture)
@@ -553,7 +543,7 @@ def bidegree_decompose(op: LinearOperator) -> dict[tuple[int, int], LinearOperat
     out = {}
     for c, (re, im) in sorted(dense.items()):
         a, b = cf.shift(c)
-        out[(a, b)] = make_operator(f"{op.name}[{a},{b}]", ExactMatrix(re, im, den), op.picture)
+        out[(a, b)] = make_operator(ExactMatrix(re, im, den), op.picture, op.parity)
     return out
 
 
@@ -593,7 +583,7 @@ def contract(phi: Multivector, psi: Multivector) -> Multivector:
     return bs.to_multivector(multiplication(phi, "C", bs.to_column(psi)))
 
 
-def derivation(images: dict[int, Multivector], name: str, picture: str) -> LinearOperator:
+def derivation(images: dict[int, Multivector], picture: str) -> LinearOperator:
     """The graded derivation t^i -> images[i] that kills scalars: sum_i E_{images[i]} C_i.
 
     C_i carries the Koszul sign of passing t^i over the factors before it;
@@ -610,7 +600,7 @@ def derivation(images: dict[int, Multivector], name: str, picture: str) -> Linea
             # row r of E_S C_i is word_S[r] * c_sign[r ^ S] times row r ^ S ^ bit_i of 1
             sign = bs.word("E", mask) * c_sign[bs.rows ^ mask]
             terms.append((c, None, (sign, bs.rows ^ mask ^ (1 << (i - 1)))))
-    return make_operator(name, linear_combination(terms, (bs.dim, bs.dim)), picture)
+    return make_operator(linear_combination(terms, (bs.dim, bs.dim)), picture)
 
 
 def tensor_slices(n: int, entries: dict) -> list[ExactMatrix]:
@@ -646,22 +636,22 @@ def vector_operator(block: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(re, im, block.den, _normalized=True, _bounds=block._bounds)
 
 
-def ext_mult(phi: Multivector, name: str) -> LinearOperator:
+def ext_mult(phi: Multivector) -> LinearOperator:
     """Left exterior multiplication E_phi."""
-    return make_operator(name, multiplication(phi, "E"), "ext")
+    return make_operator(multiplication(phi, "E"), "ext")
 
 
-def int_mult(phi: Multivector, name: str) -> LinearOperator:
+def int_mult(phi: Multivector) -> LinearOperator:
     """Interior multiplication, defined as the adjoint of E_phi."""
-    return make_operator(name, multiplication(phi, "E").adjoint(), "ext")
+    return make_operator(multiplication(phi, "E").adjoint(), "ext")
 
 
-def contract_op(phi: Multivector, name: str) -> LinearOperator:
+def contract_op(phi: Multivector) -> LinearOperator:
     """Bilinear contraction by phi (no conjugation of phi's coefficients)."""
-    return make_operator(name, multiplication(phi, "C"), "ext")
+    return make_operator(multiplication(phi, "C"), "ext")
 
 
-def r_xi(xi: Multivector, name: str) -> LinearOperator:
+def r_xi(xi: Multivector) -> LinearOperator:
     """r_xi(phi) = -sum_A (e_A _| xi) ^ (e_A _| phi).
 
     For xi of pure bidegree (r, s) this has bidegree (r-1, s-1); it is the
@@ -669,10 +659,10 @@ def r_xi(xi: Multivector, name: str) -> LinearOperator:
     """
     n = xi.n
     images = {a: -contract(frame(n, a), xi) for a in range(1, 2 * n + 1)}
-    return derivation(images, name, "ext")
+    return derivation(images, "ext")
 
 
-def k_xi(xi: Multivector, name: str) -> LinearOperator:
+def k_xi(xi: Multivector) -> LinearOperator:
     """K_xi(phi) = sum_C (e_C _| xi) ^ (J e_C _| phi)."""
     n = xi.n
     st = AdaptedStructure(n)
@@ -680,7 +670,7 @@ def k_xi(xi: Multivector, name: str) -> LinearOperator:
     for c in range(1, 2 * n + 1):
         j, s = st.pair(c)  # J e_c = s e_j
         images[j] = contract(frame(n, c), xi).scale(s)
-    return derivation(images, name, "ext")
+    return derivation(images, "ext")
 
 
 def derivation_rebuild(op: LinearOperator) -> LinearOperator:
@@ -693,15 +683,14 @@ def derivation_rebuild(op: LinearOperator) -> LinearOperator:
     a degree-0 map whose degree-1 block is skew extends identically over
     both products (the contraction corrections cancel in pairs).
     """
-    if op.parity == "mixed":
-        raise StructuralError("derivation rebuild needs a definite parity")
     n = _n_from_dim(op.dim)
     if not isinstance(op.matrix, ExactMatrix):
         raise StructuralError("derivation rebuild requires an exact matrix")
     if op.matrix.column_dict(0):
-        raise StructuralError(f"{op.name} does not kill scalars; not a derivation")
-    # definite parity makes every image's degree parity match the sign rule
+        raise StructuralError(f"this {op.picture} operator does not kill scalars;"
+                              " not a derivation")
+    # op's parity makes every image's degree parity match the sign rule
     images = {
         i: Multivector(n, op.matrix.column_dict(1 << (i - 1))) for i in range(1, 2 * n + 1)
     }
-    return derivation(images, f"rebuild({op.name})", op.picture)
+    return derivation(images, op.picture)

@@ -172,7 +172,8 @@ class GaussianRational:
         return (self._a, self._b, self._d) == o
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int and Fraction, so it hashes as they do
+        return hash((self.re, self.im) if self._b else self.re)
 
     # -- conversion ------------------------------------------------------
     def to_complex(self) -> complex:

@@ -10,6 +10,7 @@ solves over the operator span.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -22,7 +23,6 @@ from .matrices import (
     solve_exact,
 )
 from .algebra import AdaptedStructure
-from .jsontext import json_text
 from .models import LieModel, geometry
 from .operators import (
     LinearOperator,
@@ -835,7 +835,8 @@ class Workspace:
     `reads` lists the (expr, float_mode) evaluations the caller is about to
     make (`suite_requests`, `table_requests`): the zoo operators and elements
     they read are built with the workspace, so its construction holds all of
-    the zoo work and nothing else is built.
+    the zoo work and nothing else is built.  The reads are also the
+    workspace's first plan (see `plan`).
     """
 
     def __init__(self, model: LieModel, mode: str = "exact", reads=()):
@@ -851,8 +852,8 @@ class Workspace:
         self._cols: dict[str, ExactMatrix] = {}
         self._memo: dict[tuple, object] = {}
         # planned requests left per (expr, float_mode) key; see `plan`
-        self._uses: dict[tuple, int] = {}
-        for expr, _ in _count_uses(reads):
+        self._uses = _count_uses(reads)
+        for expr, _ in self._uses:
             if isinstance(expr, Op):
                 self.op(expr.name)
             elif isinstance(expr, El):
@@ -902,7 +903,7 @@ class Workspace:
                 # a leaf, a zero or a rebuild is computed exactly in either
                 # mode; float mode takes its float view, here and only here
                 mat = FloatMatrix.from_exact(val.matrix)
-                val = (LinearOperator(val.name, mat, val.picture, val.parity)
+                val = (LinearOperator(mat, val.picture, val.parity)
                        if isinstance(val, LinearOperator) else ElementValue(mat, val.picture))
             self._memo[key] = val
         left = self._uses.get(key)
@@ -918,7 +919,7 @@ class Workspace:
         if isinstance(expr, El):
             return ElementValue(*self.element_column(expr.name))
         if isinstance(expr, ZeroOp):
-            return LinearOperator("0", ExactMatrix.zeros(self.dim), expr.picture, "even")
+            return LinearOperator(ExactMatrix.zeros(self.dim), expr.picture, "even")
         if isinstance(expr, ZeroEl):
             return ElementValue(ExactMatrix.zeros(self.dim, 1), expr.picture)
         vals = [self._eval(child, fm) for child, fm in _children(expr, float_mode)]
@@ -945,7 +946,7 @@ class Workspace:
                 raise StructuralError("Apply needs an element operand")
             if opv.picture != elv.picture:
                 raise StructuralError(
-                    f"cannot apply {opv.name} ({opv.picture}) to a {elv.picture} element")
+                    f"cannot apply a {opv.picture} operator to a {elv.picture} element")
             return ElementValue(opv.matrix @ elv.matrix, elv.picture)
         ops = [_operator(v) for v in vals]
         calculus = _CALCULUS.get(type(expr))
@@ -1073,7 +1074,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json_text(self.to_dict())
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_markdown(self) -> str:
         c = self.counts()
@@ -1240,8 +1241,8 @@ def table_requests(which: str = "both") -> list[tuple]:
     expected form that is a combination of span atoms is decided from the
     Gram data and never evaluated.
 
-    Planned in one `Workspace.plan` call, they evaluate every value once
-    and drop it after its last use, in either table.
+    As a workspace's reads they are also its plan: every value is
+    evaluated once and dropped after its last use, in either table.
     """
     if which not in ("commutator", "bidegree", "both"):
         raise ValueError(f"unknown table {which!r}")

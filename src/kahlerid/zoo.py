@@ -73,18 +73,18 @@ class ExteriorZoo:
 
         ops = self.ops = LazyMap()
 
-        def from_ops(fn, name, *keys):
-            """fn of the operators under keys, renamed."""
-            return fn(*(ops[k] for k in keys)).renamed(name)
+        def from_ops(fn, *keys):
+            """fn of the operators under keys."""
+            return fn(*(ops[k] for k in keys))
 
         ops["d"] = d
-        ops.add("d_star", partial(from_ops, adjoint, "d*", "d"))
-        ops.add("dc", partial(from_ops, conjugate, "d^c", "d"))
-        ops.add("dc_star", partial(from_ops, adjoint, "(d^c)*", "dc"))
-        ops.add("Ja_ext", partial(make_operator, "J_a", bs.Ja_ext, "ext"))
-        ops.add("Jd_ext", lambda: make_operator("J_d", bs.Jd_ext, "ext"))
+        ops.add("d_star", partial(from_ops, adjoint, "d"))
+        ops.add("dc", partial(from_ops, conjugate, "d"))
+        ops.add("dc_star", partial(from_ops, adjoint, "dc"))
+        ops.add("Ja_ext", partial(make_operator, bs.Ja_ext, "ext"))
+        ops.add("Jd_ext", lambda: make_operator(bs.Jd_ext, "ext"))
         for pq, nm in _PARTS.items():
-            ops[nm] = geom.d_parts[pq].renamed(nm)
+            ops[nm] = geom.d_parts[pq]
 
         def summed(op, fam, whole):
             """op, the whole of a family, once it equals its plus and minus parts' sum."""
@@ -93,37 +93,36 @@ class ExteriorZoo:
             return op
 
         def lam():
-            op = from_ops(add_ops, "lam", *(f"lam_{nm}" for nm in _PARTS.values()))
+            op = from_ops(add_ops, *(f"lam_{nm}" for nm in _PARTS.values()))
             if op.matrix != ops["E_domega"].matrix:
                 raise GeometryError("lambda parts do not sum to E_{d omega}")
             return op
 
         def tau():
-            op = summed(from_ops(supercommutator, "tau", "Lam", "lam"), "tau", "[Lam, lam]")
+            op = summed(from_ops(supercommutator, "Lam", "lam"), "tau", "[Lam, lam]")
             if apply_operator(op, Multivector.unit(n)) != geom.lee_form:
                 raise GeometryError("tau(1) does not equal the Lee form")
             return op
 
-        ops.add("L", partial(ext_mult, geom.omega_form, "L"))
-        ops.add("Lam", partial(from_ops, adjoint, "Lam", "L"))
+        ops.add("L", partial(ext_mult, geom.omega_form))
+        ops.add("Lam", partial(from_ops, adjoint, "L"))
         for pq, nm in _PARTS.items():
-            ops.add(f"lam_{nm}", partial(ext_mult, parts[pq], f"lam_{nm}"))
-            ops.add(f"tau_{nm}", partial(from_ops, supercommutator, f"tau_{nm}", "Lam", f"lam_{nm}"))
-            ops.add(f"rho_{nm}", partial(r_xi, parts[pq], f"rho_{nm}"))
+            ops.add(f"lam_{nm}", partial(ext_mult, parts[pq]))
+            ops.add(f"tau_{nm}", partial(from_ops, supercommutator, "Lam", f"lam_{nm}"))
+            ops.add(f"rho_{nm}", partial(r_xi, parts[pq]))
         for fam in ("tau", "rho"):
             for half, (a, b) in (("plus", ("del", "delbar")), ("minus", ("mu", "mubar"))):
-                ops.add(f"{fam}_{half}",
-                        partial(from_ops, add_ops, f"{fam}_{half}", f"{fam}_{a}", f"{fam}_{b}"))
+                ops.add(f"{fam}_{half}", partial(from_ops, add_ops, f"{fam}_{a}", f"{fam}_{b}"))
         ops.add("lam", lam)
-        ops.add("E_domega", partial(ext_mult, geom.d_omega, "E_domega"))
+        ops.add("E_domega", partial(ext_mult, geom.d_omega))
         ops.add("tau", tau)
-        ops.add("rho", lambda: summed(r_xi(geom.d_omega, "rho"), "rho", "r_{d omega}"))
+        ops.add("rho", lambda: summed(r_xi(geom.d_omega), "rho", "r_{d omega}"))
 
-        ops.add("E_domega_plus", partial(ext_mult, geom.d_omega_plus, "E_domega_plus"))
+        ops.add("E_domega_plus", partial(ext_mult, geom.d_omega_plus))
         for nm, form in (("lee", geom.lee_form), ("jlee", geom.jstar_lee)):
-            ops.add(f"E_{nm}", partial(ext_mult, form, f"E_{nm}"))
-            ops.add(f"I_{nm}", partial(int_mult, form, f"I_{nm}"))
-        ops.add("C_lee", partial(contract_op, geom.lee_form, "C_lee"))
+            ops.add(f"E_{nm}", partial(ext_mult, form))
+            ops.add(f"I_{nm}", partial(int_mult, form))
+        ops.add("C_lee", partial(contract_op, geom.lee_form))
         for a in range(1, 2 * n + 1):
             ops.add(f"nablaf_{a}", partial(nabla_forms, geom.connection, n, a))
 
@@ -197,7 +196,7 @@ def _torsion_witnesses(geom: ModelGeometry, ops: LazyMap, elements: LazyMap) -> 
 
     def witness(a: int, name: str) -> LinearOperator:
         m, picture = blocks(a)[name]
-        return make_operator(name, vector_operator(m.transpose()), picture)
+        return make_operator(vector_operator(m.transpose()), picture)
 
     # frame trace of psi = dw+ at Z = e_a: the 2-forms of psi(e_A,Z,e_B) - psi(e_A,JZ,Je_B)
     # and of 1/2 (psi(e_A,Z,e_B) + psi(Je_A,Z,Je_B))
@@ -215,7 +214,7 @@ def _torsion_witnesses(geom: ModelGeometry, ops: LazyMap, elements: LazyMap) -> 
         tau = [(-geom.jstar_lee, bs.proj1)]
         tau += [(coframe(n, a), vector_operator((slices(a)[4] @ j).transpose().scale(_HALF)))
                 for a in idx]
-        return make_operator("tauplusc_1f", multiplication_sum("E", tau), "ext")
+        return make_operator(multiplication_sum("E", tau), "ext")
 
     for a in idx:
         for name in ("kn", "kn_twist", "sigflat1f", "tf_mixed", "tf2_lhs", "tf2_mid", "tf2_rhs"):
@@ -243,27 +242,27 @@ def assemble(geom: ModelGeometry):
     ops = LazyMap(ExteriorZoo(geom).ops, cz.ops)
     for picture in PICTURES:
         ops.add(f"Ja_{picture}_inv",
-                partial(make_operator, "J_a^-1", getattr(bs, f"Ja_{picture}_inv"), picture))
-        ops.add(f"par_{picture}", partial(make_operator, "par", bs.parity_sign, picture))
-        ops.add(f"id_{picture}", partial(make_operator, "id", bs.identity, picture))
-        ops.add(f"proj1_{picture}", partial(make_operator, "proj1", bs.proj1, picture))
-    ops.add("star_ext", partial(make_operator, "star", bs.hodge, "ext"))
+                partial(make_operator, getattr(bs, f"Ja_{picture}_inv"), picture))
+        ops.add(f"par_{picture}", partial(make_operator, bs.parity_sign, picture))
+        ops.add(f"id_{picture}", partial(make_operator, bs.identity, picture))
+        ops.add(f"proj1_{picture}", partial(make_operator, bs.proj1, picture))
+    ops.add("star_ext", partial(make_operator, bs.hodge, "ext"))
 
-    def lam_mult(mv, name):
-        return ext_mult(apply_operator(ops["Lam"], mv), name)
+    def lam_mult(mv):
+        return ext_mult(apply_operator(ops["Lam"], mv))
 
     # multiplication operators attached to the named 3-form pieces
     xis = {f"{nm}omega": geom.d_omega_parts[pq] for pq, nm in _PARTS.items()}
     xis["domega"] = geom.d_omega
     for nm, mv in {**xis, "domega_plus": geom.d_omega_plus, "lee": geom.lee_form}.items():
-        ops.add(f"K_{nm}", partial(k_xi, mv, f"K_{nm}"))
-        ops.add(f"ELam_{nm}", partial(lam_mult, mv, f"ELam_{nm}"))
+        ops.add(f"K_{nm}", partial(k_xi, mv))
+        ops.add(f"ELam_{nm}", partial(lam_mult, mv))
     for nm, mv in {**xis, "lee": geom.lee_form}.items():
-        ops.add(f"Lcl_{nm}", partial(clifford_left, mv, f"Lcl_{nm}"))
+        ops.add(f"Lcl_{nm}", partial(clifford_left, mv))
     for nm, mv in xis.items():
-        ops.add(f"C_{nm}", partial(contract_op, mv, f"C_{nm}"))
+        ops.add(f"C_{nm}", partial(contract_op, mv))
     for a in range(1, 2 * n + 1):
-        ops.add(f"Lcl_e_{a}", partial(clifford_left, frame(n, a), f"Lcl_e_{a}"))
+        ops.add(f"Lcl_e_{a}", partial(clifford_left, frame(n, a)))
 
     forms = {**xis, "omega": geom.omega_form, "domega_plus": geom.d_omega_plus,
              "lee": geom.lee_form, "jstar_lee": geom.jstar_lee}

@@ -30,7 +30,7 @@ import numpy as np
 
 from kahlerid.matrices import ExactMatrix, FloatMatrix, linear_combination
 from kahlerid.models import LieModel, from_brackets, nabla
-from kahlerid.operators import blade_structure, make_operator, multiplication_sum
+from kahlerid.operators import blade_structure, multiplication_sum
 from kahlerid.scalars import GaussianRational, ONE, ZERO, gq
 
 
@@ -345,15 +345,15 @@ def hodge_star(a: Multivector) -> Multivector:
 # operators, column by column
 # ---------------------------------------------------------------------------
 
-def operator_from_blade_action(n, fn, name, picture):
-    """Build an operator column by column, calling fn once per basis blade
+def matrix_from_blade_action(n, fn) -> ExactMatrix:
+    """Build a matrix column by column, calling fn once per basis blade
     (a None result is the zero column)."""
     dim = 4**n
     cols = []
     for mask in range(dim):
         out = fn(Multivector(n, {mask: ONE}))
         cols.append(out.coeffs if out is not None else {})
-    return make_operator(name, ExactMatrix.from_columns(dim, cols), picture)
+    return ExactMatrix.from_columns(dim, cols)
 
 
 def frame_rotation_check(geom, seed: int = 0) -> bool:

@@ -1,7 +1,7 @@
-"""Write the JSON outputs a refactor must keep byte for byte: validation,
-exact verify, float verify and both tables, for the seven built-in models,
-big32 and nil8 (`reference.EXTRA_MODELS`), and validation alone for two
-invalid algebras.
+"""Write the outputs a refactor must keep byte for byte: validation, exact
+verify, float verify and both tables as JSON, and exact verify and both
+tables as markdown, for the seven built-in models, big32 and nil8
+(`reference.EXTRA_MODELS`), and validation alone for two invalid algebras.
 
     PYTHONPATH=src python tests/snapshot.py OUT_DIR
 
@@ -25,17 +25,18 @@ INVALID_FILES = {
     "jacobi2": (2, {(1, 2): {3: 1}, (3, 4): {1: 1}}),
     "nonunimodular": (2, {(1, 2): {2: 1}}),
 }
+# run: (argv, formats)
 RUNS = {
-    "validate": ["validate"],
-    "verify-exact": ["verify", "--suite", "all", "--exact"],
-    "verify-float": ["verify", "--suite", "all", "--float"],
-    "tables": ["table", "--which", "both"],
+    "validate": (["validate"], ("json",)),
+    "verify-exact": (["verify", "--suite", "all", "--exact"], ("json", "md")),
+    "verify-float": (["verify", "--suite", "all", "--float"], ("json",)),
+    "tables": (["table", "--which", "both"], ("json", "md")),
 }
 
 
 def snapshot(out_dir: Path) -> list[Path]:
-    """Write <model>.<run>.json into out_dir for every model and run; the
-    paths written."""
+    """Write <model>.<run>.<format> into out_dir for every model, run and
+    format; the paths written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -46,14 +47,15 @@ def snapshot(out_dir: Path) -> list[Path]:
             models[name] = str(path)
         for name, spec in models.items():
             invalid = name in INVALID_FILES
-            for run, argv in RUNS.items():
+            for run, (argv, formats) in RUNS.items():
                 if invalid and run != "validate":
                     continue
-                dest = out_dir / f"{name}.{run}.json"
-                code = main([*argv, "--model", spec, "--format", "json", "--out", str(dest)])
-                if code != (EXIT_VALIDATION if invalid else 0):
-                    raise SystemExit(f"{name} {run}: exit {code}")
-                written.append(dest)
+                for fmt in formats:
+                    dest = out_dir / f"{name}.{run}.{fmt}"
+                    code = main([*argv, "--model", spec, "--format", fmt, "--out", str(dest)])
+                    if code != (EXIT_VALIDATION if invalid else 0):
+                        raise SystemExit(f"{name} {run} {fmt}: exit {code}")
+                    written.append(dest)
     return written
 
 

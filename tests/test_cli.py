@@ -324,22 +324,23 @@ def test_table_command_never_imports_numpy_ma(tmp_path):
 
 
 def test_table_evaluates_each_planned_value_once(tmp_path, monkeypatch):
-    # both tables are planned in one call: a value they share is kept until
-    # its last use and never recomputed, and nothing is left in the memo
+    # both tables are planned in one call, the workspace's reads: a value
+    # they share is kept until its last use and never recomputed, and
+    # nothing is left in the memo
     from kahlerid import verifier
 
     seen = {"evals": 0, "workspaces": []}
-    plan, eval_inner = verifier.Workspace.plan, verifier.Workspace._eval_inner
+    init, eval_inner = verifier.Workspace.__init__, verifier.Workspace._eval_inner
 
-    def counting_plan(self, requests):
-        plan(self, requests)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         seen["workspaces"].append((self, len(self._uses)))
 
     def counting_eval(self, expr, float_mode):
         seen["evals"] += 1
         return eval_inner(self, expr, float_mode)
 
-    monkeypatch.setattr(verifier.Workspace, "plan", counting_plan)
+    monkeypatch.setattr(verifier.Workspace, "__init__", recording_init)
     monkeypatch.setattr(verifier.Workspace, "_eval_inner", counting_eval)
     dest = tmp_path / "table.json"
     assert main(["table", "--model", "nil6", "--which", "both", "--out", str(dest)]) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlerid import gq
-from kahlerid.algebra import Multivector, coframe, frame, j_vector
+from kahlerid.algebra import AdaptedStructure, Multivector, coframe, frame, j_vector
 from kahlerid.matrices import ExactMatrix
 from kahlerid.models import (
     LieModel,
@@ -30,6 +30,7 @@ from kahlerid.models import (
 from kahlerid.operators import (
     add_ops,
     apply_operator,
+    blade_structure,
     derivation_rebuild,
     ext_mult,
     int_mult,
@@ -212,6 +213,76 @@ def test_betti_numbers_of_big32_and_nil8():
             == _kunneth(BETTI["nil6"], (1, 2, 1)))
 
 
+# Dolbeault numbers h^{p,q} of the integrable models' compact quotients,
+# which left-invariant forms compute: tori, the Hopf surface S^3 x S^1, and
+# the Iwasawa manifold (Sakane, Osaka J. Math. 13 (1976)); kt4 and nil6 are
+# not integrable, and their delbar does not square to zero
+DOLBEAULT = {
+    "t4": [[math.comb(2, p) * math.comb(2, q) for q in range(3)] for p in range(3)],
+    "t6": [[math.comb(3, p) * math.comb(3, q) for q in range(4)] for p in range(4)],
+    "hopf4": [[1, 1, 0], [0, 0, 0], [0, 1, 1]],
+    "iwa6": [[1, 2, 2, 1], [3, 6, 6, 3], [3, 6, 6, 3], [1, 2, 2, 1]],
+}
+
+
+def _dolbeault_numbers(m: LieModel) -> list[list[int]]:
+    """[h^{p,q}], h^{p,q} = dim L^{p,q} - rank delbar_{p,q} - rank delbar_{p,q-1},
+    with delbar_{p,q}: L^{p,q} -> L^{p,q+1} read off U^-1 delbar U in the
+    complex frame, whose column r has bidegree shift(shift_code[r, 0])."""
+    delbar = geometry(m).d_parts[(1, 2)].matrix
+    assert (delbar @ delbar).is_zero()
+    cf = blade_structure(m.n).complex_frame("ext")
+    conj = cf.u_inv @ delbar @ cf.u
+    frames: dict[tuple[int, int], list[int]] = {}
+    for r in range(conj.shape[0]):
+        frames.setdefault(cf.shift(cf.shift_code[r, 0]), []).append(r)
+
+    def rank(p, q):
+        rows, cols = frames.get((p, q + 1), []), frames.get((p, q), [])
+        return reference.rank([[conj.entry(r, c) for c in cols] for r in rows])
+
+    return [[len(frames[(p, q)]) - rank(p, q) - rank(p, q - 1) for q in range(m.n + 1)]
+            for p in range(m.n + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(DOLBEAULT))
+def test_dolbeault_numbers_from_exact_ranks_of_delbar(name):
+    assert _dolbeault_numbers(get_model(name)) == DOLBEAULT[name]
+
+
+def _lefschetz_rank(m: LieModel) -> int:
+    """The rank of L^{n-1}: H^1 -> H^{2n-1}, H^1 = ker d_1 (d_0 = 0 on
+    invariant forms).  With h = L^{n-1} on 1-forms, g = d_1 and B the image
+    of d_{2n-2}, the rank of h on ker g modulo B is
+    rank [[h, B], [g, 0]] - rank g - rank B."""
+    n = m.n
+    d = ce_differential(m).matrix
+    omega = ext_mult(AdaptedStructure(n).omega()).matrix
+    h = omega
+    for _ in range(n - 2):
+        h = h @ omega
+    bs = blade_structure(n)
+    one, two, low, top = (list(bs.degree_indices[k]) for k in (1, 2, 2 * n - 2, 2 * n - 1))
+
+    def block(a, rows, cols):
+        return [[a.entry(r, c) for c in cols] for r in rows]
+
+    stacked = ([hr + br for hr, br in zip(block(h, top, one), block(d, top, low))]
+               + [gr + [0] * len(low) for gr in block(d, two, one)])
+    return (reference.rank(stacked) - reference.rank(block(d, two, one))
+            - reference.rank(block(d, top, low)))
+
+
+# hard Lefschetz where d omega = 0: L^{n-1} is onto H^{2n-1} on the tori,
+# rank b_1; kt4, a nilmanifold that is no torus, fails it (Benson and
+# Gordon, Topology 27 (1988)), with rank 2 < b_1 = 3
+@pytest.mark.parametrize("name, want", [("t4", 4), ("t6", 6), ("kt4", 2)])
+def test_hard_lefschetz_rank_on_the_first_cohomology(name, want):
+    m = get_model(name)
+    assert geometry(m).almost_kahler
+    assert _lefschetz_rank(m) == want
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_weitzenbock_identity(name):
     # Bochner-Weitzenbock on the invariant forms of a unimodular algebra:
@@ -223,8 +294,8 @@ def test_weitzenbock_identity(name):
     d = ce_differential(m).matrix
     conn = levi_civita(m)
     nab = {a: nabla_forms(conn, n, a).matrix for a in idx}
-    ext = {a: ext_mult(coframe(n, a), "E").matrix for a in idx}
-    inner = {a: int_mult(coframe(n, a), "I").matrix for a in idx}
+    ext = {a: ext_mult(coframe(n, a)).matrix for a in idx}
+    inner = {a: int_mult(coframe(n, a)).matrix for a in idx}
     rhs = ExactMatrix.zeros(4**n)
     for a in idx:
         rhs = rhs - nab[a] @ nab[a]

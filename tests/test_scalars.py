@@ -125,7 +125,14 @@ def test_equality_and_hash(p, q):
     g, h = GaussianRational(*p), GaussianRational(*q)
     assert (g == h) == (p == q)
     assert g == GaussianRational(*p) and hash(g) == hash(GaussianRational(*p))
-    assert hash(g) == hash(p)
+    # a real value hashes as the Fraction it equals
+    assert hash(g) == (hash(p) if p[1] else hash(p[0]))
+
+
+def test_a_real_value_is_one_set_element_with_its_int_and_fraction():
+    assert GaussianRational(2) == 2 == Fraction(2)
+    assert len({GaussianRational(2), 2, Fraction(2)}) == 1
+    assert len({GaussianRational("1/3"), Fraction(1, 3)}) == 1
 
 
 @settings(max_examples=200, deadline=None)
